@@ -54,10 +54,14 @@ def classify_difficulty(steps: int) -> Difficulty:
     raise ValueError(f"step count {steps} is outside the 1..13 difficulty bands")
 
 
+def hash16(maze_tokens: str) -> str:
+    """Maze identity: first 16 hex characters of SHA-256 over the token text."""
+    return hashlib.sha256(maze_tokens.encode("utf-8")).hexdigest()[:16]
+
+
 def maze_id(m: Maze) -> str:
     """Stable identity hash of the wall grid plus endpoints."""
-    digest = hashlib.sha256(render_maze_tokens(m).encode("utf-8")).hexdigest()
-    return digest[:16]
+    return hash16(render_maze_tokens(m))
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,12 @@ def build_suite(
 
     Raises StratumShortfallError naming the stratum and deficit when the
     pool runs out.  Pool mazes whose solution length exceeds 13 steps fit
-    no band and are skipped.
+    no band and are skipped.  A negative quota raises ValueError.
     """
     quotas = dict(DEFAULT_COMPOSITION if composition is None else composition)
+    negative = {d.value: v for d, v in quotas.items() if v < 0}
+    if negative:
+        raise ValueError(f"stratum quotas must be non-negative, got {negative}")
     order = list(range(len(pool)))
     SplitMix64(seed).shuffle(order)
     remaining = dict(quotas)

@@ -24,15 +24,17 @@ from .bench import (
     build_suite,
     evaluate_suite,
     fit_trendline,
+    hash16,
     maze_id,
 )
 from .dataset import (
-    DatasetRecord,
+    DatasetError,
     RecordKind,
     SplitPlan,
-    build_completion,
     build_splits,
-    read_jsonl,
+    field,
+    iter_jsonl,
+    make_record,
     validate_record,
     write_jsonl,
     write_records,
@@ -40,7 +42,7 @@ from .dataset import (
 from .generate import GenConfig, generate_solved_maze, solve_shortest_path
 from .rewards import group_advantages, total_reward
 from .rng import derive_seed
-from .tokens import ascii_preview, parse_maze_tokens, render_maze_tokens, render_move_tokens
+from .tokens import MazeParseError, ascii_preview, parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 
 def _echo_seed(seed: int) -> None:
@@ -56,14 +58,16 @@ def _out(path: str) -> str:
     return path
 
 
+def _maze(where: str, row: dict):
+    try:
+        return parse_maze_tokens(field(where, row, "maze_tokens", str))
+    except MazeParseError as exc:
+        raise DatasetError(f"{where}: maze_tokens do not parse: {exc}") from exc
+
+
 def _load_mazes(path: str) -> list:
     """Read mazes from any JSONL whose rows carry a maze_tokens field."""
-    mazes = []
-    for lineno, row in enumerate(read_jsonl(path), start=1):
-        if "maze_tokens" not in row:
-            raise ValueError(f"{path}: line {lineno}: row has no maze_tokens field")
-        mazes.append(parse_maze_tokens(row["maze_tokens"]))
-    return mazes
+    return [_maze(where, row) for where, row in iter_jsonl(path)]
 
 
 def _read_text(path: str) -> str:
@@ -83,13 +87,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             max_steps=args.max_steps,
         )
         m = generate_solved_maze(cfg)
-        steps = solve_shortest_path(m).steps
+        tokens = render_maze_tokens(m)
         rows.append(
             {
-                "id": f"{i:06d}-{maze_id(m)}",
+                "id": f"{i:06d}-{hash16(tokens)}",
                 "seed": cfg.seed,
-                "maze_tokens": render_maze_tokens(m),
-                "steps": steps,
+                "maze_tokens": tokens,
+                "steps": solve_shortest_path(m).steps,
             }
         )
         if args.preview and not preview_done:
@@ -102,10 +106,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    rows = read_jsonl(args.infile)
+    rows = list(iter_jsonl(args.infile))
     if not 0 <= args.index < len(rows):
         raise ValueError(f"index {args.index} outside 0..{len(rows) - 1}")
-    text = rows[args.index]["maze_tokens"]
+    text = field(*rows[args.index], "maze_tokens", str)
     if args.out:
         out = _out(args.out)
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -142,24 +146,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_augment(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
     records = []
-    for i, m in enumerate(_load_mazes(args.infile)):
+    for i, (where, row) in enumerate(iter_jsonl(args.infile)):
+        m = _maze(where, row)
         solution = solve_shortest_path(m)
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
         trace = augment_trace(m, solution, cfg)
         kind = RecordKind.RETRY if trace.is_retry else RecordKind.STRAIGHT_SUCCESS
-        tokens = render_maze_tokens(m)
-        suffix = "retry" if kind is RecordKind.RETRY else "straight"
-        record = DatasetRecord(
-            id=f"{i:06d}-{maze_id(m)}-{suffix}",
-            seed=cfg.seed,
-            maze_tokens=tokens,
-            steps=solution.steps,
-            kind=kind,
-            prompt=tokens,
-            completion=build_completion(trace.render(), solution.moves),
-        )
+        record = make_record(i, cfg.seed, render_maze_tokens(m), solution, kind, trace.render())
         if args.strict:
-            validate_record(record, where=f"maze {i}")
+            validate_record(record, where)
         records.append(record)
     out = _out(args.out)
     n = write_records(records, out)
@@ -234,18 +229,18 @@ def _suite_to_rows(suite: BenchSuite) -> list[dict]:
     ]
 
 
-def _suite_from_rows(rows: list[dict]) -> BenchSuite:
-    entries = []
-    for row in rows:
-        entries.append(
+def _load_suite(path: str) -> BenchSuite:
+    return BenchSuite(
+        entries=tuple(
             BenchEntry(
-                id=row["id"],
-                maze=parse_maze_tokens(row["maze_tokens"]),
-                difficulty=Difficulty(row["difficulty"]),
-                steps=row["steps"],
+                id=field(where, row, "id", str),
+                maze=_maze(where, row),
+                difficulty=Difficulty(field(where, row, "difficulty", str)),
+                steps=field(where, row, "steps", int),
             )
+            for where, row in iter_jsonl(path)
         )
-    return BenchSuite(entries=tuple(entries))
+    )
 
 
 def cmd_bench_build(args: argparse.Namespace) -> int:
@@ -269,12 +264,11 @@ def cmd_bench_build(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    suite = _suite_from_rows(read_jsonl(args.suite))
-    outputs: dict[str, str] = {}
-    for lineno, row in enumerate(read_jsonl(args.outputs), start=1):
-        if "id" not in row or "output" not in row:
-            raise ValueError(f"{args.outputs}: line {lineno}: rows need id and output fields")
-        outputs[row["id"]] = row["output"]
+    suite = _load_suite(args.suite)
+    outputs = {
+        field(where, row, "id", str): field(where, row, "output", str)
+        for where, row in iter_jsonl(args.outputs)
+    }
     report = evaluate_suite(suite, outputs)
     doc = {
         "overall": report.overall,
@@ -303,11 +297,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 def cmd_reward(args: argparse.Namespace) -> int:
     rows_out = []
     rewards = []
-    for lineno, row in enumerate(read_jsonl(args.pairs), start=1):
-        if "maze_tokens" not in row or "output" not in row:
-            raise ValueError(f"{args.pairs}: line {lineno}: rows need maze_tokens and output fields")
-        m = parse_maze_tokens(row["maze_tokens"])
-        breakdown = total_reward(m, row["output"])
+    for where, row in iter_jsonl(args.pairs):
+        breakdown = total_reward(_maze(where, row), field(where, row, "output", str))
         rewards.append(breakdown.total)
         out = {
             "correctness": breakdown.correctness,

@@ -226,24 +226,33 @@ def validate_maze(m: Maze) -> list[str]:
             problems.append(f"perimeter gap: ({r},{m.width - 1}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
-    reached = _reachable_count(m)
+    reached = len(bfs(m, Position(0, 0)))
     total = m.width * m.height
     if reached != total:
         problems.append(f"disconnected: only {reached} of {total} cells reachable from (0,0)")
     return problems
 
 
-def _reachable_count(m: Maze) -> int:
-    start = Position(0, 0)
-    seen = {start}
-    queue = deque([start])
+def bfs(
+    m: Maze, src: Position, dst: Optional[Position] = None
+) -> dict[Position, Optional[tuple[Position, MoveDirection]]]:
+    """Breadth-first search over open passages from src.
+
+    Returns parent links for every cell reached: each maps to its
+    (predecessor, move) pair, and src maps to None.  Neighbours expand in
+    canonical direction order; the search stops as soon as dst is reached.
+    """
+    prev: dict[Position, Optional[tuple[Position, MoveDirection]]] = {src: None}
+    queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for _, nxt in open_neighbors(m, cur):
-            if nxt not in seen:
-                seen.add(nxt)
+        for d, nxt in open_neighbors(m, cur):
+            if nxt not in prev:
+                prev[nxt] = (cur, d)
+                if nxt == dst:
+                    return prev
                 queue.append(nxt)
-    return len(seen)
+    return prev
 
 
 def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:

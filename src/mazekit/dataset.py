@@ -23,10 +23,10 @@ import gzip
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .augment import RESET_MARKER, AugmentConfig, augment_trace, render_trace
-from .bench import maze_id
+from .bench import hash16
 from .core import Maze, simulate_moves
 from .generate import GenConfig, SolutionPath, generate_solved_maze, solve_shortest_path
 from .rng import SplitMix64, derive_seed, mix64
@@ -135,29 +135,24 @@ class DatasetSplits:
     grpo: tuple[DatasetRecord, ...]
 
 
-def build_completion(trace_text: str, moves) -> str:
-    """Assemble a completion: think block first, answer move tokens after."""
-    return f"<think>\n{trace_text}\n</think>\n{render_move_tokens(moves)}"
-
-
-def _make_record(
-    pool_index: int,
+def make_record(
+    index: int,
     seed: int,
-    m: Maze,
+    maze_tokens: str,
     solution: SolutionPath,
     kind: RecordKind,
     trace_text: str,
 ) -> DatasetRecord:
-    tokens = render_maze_tokens(m)
+    """Assemble one record; the completion is the think block, then the answer moves."""
     suffix = "retry" if kind is RecordKind.RETRY else "straight"
     return DatasetRecord(
-        id=f"{pool_index:06d}-{maze_id(m)}-{suffix}",
+        id=f"{index:06d}-{hash16(maze_tokens)}-{suffix}",
         seed=seed,
-        maze_tokens=tokens,
+        maze_tokens=maze_tokens,
         steps=solution.steps,
         kind=kind,
-        prompt=tokens,
-        completion=build_completion(trace_text, solution.moves),
+        prompt=maze_tokens,
+        completion=f"<think>\n{trace_text}\n</think>\n{render_move_tokens(solution.moves)}",
     )
 
 
@@ -177,6 +172,7 @@ def build_splits(
     """
     pool: list[Maze] = []
     seeds: list[int] = []
+    tokens: list[str] = []
     for i in range(plan.total_pool):
         seed_i = derive_seed(gen_cfg.seed, i)
         cfg_i = GenConfig(
@@ -188,8 +184,10 @@ def build_splits(
         )
         pool.append(generate_solved_maze(cfg_i))
         seeds.append(seed_i)
+        # rendered once: ids and every record of this maze share the string
+        tokens.append(render_maze_tokens(pool[-1]))
     solutions = [solve_shortest_path(m) for m in pool]
-    ids = [maze_id(m) for m in pool]
+    ids = [hash16(t) for t in tokens]
 
     order = list(range(plan.total_pool))
     SplitMix64(mix64(gen_cfg.seed ^ _SHUFFLE_SALT)).shuffle(order)
@@ -241,10 +239,10 @@ def build_splits(
 
     def straight_record(i: int) -> DatasetRecord:
         text = render_trace(pool[i], [], solutions[i]).solution_text
-        return _make_record(i, seeds[i], pool[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
+        return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
 
     def retry_record(i: int) -> DatasetRecord:
-        return _make_record(i, seeds[i], pool[i], solutions[i], RecordKind.RETRY, traces[i].render())
+        return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.RETRY, traces[i].render())
 
     test_records = tuple(straight_record(i) for i in sorted(test_indices))
     sft_records = tuple(
@@ -278,22 +276,31 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     return n
 
 
-def read_jsonl(path: str) -> list[dict]:
-    """Read raw JSONL rows; errors carry the 1-based line number."""
-    rows = []
+def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
+    """Yield each non-blank row with its location, ``"<path>: line N"``."""
     with _open_for_read(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
-                raise DatasetError(f"{path}: line {lineno}: expected a JSON object")
-            rows.append(row)
-    return rows
+                raise DatasetError(f"{where}: expected a JSON object")
+            yield where, row
+
+
+def field(where: str, row: dict, name: str, typ: type):
+    """``row[name]`` checked against typ (bool never passes as int)."""
+    if name not in row:
+        raise DatasetError(f"{where}: missing field '{name}'")
+    value = row[name]
+    if not isinstance(value, typ) or isinstance(value, bool):
+        raise DatasetError(f"{where}: field '{name}' must be {typ.__name__}")
+    return value
 
 
 def write_records(records: Iterable[DatasetRecord], path: str) -> int:
@@ -303,28 +310,16 @@ def write_records(records: Iterable[DatasetRecord], path: str) -> int:
 
 def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
     """Validate one raw row against the record schema."""
-    for field, typ in _RECORD_FIELDS.items():
-        if field not in row:
-            raise DatasetError(f"{where}: missing field '{field}'")
-        if not isinstance(row[field], typ) or isinstance(row[field], bool):
-            raise DatasetError(f"{where}: field '{field}' must be {typ.__name__}")
+    values = {name: field(where, row, name, typ) for name, typ in _RECORD_FIELDS.items()}
     extra = set(row) - set(_RECORD_FIELDS)
     if extra:
         raise DatasetError(f"{where}: unknown fields {sorted(extra)}")
     try:
-        kind = RecordKind(row["kind"])
+        values["kind"] = RecordKind(row["kind"])
     except ValueError:
         raise DatasetError(f"{where}: field 'kind' must be one of "
                            f"{[k.value for k in RecordKind]}, got {row['kind']!r}") from None
-    return DatasetRecord(
-        id=row["id"],
-        seed=row["seed"],
-        maze_tokens=row["maze_tokens"],
-        steps=row["steps"],
-        kind=kind,
-        prompt=row["prompt"],
-        completion=row["completion"],
-    )
+    return DatasetRecord(**values)
 
 
 def validate_record(record: DatasetRecord, where: str = "record") -> None:
@@ -348,20 +343,9 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
 def read_records(path: str, strict: bool = False) -> list[DatasetRecord]:
     """Read and schema-check records; strict mode revalidates completions."""
     records = []
-    with _open_for_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise DatasetError(f"{where}: expected a JSON object")
-            record = record_from_dict(row, where)
-            if strict:
-                validate_record(record, where)
-            records.append(record)
+    for where, row in iter_jsonl(path):
+        record = record_from_dict(row, where)
+        if strict:
+            validate_record(record, where)
+        records.append(record)
     return records

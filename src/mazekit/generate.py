@@ -10,7 +10,6 @@ determines the output.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,8 +19,8 @@ from .core import (
     MoveDirection,
     Position,
     WallSet,
+    bfs,
     is_open,
-    open_neighbors,
 )
 from .rng import SplitMix64, mix64
 
@@ -140,12 +139,12 @@ def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_AT
             continue
         origin = Position(o // m.width, o % m.width)
         target = Position(t // m.width, t % m.width)
-        dist = _bfs_distance(m, origin, target)
-        if dist is None:
+        path = _shortest_path(m, origin, target)
+        if path is None:
             continue
-        if cfg.min_steps is not None and dist < cfg.min_steps:
+        if cfg.min_steps is not None and path.steps < cfg.min_steps:
             continue
-        if cfg.max_steps is not None and dist > cfg.max_steps:
+        if cfg.max_steps is not None and path.steps > cfg.max_steps:
             continue
         return m.with_endpoints(origin, target)
     raise EndpointSamplingError(
@@ -167,51 +166,27 @@ def solve_shortest_path(m: Maze) -> SolutionPath:
     """
     if m.origin is None or m.target is None:
         raise ValueError("solve_shortest_path requires origin and target")
-    prev: dict[Position, tuple[Position, MoveDirection]] = {}
-    seen = {m.origin}
-    queue = deque([m.origin])
-    while queue:
-        cur = queue.popleft()
-        if cur == m.target:
-            break
-        for d, nxt in open_neighbors(m, cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (cur, d)
-                queue.append(nxt)
-    if m.target not in seen:
+    path = _shortest_path(m, m.origin, m.target)
+    if path is None:
         raise UnreachableTargetError(f"target {m.target} unreachable from origin {m.origin}")
+    return path
+
+
+def _shortest_path(m: Maze, origin: Position, target: Position) -> Optional[SolutionPath]:
+    """Walk the BFS parent links back from target; None when unreachable."""
+    prev = bfs(m, origin, target)
+    if target not in prev:
+        return None
     moves: list[MoveDirection] = []
-    cells: list[Position] = [m.target]
-    cur = m.target
-    while cur != m.origin:
+    cells: list[Position] = [target]
+    cur = target
+    while cur != origin:
         cur, d = prev[cur]
         moves.append(d)
         cells.append(cur)
     moves.reverse()
     cells.reverse()
     return SolutionPath(moves=tuple(moves), cells=tuple(cells))
-
-
-def _bfs_distance(m: Maze, a: Position, b: Position) -> Optional[int]:
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for d in DIRECTIONS:
-            if not is_open(m, cur, d):
-                continue
-            dr, dc = d.delta
-            nxt = Position(cur.row + dr, cur.col + dc)
-            if nxt in dist:
-                continue
-            dist[nxt] = dist[cur] + 1
-            if nxt == b:
-                return dist[nxt]
-            queue.append(nxt)
-    return None
 
 
 def open_passage_count(m: Maze) -> int:

@@ -190,3 +190,8 @@ def test_trendline_degenerate():
         fit_trendline([(1, 2)])
     with pytest.raises(ValueError):
         fit_trendline([(3, 1), (3, 5)])
+
+
+def test_negative_quota_rejected(bench_pool):
+    with pytest.raises(ValueError, match="non-negative"):
+        build_suite(bench_pool, seed=7, composition={Difficulty.EASY: -1, Difficulty.MEDIUM: 0, Difficulty.HARD: 0})

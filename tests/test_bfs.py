@@ -1,0 +1,79 @@
+"""The shared breadth-first search on mazes that are not perfect: open rooms
+with cycles, partly walled-off grids, and grids with no passages at all."""
+
+import pytest
+
+from mazekit.core import Maze, MoveDirection, Position, WallSet, bfs, validate_maze
+from mazekit.generate import (
+    EndpointSamplingError,
+    GenConfig,
+    place_endpoints,
+    solve_shortest_path,
+)
+from mazekit.rng import derive_seed
+
+U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
+
+
+def room(width: int, height: int, split_after_col=None, closed=False) -> Maze:
+    """A closed perimeter around open cells.
+
+    ``split_after_col`` puts a full-height wall east of that column;
+    ``closed`` walls every cell in on its own.
+    """
+
+    def cut(c):
+        return closed or c == width - 1 or c == split_after_col
+
+    rows = tuple(
+        tuple(
+            WallSet(
+                up=closed or r == 0,
+                down=closed or r == height - 1,
+                left=c == 0 or cut(c - 1),
+                right=cut(c),
+            )
+            for c in range(width)
+        )
+        for r in range(height)
+    )
+    return Maze(width, height, rows)
+
+
+def test_bfs_parent_links_follow_canonical_order():
+    prev = bfs(room(3, 3), Position(0, 0))
+    assert len(prev) == 9
+    assert prev[Position(0, 0)] is None
+    # (1,0) is enqueued before (0,1), so it claims (1,1) first
+    assert prev[Position(1, 1)] == (Position(1, 0), R)
+
+
+def test_bfs_stops_at_destination():
+    prev = bfs(room(3, 3), Position(0, 0), Position(1, 0))
+    assert set(prev) == {Position(0, 0), Position(1, 0)}
+
+
+def test_solver_on_room_takes_canonical_shortest_path():
+    m = room(3, 3).with_endpoints(Position(0, 0), Position(2, 2))
+    assert solve_shortest_path(m).moves == (D, D, R, R)
+
+
+def test_validate_counts_reachable_cells_exactly():
+    problems = validate_maze(room(4, 3, split_after_col=1))
+    assert problems == ["disconnected: only 6 of 12 cells reachable from (0,0)"]
+    problems = validate_maze(room(2, 2, closed=True))
+    assert problems == ["disconnected: only 1 of 4 cells reachable from (0,0)"]
+
+
+def test_place_endpoints_skips_unreachable_pairs():
+    m = room(4, 3, split_after_col=1)
+    for i in range(40):
+        placed = place_endpoints(m, GenConfig(width=4, height=3, seed=derive_seed(17, i)))
+        assert (placed.origin.col <= 1) == (placed.target.col <= 1)
+        assert solve_shortest_path(placed).steps >= 1
+
+
+def test_place_endpoints_without_reachable_pair_raises():
+    m = room(3, 3, closed=True)
+    with pytest.raises(EndpointSamplingError):
+        place_endpoints(m, GenConfig(width=3, height=3, seed=5), attempts=50)

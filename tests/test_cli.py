@@ -216,3 +216,77 @@ def test_help_screens(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+def _jsonl(path, *rows):
+    """Write rows as JSONL; a None row becomes a blank line."""
+    path.write_text("".join(("" if r is None else json.dumps(r)) + "\n" for r in rows))
+    return str(path)
+
+
+def _bad_row_cases(tmp_path):
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")
+    entry = {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden}
+    suite = _jsonl(tmp_path / "suite.jsonl", entry)
+    report = str(tmp_path / "report.json")
+    out = str(tmp_path / "out.jsonl")
+    return {
+        "tokenize-no-maze_tokens": (
+            ["tokenize", "--in", _jsonl(tmp_path / "t.jsonl", {"id": "x"}), "--index", "0"],
+            "t.jsonl: line 1: missing field 'maze_tokens'",
+        ),
+        "suite-row-without-id": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s.jsonl", {k: entry[k] for k in entry if k != "id"}),
+             "--outputs", _jsonl(tmp_path / "o1.jsonl"), "--report", report],
+            "s.jsonl: line 1: missing field 'id'",
+        ),
+        "reward-non-string-maze_tokens": (
+            ["reward", "--pairs", _jsonl(tmp_path / "r1.jsonl", {"maze_tokens": 5, "output": ""}),
+             "--out", out],
+            "r1.jsonl: line 1: field 'maze_tokens' must be str",
+        ),
+        "pool-after-blank-lines": (
+            ["augment", "--in", _jsonl(tmp_path / "p.jsonl", {"maze_tokens": golden}, None, None,
+                                       {"maze_tokens": "<|0-0|>"}), "--out", out],
+            "p.jsonl: line 4: maze_tokens do not parse",
+        ),
+        "outputs-after-blank-lines": (
+            ["bench", "run", "--suite", suite, "--outputs",
+             _jsonl(tmp_path / "o2.jsonl", {"id": "a", "output": ""}, None, None, {"id": "b"}),
+             "--report", report],
+            "o2.jsonl: line 4: missing field 'output'",
+        ),
+        "pairs-after-blank-lines": (
+            ["reward", "--pairs", _jsonl(tmp_path / "r2.jsonl", None, None, {"maze_tokens": golden}),
+             "--out", out],
+            "r2.jsonl: line 3: missing field 'output'",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tokenize-no-maze_tokens",
+        "suite-row-without-id",
+        "reward-non-string-maze_tokens",
+        "pool-after-blank-lines",
+        "outputs-after-blank-lines",
+        "pairs-after-blank-lines",
+    ],
+)
+def test_bad_row_names_file_line(capsys, tmp_path, case):
+    argv, message = _bad_row_cases(tmp_path)[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert f"error: {tmp_path}/{message}" in err
+
+
+def test_bench_build_rejects_negative_quota(capsys, tmp_path):
+    pool = tmp_path / "pool.jsonl"
+    suite = tmp_path / "suite.jsonl"
+    run(capsys, "generate", "--count", "5", "--seed", "1", "--out", str(pool))
+    code, _, err = run(capsys, "bench", "build", "--pool", str(pool), "--easy", "-1",
+                       "--medium", "0", "--hard", "0", "--out", str(suite))
+    assert code == 1
+    assert "non-negative" in err
+    assert not suite.exists()
