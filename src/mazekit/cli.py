@@ -22,6 +22,7 @@ from .bench import (
     BenchEntry,
     BenchSuite,
     build_suite,
+    classify_difficulty,
     evaluate_suite,
     fit_trendline,
     hash16,
@@ -39,7 +40,7 @@ from .dataset import (
     write_jsonl,
     write_records,
 )
-from .generate import GenConfig, generate_solved_maze, solve_shortest_path
+from .generate import GenConfig, UnreachableTargetError, solve_shortest_path, solved_pool
 from .rewards import group_advantages, total_reward
 from .rng import derive_seed
 from .tokens import MazeParseError, ascii_preview, parse_maze_tokens, render_maze_tokens, render_move_tokens
@@ -76,29 +77,17 @@ def _read_text(path: str) -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
+    cfg = GenConfig(
+        width=args.width, height=args.height, seed=args.seed, min_steps=args.min_steps, max_steps=args.max_steps
+    )
     rows = []
-    preview_done = False
-    for i in range(args.count):
-        cfg = GenConfig(
-            width=args.width,
-            height=args.height,
-            seed=derive_seed(args.seed, i),
-            min_steps=args.min_steps,
-            max_steps=args.max_steps,
-        )
-        m = generate_solved_maze(cfg)
+    for i, (seed, m, solution) in enumerate(solved_pool(cfg, args.count)):
         tokens = render_maze_tokens(m)
         rows.append(
-            {
-                "id": f"{i:06d}-{hash16(tokens)}",
-                "seed": cfg.seed,
-                "maze_tokens": tokens,
-                "steps": solve_shortest_path(m).steps,
-            }
+            {"id": f"{i:06d}-{hash16(tokens)}", "seed": seed, "maze_tokens": tokens, "steps": solution.steps}
         )
-        if args.preview and not preview_done:
+        if args.preview and i == 0:
             print(ascii_preview(m))
-            preview_done = True
     out = _out(args.out)
     n = write_jsonl(out, rows)
     print(f"wrote {n} mazes to {out}", file=sys.stderr)
@@ -229,18 +218,40 @@ def _suite_to_rows(suite: BenchSuite) -> list[dict]:
     ]
 
 
+def _suite_entry(where: str, row: dict) -> BenchEntry:
+    """One suite row, checked against its own maze: ``steps`` is the solved
+    length and ``difficulty`` the band of that length."""
+    entry_id = field(where, row, "id", str)
+    m = _maze(where, row)
+    difficulty = field(where, row, "difficulty", str)
+    steps = field(where, row, "steps", int)
+    try:
+        solved = solve_shortest_path(m).steps
+        band = classify_difficulty(solved)
+    except (UnreachableTargetError, ValueError) as exc:
+        raise DatasetError(f"{where}: {exc}") from exc
+    if steps != solved:
+        raise DatasetError(f"{where}: steps {steps} does not match the maze's {solved}-step solution")
+    if difficulty != band.value:
+        raise DatasetError(f"{where}: difficulty {difficulty!r} does not match {solved} steps ({band.value!r})")
+    return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps)
+
+
 def _load_suite(path: str) -> BenchSuite:
-    return BenchSuite(
-        entries=tuple(
-            BenchEntry(
-                id=field(where, row, "id", str),
-                maze=_maze(where, row),
-                difficulty=Difficulty(field(where, row, "difficulty", str)),
-                steps=field(where, row, "steps", int),
-            )
-            for where, row in iter_jsonl(path)
-        )
-    )
+    return BenchSuite(entries=tuple(_suite_entry(where, row) for where, row in iter_jsonl(path)))
+
+
+def _load_outputs(path: str) -> dict[str, str]:
+    """Model outputs by id; an id given twice is an error naming both lines."""
+    outputs: dict[str, str] = {}
+    first_line: dict[str, str] = {}
+    for where, row in iter_jsonl(path):
+        key = field(where, row, "id", str)
+        if key in first_line:
+            raise DatasetError(f"{where}: id {key!r} repeats {first_line[key]}")
+        first_line[key] = where.rsplit(": ", 1)[1]
+        outputs[key] = field(where, row, "output", str)
+    return outputs
 
 
 def cmd_bench_build(args: argparse.Namespace) -> int:
@@ -264,12 +275,7 @@ def cmd_bench_build(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    suite = _load_suite(args.suite)
-    outputs = {
-        field(where, row, "id", str): field(where, row, "output", str)
-        for where, row in iter_jsonl(args.outputs)
-    }
-    report = evaluate_suite(suite, outputs)
+    report = evaluate_suite(_load_suite(args.suite), _load_outputs(args.outputs))
     doc = {
         "overall": report.overall,
         "by_difficulty": {d.value: rate for d, rate in report.by_difficulty.items()},

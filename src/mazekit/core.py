@@ -1,7 +1,8 @@
 """Grid geometry, walls, structural validation and movement simulation.
 
 Coordinates are (row, col) with (0, 0) the top-left cell; moving up
-decreases the row index.  Walls are stored per cell, redundantly on both
+decreases the row index.  Each cell's walls are a 4-bit mask (up 1, down 2,
+left 4, right 8).  Walls are still stored per cell, redundantly on both
 sides of each shared edge, and are expected to stay consistent by
 construction.  ``validate_maze`` audits that expectation instead of
 repairing breaches.
@@ -34,12 +35,17 @@ class MoveDirection(Enum):
         return _OPPOSITES[self]
 
 
-_DELTAS = {
-    MoveDirection.UP: (-1, 0),
-    MoveDirection.DOWN: (1, 0),
-    MoveDirection.LEFT: (0, -1),
-    MoveDirection.RIGHT: (0, 1),
-}
+# The open-edge rule, one row per direction in canonical order:
+# (direction, this cell's wall bit, the neighbour's wall bit, row step, col step).
+# An edge is open only when it stays in bounds and neither cell has its bit.
+EDGES = (
+    (MoveDirection.UP, 1, 2, -1, 0),
+    (MoveDirection.DOWN, 2, 1, 1, 0),
+    (MoveDirection.LEFT, 4, 8, 0, -1),
+    (MoveDirection.RIGHT, 8, 4, 0, 1),
+)
+_DELTAS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
+_BITS = {d: bit for d, bit, _, _, _ in EDGES}
 _OPPOSITES = {
     MoveDirection.UP: MoveDirection.DOWN,
     MoveDirection.DOWN: MoveDirection.UP,
@@ -49,12 +55,7 @@ _OPPOSITES = {
 
 # Canonical direction order used everywhere: neighbor expansion, wall-token
 # naming, trace text. Pinned so results do not depend on enum iteration.
-DIRECTIONS: tuple[MoveDirection, ...] = (
-    MoveDirection.UP,
-    MoveDirection.DOWN,
-    MoveDirection.LEFT,
-    MoveDirection.RIGHT,
-)
+DIRECTIONS: tuple[MoveDirection, ...] = tuple(d for d, _, _, _, _ in EDGES)
 
 
 @dataclass(frozen=True, order=True)
@@ -63,35 +64,43 @@ class Position:
     col: int
 
 
-@dataclass(frozen=True)
-class WallSet:
-    """Presence flags for the four walls of one cell."""
+class WallSet(int):
+    """The walls of one cell as a 4-bit mask: up 1, down 2, left 4, right 8.
 
-    up: bool = False
-    down: bool = False
-    left: bool = False
-    right: bool = False
+    Constructed from flags; every instance is the shared one in ``WALL_SETS``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, up: bool = False, down: bool = False, left: bool = False, right: bool = False):
+        return WALL_SETS[bool(up) | bool(down) << 1 | bool(left) << 2 | bool(right) << 3]
+
+    def __getnewargs__(self) -> tuple[bool, bool, bool, bool]:
+        return self.up, self.down, self.left, self.right
+
+    up = property(lambda self: bool(self & 1))
+    down = property(lambda self: bool(self & 2))
+    left = property(lambda self: bool(self & 4))
+    right = property(lambda self: bool(self & 8))
 
     def has(self, direction: MoveDirection) -> bool:
-        return getattr(self, direction.value)
+        return bool(self & _BITS[direction])
 
     @property
     def count(self) -> int:
-        return self.up + self.down + self.left + self.right
+        return self.bit_count()
 
     def directions(self) -> tuple[MoveDirection, ...]:
         """Present walls in canonical up, down, left, right order."""
-        return tuple(d for d in DIRECTIONS if self.has(d))
+        return tuple(d for d, bit, _, _, _ in EDGES if self & bit)
 
     @classmethod
     def of(cls, *directions: MoveDirection) -> "WallSet":
-        present = set(directions)
-        return cls(
-            up=MoveDirection.UP in present,
-            down=MoveDirection.DOWN in present,
-            left=MoveDirection.LEFT in present,
-            right=MoveDirection.RIGHT in present,
-        )
+        return cls(**{d.value: True for d in directions})
+
+
+# One instance per mask, indexed by the mask.
+WALL_SETS: tuple[WallSet, ...] = tuple(int.__new__(WallSet, mask) for mask in range(16))
 
 
 @dataclass(frozen=True)
@@ -171,27 +180,26 @@ def apply_move(p: Position, d: MoveDirection, width: int, height: int) -> Positi
     return q
 
 
-def is_open(m: Maze, p: Position, d: MoveDirection) -> bool:
-    """True iff a move from p in direction d crosses no wall and stays in bounds.
-
-    Checks the wall flag on both sides of the shared edge; they agree on any
-    maze that passes ``validate_maze``.
-    """
-    dr, dc = d.delta
-    q = Position(p.row + dr, p.col + dc)
-    if not m.in_bounds(q):
-        return False
-    return not m.wall_at(p).has(d) and not m.wall_at(q).has(d.opposite)
-
-
 def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]:
-    """Open (direction, neighbor) pairs from p, in canonical direction order."""
+    """Open (direction, neighbor) pairs from p, in canonical direction order.
+
+    The one open-edge rule (see ``EDGES``): the wall bit on both sides of
+    the shared edge is checked; they agree on any maze that passes
+    ``validate_maze``.
+    """
+    walls, height, width, r, c = m.walls, m.height, m.width, p.row, p.col
+    here = walls[r][c]
     out = []
-    for d in DIRECTIONS:
-        if is_open(m, p, d):
-            dr, dc = d.delta
-            out.append((d, Position(p.row + dr, p.col + dc)))
+    for d, bit, back, dr, dc in EDGES:
+        nr, nc = r + dr, c + dc
+        if not here & bit and 0 <= nr < height and 0 <= nc < width and not walls[nr][nc] & back:
+            out.append((d, Position(nr, nc)))
     return out
+
+
+def is_open(m: Maze, p: Position, d: MoveDirection) -> bool:
+    """True iff a move from p in direction d crosses no wall and stays in bounds."""
+    return any(e is d for e, _ in open_neighbors(m, p))
 
 
 def wall_count(m: Maze, p: Position) -> int:
@@ -206,24 +214,21 @@ def validate_maze(m: Maze) -> list[str]:
     origin != target when both are set, and connectivity of the open-passage
     graph.  An empty list means the maze is valid.
     """
-    problems: list[str] = []
-    for r in range(m.height):
-        for c in range(m.width):
-            w = m.walls[r][c]
-            if r + 1 < m.height and w.down != m.walls[r + 1][c].up:
-                problems.append(f"wall mismatch between ({r},{c}) and ({r + 1},{c}): down/up flags disagree")
-            if c + 1 < m.width and w.right != m.walls[r][c + 1].left:
-                problems.append(f"wall mismatch between ({r},{c}) and ({r},{c + 1}): right/left flags disagree")
+    problems = [
+        f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"
+        for r, c, r2, c2, pair in wall_mismatches(m.walls)
+    ]
+    walls, last_row, last_col = m.walls, m.height - 1, m.width - 1
     for c in range(m.width):
-        if not m.walls[0][c].up:
+        if not walls[0][c] & 1:
             problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
-        if not m.walls[m.height - 1][c].down:
-            problems.append(f"perimeter gap: ({m.height - 1},{c}) lacks a down wall")
+        if not walls[last_row][c] & 2:
+            problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
     for r in range(m.height):
-        if not m.walls[r][0].left:
+        if not walls[r][0] & 4:
             problems.append(f"perimeter gap: ({r},0) lacks a left wall")
-        if not m.walls[r][m.width - 1].right:
-            problems.append(f"perimeter gap: ({r},{m.width - 1}) lacks a right wall")
+        if not walls[r][last_col] & 8:
+            problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
     reached = len(bfs(m, Position(0, 0)))
@@ -231,6 +236,24 @@ def validate_maze(m: Maze) -> list[str]:
     if reached != total:
         problems.append(f"disconnected: only {reached} of {total} cells reachable from (0,0)")
     return problems
+
+
+def wall_mismatches(walls) -> Iterator[tuple[int, int, int, int, str]]:
+    """Shared edges whose two cells disagree about the wall, in row-major order.
+
+    Yields (row, col, neighbour row, neighbour col, "down/up" or
+    "right/left") for a grid of wall masks.
+    """
+    height, width = len(walls), len(walls[0])
+    for r in range(height):
+        for c in range(width):
+            # shifted right by one, the down bit (2) lands on up (1) and the
+            # right bit (8) on left (4), the bits the facing cells hold
+            facing = walls[r][c] >> 1
+            if r + 1 < height and (facing ^ walls[r + 1][c]) & 1:
+                yield r, c, r + 1, c, "down/up"
+            if c + 1 < width and (facing ^ walls[r][c + 1]) & 4:
+                yield r, c, r, c + 1, "right/left"
 
 
 def bfs(
@@ -269,16 +292,16 @@ def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     seq = tuple(moves)
     pos = start
     for i, d in enumerate(seq):
-        dr, dc = d.delta
-        nxt = Position(pos.row + dr, pos.col + dc)
-        # a present wall blocks the move before the boundary does, so leaving
-        # the grid is only reportable through a perimeter gap
-        if m.wall_at(pos).has(d):
-            return SimOutcome(final=pos, steps_taken=i, status=SimStatus.WALL_HIT)
-        if not m.in_bounds(nxt):
-            return SimOutcome(final=pos, steps_taken=i, status=SimStatus.OUT_OF_BOUNDS)
-        if m.wall_at(nxt).has(d.opposite):
-            return SimOutcome(final=pos, steps_taken=i, status=SimStatus.WALL_HIT)
+        for e, nxt in open_neighbors(m, pos):
+            if e is d:
+                break
+        else:
+            # a present wall blocks the move before the boundary does, so leaving
+            # the grid is only reportable through a perimeter gap
+            dr, dc = d.delta
+            off_grid = not m.wall_at(pos).has(d) and not m.in_bounds(Position(pos.row + dr, pos.col + dc))
+            status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
+            return SimOutcome(final=pos, steps_taken=i, status=status)
         pos = nxt
     status = SimStatus.REACHED_TARGET if pos == m.target else SimStatus.STOPPED_SHORT
     return SimOutcome(final=pos, steps_taken=len(seq), status=status)

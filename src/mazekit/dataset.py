@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 from .augment import RESET_MARKER, AugmentConfig, augment_trace, render_trace
 from .bench import hash16
 from .core import Maze, simulate_moves
-from .generate import GenConfig, SolutionPath, generate_solved_maze, solve_shortest_path
+from .generate import GenConfig, SolutionPath, solved_pool
 from .rng import SplitMix64, derive_seed, mix64
 from .tokens import extract_move_tokens, parse_maze_tokens, render_maze_tokens, render_move_tokens
 
@@ -160,45 +160,28 @@ def build_splits(
     plan: SplitPlan,
     gen_cfg: GenConfig,
     aug_cfg: AugmentConfig,
-    dedupe: bool = False,
 ) -> DatasetSplits:
     """Generate the pool and carve it into test, sft and grpo collections.
 
-    Duplicate wall-grid/endpoint combinations are allowed in the pool by
-    default; ``dedupe`` drops every copy after the first.  Raises
-    SplitShortfallError with the deficit when a quota cannot be met, most
-    commonly when the retry quota exceeds the number of mazes whose origin
-    produces wrong attempts.
+    Duplicate wall-grid/endpoint combinations are allowed in the pool.
+    Raises SplitShortfallError with the deficit when a quota cannot be met,
+    most commonly when the retry quota exceeds the number of mazes whose
+    origin produces wrong attempts.
     """
-    pool: list[Maze] = []
     seeds: list[int] = []
+    pool: list[Maze] = []
+    solutions: list[SolutionPath] = []
     tokens: list[str] = []
-    for i in range(plan.total_pool):
-        seed_i = derive_seed(gen_cfg.seed, i)
-        cfg_i = GenConfig(
-            width=gen_cfg.width,
-            height=gen_cfg.height,
-            seed=seed_i,
-            min_steps=gen_cfg.min_steps,
-            max_steps=gen_cfg.max_steps,
-        )
-        pool.append(generate_solved_maze(cfg_i))
-        seeds.append(seed_i)
+    for seed, m, solution in solved_pool(gen_cfg, plan.total_pool):
+        seeds.append(seed)
+        pool.append(m)
+        solutions.append(solution)
         # rendered once: ids and every record of this maze share the string
-        tokens.append(render_maze_tokens(pool[-1]))
-    solutions = [solve_shortest_path(m) for m in pool]
+        tokens.append(render_maze_tokens(m))
     ids = [hash16(t) for t in tokens]
 
     order = list(range(plan.total_pool))
     SplitMix64(mix64(gen_cfg.seed ^ _SHUFFLE_SALT)).shuffle(order)
-    if dedupe:
-        seen: set[str] = set()
-        kept = []
-        for i in order:
-            if ids[i] not in seen:
-                seen.add(ids[i])
-                kept.append(i)
-        order = kept
     test_indices = order[: plan.test_count]
     test_ids = {ids[i] for i in test_indices}
     train_indices = [i for i in order[plan.test_count :] if ids[i] not in test_ids]

@@ -10,19 +10,11 @@ determines the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
-from .core import (
-    DIRECTIONS,
-    Maze,
-    MoveDirection,
-    Position,
-    WallSet,
-    bfs,
-    is_open,
-)
-from .rng import SplitMix64, mix64
+from .core import EDGES, WALL_SETS, Maze, MoveDirection, Position, bfs, open_neighbors
+from .rng import SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
 # wall-carving draws of the same seed.
@@ -76,51 +68,26 @@ def generate_maze(cfg: GenConfig) -> Maze:
     """Carve a perfect maze from the config's seed; endpoints stay unset."""
     rng = SplitMix64(cfg.seed)
     w, h = cfg.width, cfg.height
-    visited = [[False] * w for _ in range(h)]
-    # open_h[r][c]: passage between (r,c) and (r,c+1); open_v[r][c]: to (r+1,c)
-    open_h = [[False] * (w - 1) for _ in range(h)]
-    open_v = [[False] * w for _ in range(h - 1)]
-
-    start = Position(rng.randbelow(h), rng.randbelow(w))
-    visited[start.row][start.col] = True
-    stack = [start]
+    # every cell starts with all four walls; carving an edge clears one bit
+    # on each side, so a cell is unvisited while its mask is still 15 (the
+    # start cell loses a bit on the first step)
+    masks = [[15] * w for _ in range(h)]
+    stack = [(rng.randbelow(h), rng.randbelow(w))]
     while stack:
-        cur = stack[-1]
+        r, c = stack[-1]
         candidates = []
-        for d in DIRECTIONS:
-            dr, dc = d.delta
-            nr, nc = cur.row + dr, cur.col + dc
-            if 0 <= nr < h and 0 <= nc < w and not visited[nr][nc]:
-                candidates.append((d, nr, nc))
+        for _, bit, back, dr, dc in EDGES:
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < h and 0 <= nc < w and masks[nr][nc] == 15:
+                candidates.append((bit, back, nr, nc))
         if not candidates:
             stack.pop()
             continue
-        d, nr, nc = rng.choice(candidates)
-        if d is MoveDirection.RIGHT:
-            open_h[cur.row][cur.col] = True
-        elif d is MoveDirection.LEFT:
-            open_h[cur.row][nc] = True
-        elif d is MoveDirection.DOWN:
-            open_v[cur.row][cur.col] = True
-        else:
-            open_v[nr][cur.col] = True
-        visited[nr][nc] = True
-        stack.append(Position(nr, nc))
-
-    rows = []
-    for r in range(h):
-        row = []
-        for c in range(w):
-            row.append(
-                WallSet(
-                    up=(r == 0) or not open_v[r - 1][c],
-                    down=(r == h - 1) or not open_v[r][c],
-                    left=(c == 0) or not open_h[r][c - 1],
-                    right=(c == w - 1) or not open_h[r][c],
-                )
-            )
-        rows.append(tuple(row))
-    return Maze(width=w, height=h, walls=tuple(rows))
+        bit, back, nr, nc = rng.choice(candidates)
+        masks[r][c] &= ~bit
+        masks[nr][nc] &= ~back
+        stack.append((nr, nc))
+    return Maze(width=w, height=h, walls=tuple(tuple(WALL_SETS[x] for x in row) for row in masks))
 
 
 def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMPTS) -> Maze:
@@ -158,6 +125,17 @@ def generate_solved_maze(cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMP
     return place_endpoints(generate_maze(cfg), cfg, attempts=attempts)
 
 
+def solved_pool(cfg: GenConfig, count: int) -> Iterator[tuple[int, Maze, SolutionPath]]:
+    """Yield (seed, solved maze, shortest path) for items 0..count-1.
+
+    Item i is generated from ``cfg`` with seed ``derive_seed(cfg.seed, i)``.
+    """
+    for i in range(count):
+        item = replace(cfg, seed=derive_seed(cfg.seed, i))
+        m = generate_solved_maze(item)
+        yield item.seed, m, solve_shortest_path(m)
+
+
 def solve_shortest_path(m: Maze) -> SolutionPath:
     """Breadth-first shortest path from origin to target over open passages.
 
@@ -191,12 +169,5 @@ def _shortest_path(m: Maze, origin: Position, target: Position) -> Optional[Solu
 
 def open_passage_count(m: Maze) -> int:
     """Count of open interior edges; equals cells - 1 on a perfect maze."""
-    n = 0
-    for r in range(m.height):
-        for c in range(m.width):
-            p = Position(r, c)
-            if c + 1 < m.width and is_open(m, p, MoveDirection.RIGHT):
-                n += 1
-            if r + 1 < m.height and is_open(m, p, MoveDirection.DOWN):
-                n += 1
-    return n
+    # the rule is symmetric, so each open edge is seen from both of its cells
+    return sum(len(open_neighbors(m, p)) for p in m.positions()) // 2

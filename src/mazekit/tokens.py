@@ -17,9 +17,8 @@ model output and keeps every movement token it finds, in order.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 
-from .core import DIRECTIONS, Maze, MoveDirection, Position, WallSet, validate_maze
+from .core import DIRECTIONS, WALL_SETS, Maze, MoveDirection, Position, WallSet, validate_maze, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -37,24 +36,17 @@ class MazeParseError(ValueError):
     """Token text violates the maze grammar; the message names the spot."""
 
 
+# wall token of each of the 16 masks, indexed by the mask
+_WALL_TOKENS = tuple(
+    "<|" + "_".join(d.value for d in w.directions()) + "_wall|>" if w else NO_WALL_TOKEN
+    for w in WALL_SETS
+)
+_WALL_TABLE = dict(zip(_WALL_TOKENS, WALL_SETS))
+
+
 def wall_token(w: WallSet) -> str:
     """Wall token for one cell, e.g. ``<|up_down_right_wall|>``."""
-    present = w.directions()
-    if not present:
-        return NO_WALL_TOKEN
-    return "<|" + "_".join(d.value for d in present) + "_wall|>"
-
-
-def _build_wall_table() -> dict[str, WallSet]:
-    table = {NO_WALL_TOKEN: WallSet()}
-    for k in range(1, 5):
-        for combo in combinations(DIRECTIONS, k):
-            ws = WallSet.of(*combo)
-            table[wall_token(ws)] = ws
-    return table
-
-
-_WALL_TABLE = _build_wall_table()
+    return _WALL_TOKENS[w]
 
 
 def render_maze_tokens(m: Maze) -> str:
@@ -170,13 +162,8 @@ def parse_maze_tokens(text: str) -> Maze:
         grid.append(row_walls)
 
     assert width is not None
-    for r in range(height):
-        for c in range(width):
-            w = grid[r][c]
-            if r + 1 < height and w.down != grid[r + 1][c].up:
-                raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r + 1},{c})")
-            if c + 1 < width and w.right != grid[r][c + 1].left:
-                raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r},{c + 1})")
+    for r, c, r2, c2, _ in wall_mismatches(grid):
+        raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
     if origin is None:
         raise MazeParseError("missing origin token")
     if target is None:

@@ -177,6 +177,14 @@ def test_errors_exit_nonzero(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_generate_checks_config_before_the_loop(capsys, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    code, _, err = run(capsys, "generate", "--count", "0", "--width", "1", "--out", str(out))
+    assert code == 1
+    assert "at least 2x2" in err
+    assert not out.exists()
+
+
 def test_build_dataset_requires_plan(capsys, tmp_path):
     code, _, err = run(capsys, "build-dataset", "--out", str(tmp_path / "x"))
     assert code == 1
@@ -226,6 +234,13 @@ def _jsonl(path, *rows):
 def _bad_row_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
     entry = {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden}
+    solution = "<|left|><|down|><|right|><|down|><|right|>"
+    walled_in = "<|0-0|><|up_down_left_right_wall|><|origin|><|0-1|><|up_down_left_right_wall|><|target|>"
+    corridor = "".join(  # 1x15, origin and target at its two ends: 14 steps
+        f"<|0-{c}|><|up_down{'_left' if c == 0 else ''}{'_right' if c == 14 else ''}_wall|>"
+        + ("<|origin|>" if c == 0 else "<|target|>" if c == 14 else "<|blank|>")
+        for c in range(15)
+    )
     suite = _jsonl(tmp_path / "suite.jsonl", entry)
     report = str(tmp_path / "report.json")
     out = str(tmp_path / "out.jsonl")
@@ -260,6 +275,37 @@ def _bad_row_cases(tmp_path):
              "--out", out],
             "r2.jsonl: line 3: missing field 'output'",
         ),
+        "outputs-repeated-id": (
+            ["bench", "run", "--suite", suite, "--outputs",
+             _jsonl(tmp_path / "o3.jsonl", {"id": "a", "output": solution}, None, {"id": "a", "output": ""}),
+             "--report", report],
+            "o3.jsonl: line 3: id 'a' repeats line 1",
+        ),
+        "suite-unknown-difficulty": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s2.jsonl", {**entry, "difficulty": "extreme"}),
+             "--outputs", _jsonl(tmp_path / "o4.jsonl"), "--report", report],
+            "s2.jsonl: line 1: difficulty 'extreme' does not match 5 steps ('medium')",
+        ),
+        "suite-steps-not-solved-length": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s3.jsonl", entry, {**entry, "steps": 99}),
+             "--outputs", _jsonl(tmp_path / "o5.jsonl"), "--report", report],
+            "s3.jsonl: line 2: steps 99 does not match the maze's 5-step solution",
+        ),
+        "suite-difficulty-not-band": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s4.jsonl", {**entry, "difficulty": "hard"}),
+             "--outputs", _jsonl(tmp_path / "o6.jsonl"), "--report", report],
+            "s4.jsonl: line 1: difficulty 'hard' does not match 5 steps ('medium')",
+        ),
+        "suite-unreachable-target": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s5.jsonl", {**entry, "maze_tokens": walled_in}),
+             "--outputs", _jsonl(tmp_path / "o7.jsonl"), "--report", report],
+            "s5.jsonl: line 1: target Position(row=0, col=1) unreachable",
+        ),
+        "suite-steps-outside-bands": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s6.jsonl", {**entry, "maze_tokens": corridor}),
+             "--outputs", _jsonl(tmp_path / "o8.jsonl"), "--report", report],
+            "s6.jsonl: line 1: step count 14 is outside the 1..13 difficulty bands",
+        ),
     }
 
 
@@ -272,6 +318,12 @@ def _bad_row_cases(tmp_path):
         "pool-after-blank-lines",
         "outputs-after-blank-lines",
         "pairs-after-blank-lines",
+        "outputs-repeated-id",
+        "suite-unknown-difficulty",
+        "suite-steps-not-solved-length",
+        "suite-difficulty-not-band",
+        "suite-unreachable-target",
+        "suite-steps-outside-bands",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):

@@ -1,7 +1,12 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 
 from mazekit.core import (
     DIRECTIONS,
+    WALL_SETS,
     Maze,
     MoveDirection,
     OutOfBoundsError,
@@ -14,6 +19,7 @@ from mazekit.core import (
     simulate_moves,
     validate_maze,
     wall_count,
+    wall_mismatches,
 )
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
@@ -32,6 +38,19 @@ def test_apply_move_out_of_bounds():
 @pytest.mark.parametrize("d", DIRECTIONS)
 def test_opposite_is_involution(d):
     assert d.opposite.opposite is d
+
+
+def test_wall_set_is_its_mask():
+    assert WallSet(up=True, right=True) == 9
+    assert WallSet() == 0 and WallSet(True, True, True, True) == 15
+    for mask, w in enumerate(WALL_SETS):
+        assert w == mask
+        assert WallSet(w.up, w.down, w.left, w.right) is w
+        assert WallSet.of(*w.directions()) is w
+        assert w.count == len(w.directions())
+        assert [d for d in DIRECTIONS if w.has(d)] == list(w.directions())
+        assert pickle.loads(pickle.dumps(w)) is w
+        assert copy.deepcopy(w) is w
 
 
 def test_is_open_on_example(example_maze):
@@ -69,6 +88,14 @@ def test_validate_reports_wall_mismatch(example_maze):
     problems = [p for p in validate_maze(broken) if "mismatch" in p]
     assert len(problems) == 1
     assert "(0,1)" in problems[0] and "(1,1)" in problems[0]
+
+
+def test_wall_mismatches_compare_facing_flags():
+    for a, b in itertools.product(WALL_SETS, repeat=2):
+        side_by_side = [] if a.right == b.left else [(0, 0, 0, 1, "right/left")]
+        stacked = [] if a.down == b.up else [(0, 0, 1, 0, "down/up")]
+        assert list(wall_mismatches(((a, b),))) == side_by_side
+        assert list(wall_mismatches(((a,), (b,)))) == stacked
 
 
 def test_validate_reports_origin_target_coincidence(example_maze):

@@ -106,19 +106,6 @@ def test_scaled_plan_matches_full_scale_counts():
     assert plan.scale_factor == 100
 
 
-def test_dedupe_flag_drops_repeated_mazes(small_splits):
-    # the 5x5 pool has no duplicates, so dedupe must be a no-op there
-    deduped = build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77), dedupe=True)
-    assert deduped == small_splits
-    # 2x2 mazes collide constantly (36 distinct in this 80-maze pool)
-    plan = SplitPlan(total_pool=80, test_count=2, sft_straight_count=30, sft_retry_count=0, grpo_count=0)
-    tiny = GenConfig(width=2, height=2, seed=3)
-    plain = [_maze_hash(r) for r in build_splits(plan, tiny, AugmentConfig(seed=3)).sft]
-    assert len(set(plain)) < len(plain)
-    unique = [_maze_hash(r) for r in build_splits(plan, tiny, AugmentConfig(seed=3), dedupe=True).sft]
-    assert len(set(unique)) == len(unique) == 30
-
-
 def test_write_read_round_trip(small_splits, tmp_path):
     path = tmp_path / "sft.jsonl"
     n = write_records(small_splits.sft, str(path))

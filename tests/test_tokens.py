@@ -20,15 +20,15 @@ U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirec
 @pytest.mark.parametrize(
     "walls,expected",
     [
-        (WallSet.of(U, D, L, R), "<|up_down_left_right_wall|>"),
-        (WallSet(), "<|no_wall|>"),
-        (WallSet.of(D, L), "<|down_left_wall|>"),
-        (WallSet.of(R), "<|right_wall|>"),
-        (WallSet.of(U, D, R), "<|up_down_right_wall|>"),
+        ((U, D, L, R), "<|up_down_left_right_wall|>"),
+        ((), "<|no_wall|>"),
+        ((D, L), "<|down_left_wall|>"),
+        ((R,), "<|right_wall|>"),
+        ((U, D, R), "<|up_down_right_wall|>"),
     ],
 )
 def test_wall_token_canonical_order(walls, expected):
-    assert wall_token(walls) == expected
+    assert wall_token(WallSet.of(*walls)) == expected
 
 
 def test_render_matches_golden_bytes(example_maze, golden_text):
