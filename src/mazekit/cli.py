@@ -32,6 +32,7 @@ from .dataset import (
     DatasetError,
     RecordKind,
     SplitPlan,
+    atomic_write,
     build_splits,
     field,
     iter_jsonl,
@@ -101,7 +102,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     text = field(*rows[args.index], "maze_tokens", str)
     if args.out:
         out = _out(args.out)
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with atomic_write(out) as fh:
+            fh.write(f"{text}\n".encode("utf-8"))
         print(f"wrote maze {args.index} to {out}", file=sys.stderr)
     else:
         print(text)
@@ -198,9 +200,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         },
         "records": {name: len(getattr(splits, name)) for name in ("test", "sft", "grpo")},
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(outdir / "manifest.json") as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     for name, path in files.items():
         print(f"{name}: {manifest['records'][name]} records -> {path}", file=sys.stderr)
     return 0
@@ -290,7 +291,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
             for v in report.verdicts
         ],
     }
-    Path(_out(args.report)).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(_out(args.report)) as fh:
+        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"overall: {report.overall}", file=sys.stderr)
     if args.scores_csv is not None:
         if args.step is None:

@@ -6,13 +6,20 @@ left 4, right 8).  Walls are still stored per cell, redundantly on both
 sides of each shared edge, and are expected to stay consistent by
 construction.  ``validate_maze`` audits that expectation instead of
 repairing breaches.
+
+Searches and neighbour walks run on the flat index ``row * width + col``:
+each call flattens ``Maze.walls`` into one list of masks and reads the
+per-shape ``links`` table, which holds every in-bounds edge of each cell.
+That table plus the two wall bits is the one open-edge rule, and one
+integer BFS serves connectivity, endpoint placement and the solver.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Optional
 
 
@@ -102,6 +109,51 @@ class WallSet(int):
 # One instance per mask, indexed by the mask.
 WALL_SETS: tuple[WallSet, ...] = tuple(int.__new__(WallSet, mask) for mask in range(16))
 
+SHAPE_CACHE = 64  # grid shapes whose per-shape tables stay cached
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def links(width: int, height: int) -> tuple[tuple[tuple[MoveDirection, int, int, int], ...], ...]:
+    """Per flat index, the cell's in-bounds edges in ``EDGES`` order:
+    (direction, this cell's wall bit, the neighbour's wall bit, its flat index)."""
+    return tuple(
+        tuple(
+            (d, bit, back, (r + dr) * width + c + dc)
+            for d, bit, back, dr, dc in EDGES
+            if 0 <= r + dr < height and 0 <= c + dc < width
+        )
+        for r in range(height)
+        for c in range(width)
+    )
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _cells(width: int, height: int) -> tuple[Position, ...]:
+    return tuple(Position(r, c) for r in range(height) for c in range(width))
+
+
+def _search(m: Maze, src: int, dst: int = -1):
+    """Integer BFS from flat index src, stopping once dst is reached.
+
+    Returns (parents, order): parents[j] is (predecessor, move) for each
+    reached cell, (src, None) for src, None elsewhere; order is discovery order.
+    """
+    # chain, not sum(m.walls, ()): sum's partial tuples pile up in CPython's tuple free lists
+    masks, table = list(chain.from_iterable(m.walls)), links(m.width, m.height)
+    parents: list = [None] * len(masks)
+    parents[src] = (src, None)
+    order = [src]
+    for i in order:  # the list grows while it is walked: a FIFO queue
+        here = masks[i]
+        for d, bit, back, j in table[i]:
+            # the ``open_neighbors`` rule, inlined: this loop is the hot path of every search
+            if parents[j] is None and not here & bit and not masks[j] & back:
+                parents[j] = (i, d)
+                order.append(j)
+                if j == dst:
+                    return parents, order
+    return parents, order
+
 
 @dataclass(frozen=True)
 class Maze:
@@ -138,9 +190,14 @@ class Maze:
         return Maze(self.width, self.height, self.walls, origin, target)
 
     def positions(self) -> Iterator[Position]:
-        for r in range(self.height):
-            for c in range(self.width):
-                yield Position(r, c)
+        return iter(_cells(self.width, self.height))
+
+
+def _index(m: Maze, p: Position) -> int:
+    """Flat index of p; the bounds check keeps an off-grid p from aliasing a real cell."""
+    if not m.in_bounds(p):
+        raise OutOfBoundsError(f"{p} outside the {m.width}x{m.height} grid")
+    return p.row * m.width + p.col
 
 
 class SimStatus(Enum):
@@ -183,18 +240,14 @@ def apply_move(p: Position, d: MoveDirection, width: int, height: int) -> Positi
 def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]:
     """Open (direction, neighbor) pairs from p, in canonical direction order.
 
-    The one open-edge rule (see ``EDGES``): the wall bit on both sides of
-    the shared edge is checked; they agree on any maze that passes
-    ``validate_maze``.
+    The one open-edge rule (see ``links``): the edge stays in bounds and
+    the wall bit on neither side of it is set; the two bits agree on any
+    maze that passes ``validate_maze``.
     """
-    walls, height, width, r, c = m.walls, m.height, m.width, p.row, p.col
-    here = walls[r][c]
-    out = []
-    for d, bit, back, dr, dc in EDGES:
-        nr, nc = r + dr, c + dc
-        if not here & bit and 0 <= nr < height and 0 <= nc < width and not walls[nr][nc] & back:
-            out.append((d, Position(nr, nc)))
-    return out
+    w, h, i = m.width, m.height, _index(m, p)
+    masks, cells = list(chain.from_iterable(m.walls)), _cells(w, h)
+    here = masks[i]
+    return [(d, cells[j]) for d, bit, back, j in links(w, h)[i] if not here & bit and not masks[j] & back]
 
 
 def is_open(m: Maze, p: Position, d: MoveDirection) -> bool:
@@ -231,7 +284,7 @@ def validate_maze(m: Maze) -> list[str]:
             problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
-    reached = len(bfs(m, Position(0, 0)))
+    reached = len(_search(m, 0)[1])
     total = m.width * m.height
     if reached != total:
         problems.append(f"disconnected: only {reached} of {total} cells reachable from (0,0)")
@@ -265,16 +318,12 @@ def bfs(
     (predecessor, move) pair, and src maps to None.  Neighbours expand in
     canonical direction order; the search stops as soon as dst is reached.
     """
+    cells = _cells(m.width, m.height)
+    parents, order = _search(m, _index(m, src), -1 if dst is None else _index(m, dst))
     prev: dict[Position, Optional[tuple[Position, MoveDirection]]] = {src: None}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for d, nxt in open_neighbors(m, cur):
-            if nxt not in prev:
-                prev[nxt] = (cur, d)
-                if nxt == dst:
-                    return prev
-                queue.append(nxt)
+    for j in order[1:]:
+        i, d = parents[j]
+        prev[cells[j]] = (cells[i], d)
     return prev
 
 

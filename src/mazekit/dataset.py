@@ -20,10 +20,13 @@ function of the master seeds, which makes output files byte-reproducible.
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .augment import RESET_MARKER, AugmentConfig, augment_trace, render_trace
 from .bench import hash16
@@ -236,10 +239,18 @@ def build_splits(
     return DatasetSplits(test=test_records, sft=sft_records, grpo=grpo_records)
 
 
-def _open_for_write(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "wt", encoding="utf-8", newline="\n")
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def atomic_write(path: str) -> Iterator[BinaryIO]:
+    """A binary temp file beside path that replaces it when the block completes, else is removed."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _open_for_read(path: str):
@@ -249,13 +260,15 @@ def _open_for_read(path: str):
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> int:
-    """Write one compact JSON object per line; returns the row count."""
+    """Write one compact JSON object per line, atomically; returns the row count."""
     n = 0
-    with _open_for_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            n += 1
+    with atomic_write(path) as raw:
+        binary = gzip.GzipFile(path, "wb", fileobj=raw) if str(path).endswith(".gz") else raw
+        with io.TextIOWrapper(binary, encoding="utf-8", newline="\n") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
+                fh.write("\n")
+                n += 1
     return n
 
 

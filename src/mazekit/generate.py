@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .core import EDGES, WALL_SETS, Maze, MoveDirection, Position, bfs, open_neighbors
+from .core import WALL_SETS, Maze, MoveDirection, Position, _cells, _index, _search, links, open_neighbors
 from .rng import SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
@@ -68,26 +68,24 @@ def generate_maze(cfg: GenConfig) -> Maze:
     """Carve a perfect maze from the config's seed; endpoints stay unset."""
     rng = SplitMix64(cfg.seed)
     w, h = cfg.width, cfg.height
+    table = links(w, h)
     # every cell starts with all four walls; carving an edge clears one bit
     # on each side, so a cell is unvisited while its mask is still 15 (the
     # start cell loses a bit on the first step)
-    masks = [[15] * w for _ in range(h)]
-    stack = [(rng.randbelow(h), rng.randbelow(w))]
+    masks = [15] * (w * h)
+    stack = [rng.randbelow(h) * w + rng.randbelow(w)]
     while stack:
-        r, c = stack[-1]
-        candidates = []
-        for _, bit, back, dr, dc in EDGES:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and masks[nr][nc] == 15:
-                candidates.append((bit, back, nr, nc))
+        i = stack[-1]
+        candidates = [(bit, back, j) for _, bit, back, j in table[i] if masks[j] == 15]
         if not candidates:
             stack.pop()
             continue
-        bit, back, nr, nc = rng.choice(candidates)
-        masks[r][c] &= ~bit
-        masks[nr][nc] &= ~back
-        stack.append((nr, nc))
-    return Maze(width=w, height=h, walls=tuple(tuple(WALL_SETS[x] for x in row) for row in masks))
+        bit, back, j = rng.choice(candidates)
+        masks[i] &= ~bit
+        masks[j] &= ~back
+        stack.append(j)
+    rows = (masks[r * w : r * w + w] for r in range(h))
+    return Maze(width=w, height=h, walls=tuple(tuple(WALL_SETS[x] for x in row) for row in rows))
 
 
 def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMPTS) -> Maze:
@@ -97,6 +95,11 @@ def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_AT
     until the shortest-path length lies in [min_steps, max_steps].  Raises
     EndpointSamplingError once the attempt budget is exhausted.
     """
+    return _solved(m, cfg, attempts)[0]
+
+
+def _solved(m: Maze, cfg: GenConfig, attempts: int) -> tuple[Maze, SolutionPath]:
+    """``place_endpoints`` with the shortest path its accept test found."""
     rng = SplitMix64(mix64(cfg.seed ^ _ENDPOINT_SALT))
     cells = m.width * m.height
     for _ in range(attempts):
@@ -104,16 +107,14 @@ def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_AT
         t = rng.randbelow(cells)
         if o == t:
             continue
-        origin = Position(o // m.width, o % m.width)
-        target = Position(t // m.width, t % m.width)
-        path = _shortest_path(m, origin, target)
+        path = _shortest_path(m, o, t)
         if path is None:
             continue
         if cfg.min_steps is not None and path.steps < cfg.min_steps:
             continue
         if cfg.max_steps is not None and path.steps > cfg.max_steps:
             continue
-        return m.with_endpoints(origin, target)
+        return m.with_endpoints(path.cells[0], path.cells[-1]), path
     raise EndpointSamplingError(
         f"no endpoint pair with path length in "
         f"[{cfg.min_steps}, {cfg.max_steps}] after {attempts} attempts"
@@ -132,8 +133,7 @@ def solved_pool(cfg: GenConfig, count: int) -> Iterator[tuple[int, Maze, Solutio
     """
     for i in range(count):
         item = replace(cfg, seed=derive_seed(cfg.seed, i))
-        m = generate_solved_maze(item)
-        yield item.seed, m, solve_shortest_path(m)
+        yield item.seed, *_solved(generate_maze(item), item, DEFAULT_ENDPOINT_ATTEMPTS)
 
 
 def solve_shortest_path(m: Maze) -> SolutionPath:
@@ -144,27 +144,24 @@ def solve_shortest_path(m: Maze) -> SolutionPath:
     """
     if m.origin is None or m.target is None:
         raise ValueError("solve_shortest_path requires origin and target")
-    path = _shortest_path(m, m.origin, m.target)
+    path = _shortest_path(m, _index(m, m.origin), _index(m, m.target))
     if path is None:
         raise UnreachableTargetError(f"target {m.target} unreachable from origin {m.origin}")
     return path
 
 
-def _shortest_path(m: Maze, origin: Position, target: Position) -> Optional[SolutionPath]:
-    """Walk the BFS parent links back from target; None when unreachable."""
-    prev = bfs(m, origin, target)
-    if target not in prev:
+def _shortest_path(m: Maze, origin: int, target: int) -> Optional[SolutionPath]:
+    """Walk the BFS parent links back from flat index target; None when unreachable."""
+    parents = _search(m, origin, target)[0]
+    if parents[target] is None:
         return None
-    moves: list[MoveDirection] = []
-    cells: list[Position] = [target]
-    cur = target
+    positions = _cells(m.width, m.height)
+    cur, moves, cells = target, [], [positions[target]]
     while cur != origin:
-        cur, d = prev[cur]
+        cur, d = parents[cur]
         moves.append(d)
-        cells.append(cur)
-    moves.reverse()
-    cells.reverse()
-    return SolutionPath(moves=tuple(moves), cells=tuple(cells))
+        cells.append(positions[cur])
+    return SolutionPath(moves=tuple(reversed(moves)), cells=tuple(reversed(cells)))
 
 
 def open_passage_count(m: Maze) -> int:

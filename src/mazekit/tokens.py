@@ -17,8 +17,10 @@ model output and keeps every movement token it finds, in order.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .core import DIRECTIONS, WALL_SETS, Maze, MoveDirection, Position, WallSet, validate_maze, wall_mismatches
+from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, WallSet
+from .core import validate_maze, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -49,6 +51,11 @@ def wall_token(w: WallSet) -> str:
     return _WALL_TOKENS[w]
 
 
+@lru_cache(maxsize=SHAPE_CACHE)
+def _coord_tokens(width: int, height: int) -> tuple[str, ...]:
+    return tuple(f"<|{r}-{c}|>" for r in range(height) for c in range(width))
+
+
 def render_maze_tokens(m: Maze) -> str:
     """Serialize a valid maze with endpoints; rows joined by newline."""
     if m.origin is None or m.target is None:
@@ -56,20 +63,16 @@ def render_maze_tokens(m: Maze) -> str:
     problems = validate_maze(m)
     if problems:
         raise ValueError("cannot render invalid maze: " + "; ".join(problems))
-    lines = []
-    for r in range(m.height):
-        parts = []
-        for c in range(m.width):
-            p = Position(r, c)
-            if p == m.origin:
-                state = ORIGIN_TOKEN
-            elif p == m.target:
-                state = TARGET_TOKEN
-            else:
-                state = BLANK_TOKEN
-            parts.append(f"<|{r}-{c}|>{wall_token(m.walls[r][c])}{state}")
-        lines.append("".join(parts))
-    return "\n".join(lines)
+    w = m.width
+    coords = _coord_tokens(w, m.height)
+    # a valid maze has distinct endpoints, so neither state overwrites the other
+    states = [BLANK_TOKEN] * len(coords)
+    states[m.origin.row * w + m.origin.col] = ORIGIN_TOKEN
+    states[m.target.row * w + m.target.col] = TARGET_TOKEN
+    return "\n".join(
+        "".join(coords[i] + _WALL_TOKENS[mask] + states[i] for i, mask in enumerate(row, r * w))
+        for r, row in enumerate(m.walls)
+    )
 
 
 def render_move_tokens(moves) -> str:

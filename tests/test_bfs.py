@@ -1,9 +1,13 @@
 """The shared breadth-first search on mazes that are not perfect: open rooms
 with cycles, partly walled-off grids, and grids with no passages at all."""
 
-import pytest
+from collections import deque
 
-from mazekit.core import Maze, MoveDirection, Position, WallSet, bfs, validate_maze
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mazekit.core import EDGES, WALL_SETS, Maze, MoveDirection, Position, WallSet, bfs, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
     GenConfig,
@@ -77,3 +81,51 @@ def test_place_endpoints_without_reachable_pair_raises():
     m = room(3, 3, closed=True)
     with pytest.raises(EndpointSamplingError):
         place_endpoints(m, GenConfig(width=3, height=3, seed=5), attempts=50)
+
+
+def reference_neighbors(m: Maze, p: Position):
+    """The open-edge rule read straight off ``EDGES``: in bounds, and neither cell has its bit."""
+    out = []
+    for d, bit, back, dr, dc in EDGES:
+        q = Position(p.row + dr, p.col + dc)
+        if m.in_bounds(q) and not m.walls[p.row][p.col] & bit and not m.walls[q.row][q.col] & back:
+            out.append((d, q))
+    return out
+
+
+def reference_bfs(m: Maze, src: Position, dst=None):
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for d, nxt in reference_neighbors(m, cur):
+            if nxt not in prev:
+                prev[nxt] = (cur, d)
+                if nxt == dst:
+                    return prev
+                queue.append(nxt)
+    return prev
+
+
+@st.composite
+def any_grid(draw):
+    """Any 1x1..7x7 grid of masks: walls may disagree across an edge and the perimeter may be open."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(0, 15), min_size=width * height, max_size=width * height))
+    walls = tuple(tuple(WALL_SETS[x] for x in masks[r * width : (r + 1) * width]) for r in range(height))
+    cell = st.builds(Position, st.integers(0, height - 1), st.integers(0, width - 1))
+    return Maze(width, height, walls), draw(cell), draw(st.none() | cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+def test_flat_rule_matches_edges_reference(case):
+    m, src, dst = case
+    for p in m.positions():
+        assert open_neighbors(m, p) == reference_neighbors(m, p)
+    got, want = bfs(m, src, dst), reference_bfs(m, src, dst)
+    assert list(got.items()) == list(want.items())  # keys, parent links and insertion order
+    reached, total = len(reference_bfs(m, Position(0, 0))), m.width * m.height
+    disconnected = [p for p in validate_maze(m) if p.startswith("disconnected")]
+    expected = [] if reached == total else [f"disconnected: only {reached} of {total} cells reachable from (0,0)"]
+    assert disconnected == expected

@@ -14,6 +14,7 @@ from mazekit.core import (
     SimStatus,
     WallSet,
     apply_move,
+    bfs,
     is_open,
     open_neighbors,
     simulate_moves,
@@ -33,6 +34,19 @@ def test_apply_move_basic():
 def test_apply_move_out_of_bounds():
     with pytest.raises(OutOfBoundsError):
         apply_move(Position(0, 0), U, 5, 5)
+
+
+@pytest.mark.parametrize("p", [Position(0, 5), Position(-1, 0), Position(5, 0), Position(2, -1)])
+def test_off_grid_position_is_rejected(example_maze, p):
+    # on the flat index (0, 5) would otherwise alias (1, 0) and (-1, 0) the last row
+    with pytest.raises(OutOfBoundsError):
+        open_neighbors(example_maze, p)
+    with pytest.raises(OutOfBoundsError):
+        is_open(example_maze, p, U)
+    with pytest.raises(OutOfBoundsError):
+        bfs(example_maze, p)
+    with pytest.raises(OutOfBoundsError):
+        bfs(example_maze, Position(0, 0), p)
 
 
 @pytest.mark.parametrize("d", DIRECTIONS)

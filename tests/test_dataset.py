@@ -13,6 +13,7 @@ from mazekit.dataset import (
     read_records,
     record_from_dict,
     validate_record,
+    write_jsonl,
     write_records,
 )
 from mazekit.generate import GenConfig
@@ -118,6 +119,22 @@ def test_gzip_round_trip(small_splits, tmp_path):
     path = tmp_path / "sft.jsonl.gz"
     write_records(small_splits.sft[:5], str(path))
     assert read_records(str(path)) == list(small_splits.sft[:5])
+
+
+@pytest.mark.parametrize("name", ["out.jsonl", "out.jsonl.gz"])
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, name):
+    path = tmp_path / name
+    write_jsonl(str(path), [{"row": 0}, {"row": 1}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"row": "new"}
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_jsonl(str(path), rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 def test_empty_collection_round_trips(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mazekit.core import Position, SimStatus, is_open, simulate_moves, open_neighbors, validate_maze
@@ -9,6 +11,7 @@ from mazekit.generate import (
     open_passage_count,
     place_endpoints,
     solve_shortest_path,
+    solved_pool,
 )
 from mazekit.rng import derive_seed
 
@@ -146,3 +149,22 @@ def test_disconnected_maze_rejected():
     m = Maze(2, 2, ((full, full), (full, full)), Position(0, 0), Position(1, 1))
     with pytest.raises(UnreachableTargetError):
         solve_shortest_path(m)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(seed=3),
+        GenConfig(width=8, height=3, seed=3),
+        GenConfig(width=3, height=8, seed=3),
+        GenConfig(width=9, height=9, seed=3),
+        GenConfig(seed=3, min_steps=9, max_steps=13),
+    ],
+    ids=["5x5", "8x3", "3x8", "9x9", "steps9-13"],
+)
+def test_solved_pool_yields_the_path_it_placed(cfg):
+    """The pool hands out the path endpoint placement accepted instead of solving again."""
+    for seed, m, path in solved_pool(cfg, 40):
+        item = replace(cfg, seed=seed)
+        assert path == solve_shortest_path(m)
+        assert place_endpoints(generate_maze(item), item) == m
