@@ -15,15 +15,21 @@ feedback message and a RESET marker, and followed by the rendered correct
 solution.  The step template uses plain direction words, never movement
 tokens, so lenient token extraction on a full model output cannot pick up
 answer moves from inside the reasoning.
+
+A ``ReasoningTrace`` holds its maze, attempts and solution path and renders
+that text on first use, caching each piece, so a caller that only needs
+``is_retry`` renders nothing.  Walks and step text run on the flat cell
+index of ``core``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
-from .core import Maze, MoveDirection, Position, open_neighbors, wall_count
+from .core import DIRECTIONS, Maze, MoveDirection, Position, _cells, _index, _masks, _open, links, open_neighbors, wall_count
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -79,14 +85,27 @@ class TraceSegment:
 
 @dataclass(frozen=True)
 class ReasoningTrace:
-    """Wrong segments (each closed by its message and RESET), then the solution."""
+    """Wrong segments (each closed by its message and RESET), then the solution.
 
-    wrong_segments: tuple[TraceSegment, ...]
-    solution_text: str
+    Holds the maze, its attempts and the solution path; each text piece is
+    rendered on first use and cached.
+    """
+
+    maze: Maze
+    attempts: tuple[WrongAttempt, ...]
+    solution: SolutionPath
 
     @property
     def is_retry(self) -> bool:
-        return bool(self.wrong_segments)
+        return bool(self.attempts)
+
+    @cached_property
+    def wrong_segments(self) -> tuple[TraceSegment, ...]:
+        return tuple(TraceSegment(_steps_text(self.maze, a.cells, a.moves), a.message) for a in self.attempts)
+
+    @cached_property
+    def solution_text(self) -> str:
+        return _steps_text(self.maze, self.solution.cells, self.solution.moves)
 
     def render(self) -> str:
         parts: list[str] = []
@@ -119,31 +138,30 @@ def _walk(
     rng: SplitMix64,
 ) -> tuple[list[MoveDirection], list[Position]]:
     """Random walk helper; stops at a dead end, the budget, or when boxed in."""
-    cells = [start]
+    masks, table = _masks(m), links(m.width, m.height)
+    path = [_index(m, start)]
     moves: list[MoveDirection] = []
-    visited = {start}
     if first is not None:
         d, nxt = first
         moves.append(d)
-        cells.append(nxt)
-        visited.add(nxt)
+        path.append(_index(m, nxt))
+    # off-grid forbidden positions name no cell, so they block nothing
+    blocked = {_index(m, p) for p in forbidden if m.in_bounds(p)}
+    visited = set(path)
     while len(moves) < max_moves:
         # the dead-end stop applies to cells the walk reaches, so a walk
         # anchored on a 3-walled cell may still take its first move
-        if moves and wall_count(m, cells[-1]) >= DEAD_END_WALLS:
+        if moves and masks[path[-1]].bit_count() >= DEAD_END_WALLS:
             break
-        candidates = [
-            (d, q)
-            for d, q in open_neighbors(m, cells[-1])
-            if q not in forbidden and q not in visited
-        ]
+        candidates = [(d, j) for d, j in _open(masks, table, path[-1]) if j not in blocked and j not in visited]
         if not candidates:
             break
-        d, q = rng.choice(candidates)
+        d, j = rng.choice(candidates)
         moves.append(d)
-        cells.append(q)
-        visited.add(q)
-    return moves, cells
+        path.append(j)
+        visited.add(j)
+    cells = _cells(m.width, m.height)
+    return moves, [cells[j] for j in path]
 
 
 def _attempt_from_walk(m: Maze, moves: list[MoveDirection], cells: list[Position]) -> WrongAttempt:
@@ -237,29 +255,26 @@ def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[
     return []
 
 
+_NAMES = {d: d.value for d in DIRECTIONS}
+
+
 def _steps_text(m: Maze, cells, moves) -> str:
+    masks, table = _masks(m), links(m.width, m.height)
     lines = []
     for i, d in enumerate(moves):
         cur = cells[i]
         nxt = cells[i + 1]
-        open_dirs = ", ".join(dd.value for dd, _ in open_neighbors(m, cur))
+        open_dirs = ", ".join(_NAMES[e] for e, _ in _open(masks, table, _index(m, cur)))
         lines.append(
             f"At ({cur.row},{cur.col}), open: {open_dirs}. "
-            f"Move {d.value} to ({nxt.row},{nxt.col})."
+            f"Move {_NAMES[d]} to ({nxt.row},{nxt.col})."
         )
     return "\n".join(lines)
 
 
 def render_trace(m: Maze, attempts, solution: SolutionPath) -> ReasoningTrace:
-    """Render attempts and the correct solution into a reasoning trace."""
-    segments = tuple(
-        TraceSegment(steps_text=_steps_text(m, a.cells, a.moves), message=a.message)
-        for a in attempts
-    )
-    return ReasoningTrace(
-        wrong_segments=segments,
-        solution_text=_steps_text(m, solution.cells, solution.moves),
-    )
+    """The reasoning trace of attempts and the correct solution; text renders on first use."""
+    return ReasoningTrace(m, tuple(attempts), solution)
 
 
 def augment_trace(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> ReasoningTrace:

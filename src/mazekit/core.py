@@ -8,10 +8,12 @@ construction.  ``validate_maze`` audits that expectation instead of
 repairing breaches.
 
 Searches and neighbour walks run on the flat index ``row * width + col``:
-each call flattens ``Maze.walls`` into one list of masks and reads the
-per-shape ``links`` table, which holds every in-bounds edge of each cell.
-That table plus the two wall bits is the one open-edge rule, and one
-integer BFS serves connectivity, endpoint placement and the solver.
+each call flattens ``Maze.walls`` once into a list of masks (``_masks``)
+and reads the per-shape ``links`` table, which holds every in-bounds edge
+of each cell.  ``_open`` applies the one open-edge rule to that table and
+serves ``open_neighbors``, ``simulate_moves`` and the trace walks in
+``augment``; the one integer BFS, ``_search``, inlines the same rule in its
+hot loop and serves connectivity, endpoint placement and the solver.
 """
 
 from __future__ import annotations
@@ -132,21 +134,33 @@ def _cells(width: int, height: int) -> tuple[Position, ...]:
     return tuple(Position(r, c) for r in range(height) for c in range(width))
 
 
+def _masks(m: Maze) -> list[int]:
+    """The wall masks of m in flat-index order."""
+    # chain, not sum(m.walls, ()): sum's partial tuples pile up in CPython's tuple free lists
+    return list(chain.from_iterable(m.walls))
+
+
+def _open(masks: list[int], table, i: int) -> list[tuple[MoveDirection, int]]:
+    """The open-edge rule: (direction, neighbour's flat index) for each edge of
+    cell i in ``table`` (see ``links``) whose wall bit is set on neither side."""
+    here = masks[i]
+    return [(d, j) for d, bit, back, j in table[i] if not here & bit and not masks[j] & back]
+
+
 def _search(m: Maze, src: int, dst: int = -1):
     """Integer BFS from flat index src, stopping once dst is reached.
 
     Returns (parents, order): parents[j] is (predecessor, move) for each
     reached cell, (src, None) for src, None elsewhere; order is discovery order.
     """
-    # chain, not sum(m.walls, ()): sum's partial tuples pile up in CPython's tuple free lists
-    masks, table = list(chain.from_iterable(m.walls)), links(m.width, m.height)
+    masks, table = _masks(m), links(m.width, m.height)
     parents: list = [None] * len(masks)
     parents[src] = (src, None)
     order = [src]
     for i in order:  # the list grows while it is walked: a FIFO queue
         here = masks[i]
         for d, bit, back, j in table[i]:
-            # the ``open_neighbors`` rule, inlined: this loop is the hot path of every search
+            # the ``_open`` rule, inlined: this loop is the hot path of every search
             if parents[j] is None and not here & bit and not masks[j] & back:
                 parents[j] = (i, d)
                 order.append(j)
@@ -240,14 +254,12 @@ def apply_move(p: Position, d: MoveDirection, width: int, height: int) -> Positi
 def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]:
     """Open (direction, neighbor) pairs from p, in canonical direction order.
 
-    The one open-edge rule (see ``links``): the edge stays in bounds and
-    the wall bit on neither side of it is set; the two bits agree on any
-    maze that passes ``validate_maze``.
+    The one open-edge rule (``_open``): the edge stays in bounds and the
+    wall bit on neither side of it is set; the two bits agree on any maze
+    that passes ``validate_maze``.
     """
-    w, h, i = m.width, m.height, _index(m, p)
-    masks, cells = list(chain.from_iterable(m.walls)), _cells(w, h)
-    here = masks[i]
-    return [(d, cells[j]) for d, bit, back, j in links(w, h)[i] if not here & bit and not masks[j] & back]
+    cells = _cells(m.width, m.height)
+    return [(d, cells[j]) for d, j in _open(_masks(m), links(m.width, m.height), _index(m, p))]
 
 
 def is_open(m: Maze, p: Position, d: MoveDirection) -> bool:
@@ -339,18 +351,18 @@ def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     if not m.in_bounds(start):
         raise OutOfBoundsError(f"start {start} outside the grid")
     seq = tuple(moves)
-    pos = start
-    for i, d in enumerate(seq):
-        for e, nxt in open_neighbors(m, pos):
+    masks, table, cells = _masks(m), links(m.width, m.height), _cells(m.width, m.height)
+    i = _index(m, start)
+    for k, d in enumerate(seq):
+        for e, j in _open(masks, table, i):
             if e is d:
                 break
         else:
             # a present wall blocks the move before the boundary does, so leaving
             # the grid is only reportable through a perimeter gap
-            dr, dc = d.delta
-            off_grid = not m.wall_at(pos).has(d) and not m.in_bounds(Position(pos.row + dr, pos.col + dc))
+            off_grid = not masks[i] & _BITS[d] and all(e is not d for e, _, _, _ in table[i])
             status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
-            return SimOutcome(final=pos, steps_taken=i, status=status)
-        pos = nxt
-    status = SimStatus.REACHED_TARGET if pos == m.target else SimStatus.STOPPED_SHORT
-    return SimOutcome(final=pos, steps_taken=len(seq), status=status)
+            return SimOutcome(final=cells[i], steps_taken=k, status=status)
+        i = j
+    status = SimStatus.REACHED_TARGET if cells[i] == m.target else SimStatus.STOPPED_SHORT
+    return SimOutcome(final=cells[i], steps_taken=len(seq), status=status)

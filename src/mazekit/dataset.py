@@ -189,17 +189,16 @@ def build_splits(
     test_ids = {ids[i] for i in test_indices}
     train_indices = [i for i in order[plan.test_count :] if ids[i] not in test_ids]
 
-    traces = {
-        i: augment_trace(pool[i], solutions[i], AugmentConfig(aug_cfg.max_n_steps, derive_seed(aug_cfg.seed, i)))
-        for i in train_indices
-    }
-
-    retry_sel: list[int] = []
+    # augmented in train order only until the retry quota fills; seeds are
+    # per maze, so every maze still augmented draws as it would in a full pass
+    traces = {}
     for i in train_indices:
-        if len(retry_sel) == plan.sft_retry_count:
+        if len(traces) == plan.sft_retry_count:
             break
-        if traces[i].is_retry:
-            retry_sel.append(i)
+        trace = augment_trace(pool[i], solutions[i], AugmentConfig(aug_cfg.max_n_steps, derive_seed(aug_cfg.seed, i)))
+        if trace.is_retry:
+            traces[i] = trace
+    retry_sel = list(traces)
     if len(retry_sel) < plan.sft_retry_count:
         raise SplitShortfallError(
             f"retry quota shortfall: need {plan.sft_retry_count}, "
@@ -263,7 +262,8 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     """Write one compact JSON object per line, atomically; returns the row count."""
     n = 0
     with atomic_write(path) as raw:
-        binary = gzip.GzipFile(path, "wb", fileobj=raw) if str(path).endswith(".gz") else raw
+        # mtime=0: the header carries no write time, so equal rows give equal bytes
+        binary = gzip.GzipFile(path, "wb", fileobj=raw, mtime=0) if str(path).endswith(".gz") else raw
         with io.TextIOWrapper(binary, encoding="utf-8", newline="\n") as fh:
             for row in rows:
                 fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))

@@ -1,5 +1,6 @@
 import pytest
 
+from mazekit import augment
 from mazekit.augment import (
     DEAD_END_MESSAGE,
     RESET_MARKER,
@@ -90,6 +91,26 @@ def test_augmentation_deterministic(maze_corpus):
     for m, sol in maze_corpus[:40]:
         assert build_attempts(m, sol, cfg) == build_attempts(m, sol, cfg)
         assert augment_trace(m, sol, cfg) == augment_trace(m, sol, cfg)
+
+
+def test_trace_text_renders_once_on_first_use(maze_corpus, monkeypatch):
+    cfg = AugmentConfig(seed=99)
+    m, sol = next((m, sol) for m, sol in maze_corpus if len(build_attempts(m, sol, cfg)) == 2)
+    rendered, real = [], augment._steps_text
+
+    def counting(*args):
+        rendered.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(augment, "_steps_text", counting)
+    trace = augment_trace(m, sol, cfg)
+    assert rendered == []
+    first = (trace.render(), trace.solution_text, trace.wrong_segments)
+    for _ in range(3):
+        assert (trace.render(), trace.solution_text, trace.wrong_segments) == first
+    assert len(rendered) == 3  # two wrong segments and the solution
+    # equality compares the maze, attempts and path, not what was rendered
+    assert trace == augment_trace(m, sol, cfg)
 
 
 def test_generate_wrong_path_infeasible_when_ringed(maze_corpus):

@@ -1,7 +1,10 @@
 import json
+import time
+from dataclasses import replace
 
 import pytest
 
+from mazekit import dataset
 from mazekit.augment import RESET_MARKER, AugmentConfig
 from mazekit.dataset import (
     DatasetError,
@@ -90,6 +93,24 @@ def test_grpo_shortfall_reported():
         build_splits(plan, GenConfig(seed=5), AugmentConfig(seed=5))
 
 
+@pytest.mark.parametrize(
+    "plan", [SplitPlan.scaled(400), replace(SMALL_PLAN, sft_retry_count=0)], ids=["scale-400", "no-retry"]
+)
+def test_augments_only_until_the_retry_quota_fills(plan, monkeypatch):
+    traces, real = [], dataset.augment_trace
+
+    def counting(*args):
+        traces.append(real(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(dataset, "augment_trace", counting)
+    splits = build_splits(plan, GenConfig(seed=400), AugmentConfig(seed=400))
+    assert sum(t.is_retry for t in traces) == plan.sft_retry_count
+    # the last maze augmented is the one that filled the quota
+    assert traces[-1].is_retry if plan.sft_retry_count else traces == []
+    assert sum(r.kind is RecordKind.RETRY for r in splits.sft) == plan.sft_retry_count
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         SplitPlan(total_pool=10, test_count=11, sft_straight_count=0, sft_retry_count=0, grpo_count=0)
@@ -119,6 +140,16 @@ def test_gzip_round_trip(small_splits, tmp_path):
     path = tmp_path / "sft.jsonl.gz"
     write_records(small_splits.sft[:5], str(path))
     assert read_records(str(path)) == list(small_splits.sft[:5])
+
+
+def test_gzip_output_is_byte_reproducible(tmp_path, monkeypatch):
+    path = tmp_path / "x.jsonl.gz"
+    written = []
+    for now in (1_000_000_000.0, 1_700_000_000.0):
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        write_jsonl(str(path), [{"row": 0}, {"row": 1}])
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", ["out.jsonl", "out.jsonl.gz"])
