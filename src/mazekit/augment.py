@@ -137,7 +137,7 @@ def _walk(
     max_moves: int,
     rng: SplitMix64,
 ) -> tuple[list[MoveDirection], list[Position]]:
-    """Random walk helper; stops at a dead end, the budget, or when boxed in."""
+    """Random walk helper; stops at the budget or when boxed in, as at a dead end."""
     masks, table = _masks(m), links(m.width, m.height)
     path = [_index(m, start)]
     moves: list[MoveDirection] = []
@@ -149,10 +149,9 @@ def _walk(
     blocked = {_index(m, p) for p in forbidden if m.in_bounds(p)}
     visited = set(path)
     while len(moves) < max_moves:
-        # the dead-end stop applies to cells the walk reaches, so a walk
-        # anchored on a 3-walled cell may still take its first move
-        if moves and masks[path[-1]].bit_count() >= DEAD_END_WALLS:
-            break
+        # every step, first included, crosses an open edge, so a 3-walled
+        # cell is entered through its one open side: at a dead end no
+        # candidate is left and the walk stops below
         candidates = [(d, j) for d, j in _open(masks, table, path[-1]) if j not in blocked and j not in visited]
         if not candidates:
             break

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Maze, simulate_moves
+from .core import Maze, MoveDirection, simulate_moves
 from .tokens import extract_move_tokens, first_move_token_index
 
 CORRECTNESS_PER_STEP = 0.2
@@ -49,20 +49,26 @@ class GroupAdvantages:
     epsilon: float
 
 
-def correctness_reward(m: Maze, output: str) -> float:
-    """0.2 per step when the extracted moves reach the target, else 0."""
+def _correctness(m: Maze, moves: tuple[MoveDirection, ...]) -> float:
     if m.origin is None:
         raise ValueError("correctness_reward requires a maze with endpoints")
-    moves = extract_move_tokens(output)
-    outcome = simulate_moves(m, m.origin, moves)
-    if outcome.solved:
+    if simulate_moves(m, m.origin, moves).solved:
         return CORRECTNESS_PER_STEP * len(moves)
     return 0.0
 
 
+def _integrity(moves: tuple[MoveDirection, ...]) -> float:
+    return INTEGRITY_PER_TOKEN * len(moves)
+
+
+def correctness_reward(m: Maze, output: str) -> float:
+    """0.2 per step when the extracted moves reach the target, else 0."""
+    return _correctness(m, extract_move_tokens(output))
+
+
 def integrity_reward(output: str) -> float:
     """0.5 per movement token anywhere in the output."""
-    return INTEGRITY_PER_TOKEN * len(extract_move_tokens(output))
+    return _integrity(extract_move_tokens(output))
 
 
 def thinking_reward(output: str) -> float:
@@ -80,10 +86,14 @@ def thinking_reward(output: str) -> float:
 
 
 def total_reward(m: Maze, output: str) -> RewardBreakdown:
-    """All three components for one output; total is their plain sum."""
+    """All three components for one output; total is their plain sum.
+
+    The moves are extracted once and shared by correctness and integrity.
+    """
+    moves = extract_move_tokens(output)
     return RewardBreakdown(
-        correctness=correctness_reward(m, output),
-        integrity=integrity_reward(output),
+        correctness=_correctness(m, moves),
+        integrity=_integrity(moves),
         thinking=thinking_reward(output),
     )
 

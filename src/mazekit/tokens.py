@@ -10,7 +10,10 @@ One maze row per line; each cell is three adjacent tokens with no separator:
 Movement tokens are ``<|up|>``, ``<|down|>``, ``<|left|>``, ``<|right|>``.
 Rendering and parsing are exact inverses on valid mazes.  The parser rejects
 malformed input instead of repairing it, so datasets stay trustworthy at
-rest.  ``extract_move_tokens`` is the one lenient entry point: it scans raw
+rest.  It accepts a row with one ``str.split`` on the ``|><|`` seam and table
+lookups when the row is exactly its expected tokens back to back; any other
+row is walked token by token to name its first fault, in cell order, with
+the same message the walk alone gives.  ``extract_move_tokens`` is the one lenient entry point: it scans raw
 model output and keeps every movement token it finds, in order.
 """
 
@@ -44,6 +47,9 @@ _WALL_TOKENS = tuple(
     for w in WALL_SETS
 )
 _WALL_TABLE = dict(zip(_WALL_TOKENS, WALL_SETS))
+# the same table keyed by the name between the brackets, for the row fast path
+_WALL_NAMES = {token[2:-2]: w for token, w in _WALL_TABLE.items()}
+_STATE_NAMES = frozenset(token[2:-2] for token in (BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN))
 
 
 def wall_token(w: WallSet) -> str:
@@ -54,6 +60,12 @@ def wall_token(w: WallSet) -> str:
 @lru_cache(maxsize=SHAPE_CACHE)
 def _coord_tokens(width: int, height: int) -> tuple[str, ...]:
     return tuple(f"<|{r}-{c}|>" for r in range(height) for c in range(width))
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _coord_names(width: int, height: int) -> tuple[tuple[str, ...], ...]:
+    """Per row, the coordinate names of its cells (``"r-c"``, no brackets)."""
+    return tuple(tuple(f"{r}-{c}" for c in range(width)) for r in range(height))
 
 
 def render_maze_tokens(m: Maze) -> str:
@@ -108,6 +120,42 @@ def _line_tokens(line: str, row: int) -> list[str]:
     return tokens
 
 
+def _mark(ends: list[Position | None], name: str, r: int, c: int) -> None:
+    """Record the origin (ends[0]) or target (ends[1]) at (r, c); a second one is an error."""
+    k = 0 if name == "origin" else 1
+    seen = ends[k]
+    if seen is not None:
+        raise MazeParseError(f"duplicate {name} at ({seen.row},{seen.col}) and ({r},{c})")
+    ends[k] = Position(r, c)
+
+
+def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None]) -> tuple[WallSet, ...]:
+    """Token-by-token parse of one row, naming the first fault in cell order."""
+    tokens = _line_tokens(line, r)
+    if len(tokens) % 3 != 0:
+        raise MazeParseError(f"row {r}: {len(tokens)} tokens is not a whole number of cell triplets")
+    row_width = len(tokens) // 3
+    if width is not None and row_width != width:
+        raise MazeParseError(f"row {r} has {row_width} cells, expected {width}")
+    row_walls: list[WallSet] = []
+    for c in range(row_width):
+        coord, wall, state = tokens[3 * c : 3 * c + 3]
+        cm = _COORD_RE.match(coord[2:-2])
+        if not cm:
+            raise MazeParseError(f"row {r}, cell {c}: expected coordinate token, got {coord!r}")
+        if (int(cm.group(1)), int(cm.group(2))) != (r, c):
+            raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
+        ws = _WALL_TABLE.get(wall)
+        if ws is None:
+            raise MazeParseError(f"row {r}, cell {c}: unknown wall token {wall!r}")
+        row_walls.append(ws)
+        if state in (ORIGIN_TOKEN, TARGET_TOKEN):
+            _mark(ends, state[2:-2], r, c)
+        elif state != BLANK_TOKEN:
+            raise MazeParseError(f"row {r}, cell {c}: unknown state token {state!r}")
+    return tuple(row_walls)
+
+
 def parse_maze_tokens(text: str) -> Maze:
     """Parse token text back into a maze; the inverse of ``render_maze_tokens``.
 
@@ -122,62 +170,41 @@ def parse_maze_tokens(text: str) -> Maze:
         raise MazeParseError("empty maze text")
     height = len(lines)
 
-    grid: list[list[WallSet]] = []
-    origin: Position | None = None
-    target: Position | None = None
+    grid: list[tuple[WallSet, ...]] = []
+    ends: list[Position | None] = [None, None]
     width: int | None = None
     for r, line in enumerate(lines):
-        tokens = _line_tokens(line, r)
-        if len(tokens) % 3 != 0:
-            raise MazeParseError(f"row {r}: {len(tokens)} tokens is not a whole number of cell triplets")
-        row_width = len(tokens) // 3
-        if width is None:
-            width = row_width
-        elif row_width != width:
-            raise MazeParseError(f"row {r} has {row_width} cells, expected {width}")
-        row_walls: list[WallSet] = []
-        for c in range(row_width):
-            coord, wall, state = tokens[3 * c : 3 * c + 3]
-            inner = coord[2:-2]
-            cm = _COORD_RE.match(inner)
-            if not cm:
-                raise MazeParseError(f"row {r}, cell {c}: expected coordinate token, got {coord!r}")
-            if (int(cm.group(1)), int(cm.group(2))) != (r, c):
-                raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
-            ws = _WALL_TABLE.get(wall)
-            if ws is None:
-                raise MazeParseError(f"row {r}, cell {c}: unknown wall token {wall!r}")
-            row_walls.append(ws)
-            if state == ORIGIN_TOKEN:
-                if origin is not None:
-                    raise MazeParseError(
-                        f"duplicate origin at ({origin.row},{origin.col}) and ({r},{c})"
-                    )
-                origin = Position(r, c)
-            elif state == TARGET_TOKEN:
-                if target is not None:
-                    raise MazeParseError(
-                        f"duplicate target at ({target.row},{target.col}) and ({r},{c})"
-                    )
-                target = Position(r, c)
-            elif state != BLANK_TOKEN:
-                raise MazeParseError(f"row {r}, cell {c}: unknown state token {state!r}")
+        # no known name holds "<", ">" or "|", so a row that passes every
+        # lookup below is exactly "<|" + the names joined by "|><|" + "|>"
+        toks = line[2:-2].split("|><|")
+        w = len(toks) // 3 if width is None else width
+        states = toks[2::3]
+        row_walls = tuple(map(_WALL_NAMES.get, toks[1::3]))
+        if (
+            len(toks) == 3 * w
+            and line.startswith("<|")
+            and line.endswith("|>")
+            and None not in row_walls
+            and _STATE_NAMES.issuperset(states)
+            and tuple(toks[0::3]) == _coord_names(w, height)[r]
+        ):
+            if "origin" in states or "target" in states:
+                for c, name in enumerate(states):
+                    if name != "blank":
+                        _mark(ends, name, r, c)
+        else:
+            row_walls = _walk_row(line, r, width, ends)
+        width = len(row_walls)
         grid.append(row_walls)
 
-    assert width is not None
     for r, c, r2, c2, _ in wall_mismatches(grid):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
+    origin, target = ends
     if origin is None:
         raise MazeParseError("missing origin token")
     if target is None:
         raise MazeParseError("missing target token")
-    return Maze(
-        width=width,
-        height=height,
-        walls=tuple(tuple(row) for row in grid),
-        origin=origin,
-        target=target,
-    )
+    return Maze(width=width, height=height, walls=tuple(grid), origin=origin, target=target)
 
 
 def ascii_preview(m: Maze) -> str:
