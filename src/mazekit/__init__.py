@@ -36,8 +36,6 @@ from .core import (
     SimOutcome,
     SimStatus,
     WallSet,
-    apply_move,
-    is_open,
     open_neighbors,
     simulate_moves,
     validate_maze,
@@ -78,7 +76,6 @@ from .tokens import (
     parse_maze_tokens,
     render_maze_tokens,
     render_move_tokens,
-    wall_token,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .core import DIRECTIONS, Maze, MoveDirection, Position, _cells, _index, _masks, _open, links, open_neighbors, wall_count
+from .core import DIRECTIONS, Maze, MoveDirection, Position, _cells, _index, _open, links, open_neighbors, wall_count
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -138,7 +138,7 @@ def _walk(
     rng: SplitMix64,
 ) -> tuple[list[MoveDirection], list[Position]]:
     """Random walk helper; stops at the budget or when boxed in, as at a dead end."""
-    masks, table = _masks(m), links(m.width, m.height)
+    masks, table = m.masks, links(m.width, m.height)
     path = [_index(m, start)]
     moves: list[MoveDirection] = []
     if first is not None:
@@ -258,7 +258,7 @@ _NAMES = {d: d.value for d in DIRECTIONS}
 
 
 def _steps_text(m: Maze, cells, moves) -> str:
-    masks, table = _masks(m), links(m.width, m.height)
+    masks, table = m.masks, links(m.width, m.height)
     lines = []
     for i, d in enumerate(moves):
         cur = cells[i]

@@ -70,6 +70,7 @@ class BenchEntry:
     maze: Maze
     difficulty: Difficulty
     steps: int
+    maze_tokens: str  # the maze's token text, as written in the suite file
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,9 @@ def build_suite(
         if band is None or remaining.get(band, 0) <= 0:
             continue
         remaining[band] -= 1
-        chosen.append(BenchEntry(id=maze_id(m), maze=m, difficulty=band, steps=steps))
+        # rendered once: the id and the suite row share the text
+        text = render_maze_tokens(m)
+        chosen.append(BenchEntry(id=hash16(text), maze=m, difficulty=band, steps=steps, maze_tokens=text))
         if all(v <= 0 for v in remaining.values()):
             break
     deficits = {d: v for d, v in remaining.items() if v > 0}

@@ -200,6 +200,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         },
         "records": {name: len(getattr(splits, name)) for name in ("test", "sft", "grpo")},
     }
+    if splits.top_up:
+        manifest["top_up"] = splits.top_up
     with atomic_write(outdir / "manifest.json") as fh:
         fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     for name, path in files.items():
@@ -213,7 +215,7 @@ def _suite_to_rows(suite: BenchSuite) -> list[dict]:
             "id": e.id,
             "difficulty": e.difficulty.value,
             "steps": e.steps,
-            "maze_tokens": render_maze_tokens(e.maze),
+            "maze_tokens": e.maze_tokens,
         }
         for e in suite.entries
     ]
@@ -235,7 +237,7 @@ def _suite_entry(where: str, row: dict) -> BenchEntry:
         raise DatasetError(f"{where}: steps {steps} does not match the maze's {solved}-step solution")
     if difficulty != band.value:
         raise DatasetError(f"{where}: difficulty {difficulty!r} does not match {solved} steps ({band.value!r})")
-    return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps)
+    return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=row["maze_tokens"])
 
 
 def _load_suite(path: str) -> BenchSuite:

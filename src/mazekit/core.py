@@ -2,17 +2,18 @@
 
 Coordinates are (row, col) with (0, 0) the top-left cell; moving up
 decreases the row index.  Each cell's walls are a 4-bit mask (up 1, down 2,
-left 4, right 8).  Walls are still stored per cell, redundantly on both
-sides of each shared edge, and are expected to stay consistent by
-construction.  ``validate_maze`` audits that expectation instead of
-repairing breaches.
+left 4, right 8), and a maze stores them as ``Maze.masks``: one byte per
+cell on the flat index ``row * width + col``.  Walls are stored per cell,
+redundantly on both sides of each shared edge, and are expected to stay
+consistent by construction.  ``validate_maze`` audits that expectation
+instead of repairing breaches.
 
-Searches and neighbour walks run on the flat index ``row * width + col``:
-each call flattens ``Maze.walls`` once into a list of masks (``_masks``)
-and reads the per-shape ``links`` table, which holds every in-bounds edge
-of each cell.  ``_open`` applies the one open-edge rule to that table and
-serves ``open_neighbors``, ``simulate_moves`` and the trace walks in
-``augment``; the one integer BFS, ``_search``, inlines the same rule in its
+Searches and walks index those bytes with the per-shape ``links`` table,
+which holds every in-bounds edge of each cell.  ``_crosses`` is the one
+open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
+and the trace walks in ``augment``, and ``simulate_moves`` applies it to the
+one edge each move names, found in ``_steps``, the same edges keyed by
+direction.  The one integer BFS, ``_search``, inlines the same rule in its
 hot loop and serves connectivity, endpoint placement and the solver.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, Optional
 
 
@@ -35,9 +35,9 @@ class MoveDirection(Enum):
     LEFT = "left"
     RIGHT = "right"
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        return _DELTAS[self]
+    # members are singletons, so identity hashing agrees with equality and
+    # skips Enum's Python-level hash of the name on every dict lookup
+    __hash__ = object.__hash__
 
     @property
     def opposite(self) -> "MoveDirection":
@@ -53,7 +53,6 @@ EDGES = (
     (MoveDirection.LEFT, 4, 8, 0, -1),
     (MoveDirection.RIGHT, 8, 4, 0, 1),
 )
-_DELTAS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
 _BITS = {d: bit for d, bit, _, _, _ in EDGES}
 _OPPOSITES = {
     MoveDirection.UP: MoveDirection.DOWN,
@@ -115,12 +114,12 @@ SHAPE_CACHE = 64  # grid shapes whose per-shape tables stay cached
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
-def links(width: int, height: int) -> tuple[tuple[tuple[MoveDirection, int, int, int], ...], ...]:
-    """Per flat index, the cell's in-bounds edges in ``EDGES`` order:
-    (direction, this cell's wall bit, the neighbour's wall bit, its flat index)."""
+def links(width: int, height: int) -> tuple[tuple[tuple[MoveDirection, tuple[int, int, int]], ...], ...]:
+    """Per flat index, the cell's in-bounds edges in ``EDGES`` order, each as
+    (direction, (this cell's wall bit, the neighbour's wall bit, its flat index))."""
     return tuple(
         tuple(
-            (d, bit, back, (r + dr) * width + c + dc)
+            (d, (bit, back, (r + dr) * width + c + dc))
             for d, bit, back, dr, dc in EDGES
             if 0 <= r + dr < height and 0 <= c + dc < width
         )
@@ -130,21 +129,29 @@ def links(width: int, height: int) -> tuple[tuple[tuple[MoveDirection, int, int,
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
+def _steps(width: int, height: int) -> tuple[dict[MoveDirection, tuple[int, int, int]], ...]:
+    """The edges of ``links`` keyed by direction, for a move to look its edge up.
+
+    Searches iterate ``links`` itself: its tuples iterate faster than dicts.
+    """
+    return tuple(map(dict, links(width, height)))
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
 def _cells(width: int, height: int) -> tuple[Position, ...]:
     return tuple(Position(r, c) for r in range(height) for c in range(width))
 
 
-def _masks(m: Maze) -> list[int]:
-    """The wall masks of m in flat-index order."""
-    # chain, not sum(m.walls, ()): sum's partial tuples pile up in CPython's tuple free lists
-    return list(chain.from_iterable(m.walls))
+def _crosses(masks: bytes, i: int, edge: tuple[int, int, int]) -> bool:
+    """The open-edge rule: ``edge`` of cell i (see ``links``) is open when
+    the wall bit on neither side of it is set."""
+    bit, back, j = edge
+    return not masks[i] & bit and not masks[j] & back
 
 
-def _open(masks: list[int], table, i: int) -> list[tuple[MoveDirection, int]]:
-    """The open-edge rule: (direction, neighbour's flat index) for each edge of
-    cell i in ``table`` (see ``links``) whose wall bit is set on neither side."""
-    here = masks[i]
-    return [(d, j) for d, bit, back, j in table[i] if not here & bit and not masks[j] & back]
+def _open(masks: bytes, table, i: int) -> list[tuple[MoveDirection, int]]:
+    """(direction, neighbour's flat index) for each open edge of cell i, in ``EDGES`` order."""
+    return [(d, edge[2]) for d, edge in table[i] if _crosses(masks, i, edge)]
 
 
 def _search(m: Maze, src: int, dst: int = -1):
@@ -153,14 +160,14 @@ def _search(m: Maze, src: int, dst: int = -1):
     Returns (parents, order): parents[j] is (predecessor, move) for each
     reached cell, (src, None) for src, None elsewhere; order is discovery order.
     """
-    masks, table = _masks(m), links(m.width, m.height)
+    masks, table = m.masks, links(m.width, m.height)
     parents: list = [None] * len(masks)
     parents[src] = (src, None)
     order = [src]
     for i in order:  # the list grows while it is walked: a FIFO queue
         here = masks[i]
-        for d, bit, back, j in table[i]:
-            # the ``_open`` rule, inlined: this loop is the hot path of every search
+        for d, (bit, back, j) in table[i]:
+            # the ``_crosses`` rule, inlined: this loop is the hot path of every search
             if parents[j] is None and not here & bit and not masks[j] & back:
                 parents[j] = (i, d)
                 order.append(j)
@@ -173,22 +180,27 @@ def _search(m: Maze, src: int, dst: int = -1):
 class Maze:
     """A rectangular wall grid with optional origin/target endpoints.
 
-    Immutable after construction; use ``with_endpoints`` to derive a copy
-    with endpoints set.  The constructor checks only grid shape, not the
-    structural invariants (see ``validate_maze``).
+    ``masks`` holds one wall mask (0..15) per cell, row-major.  Immutable
+    after construction; use ``with_endpoints`` to derive a copy with
+    endpoints set.  The constructor checks only the grid's shape and mask
+    range, not the structural invariants (see ``validate_maze``).
     """
 
     width: int
     height: int
-    walls: tuple[tuple[WallSet, ...], ...]
+    masks: bytes
     origin: Optional[Position] = None
     target: Optional[Position] = None
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"maze dimensions must be positive, got {self.width}x{self.height}")
-        if len(self.walls) != self.height or any(len(row) != self.width for row in self.walls):
-            raise ValueError("wall grid shape does not match width/height")
+        if not isinstance(self.masks, bytes):
+            raise TypeError(f"masks must be bytes, got {type(self.masks).__name__}")
+        if len(self.masks) != self.width * self.height:
+            raise ValueError(f"{len(self.masks)} wall masks for a {self.width}x{self.height} grid")
+        if max(self.masks) > 15:
+            raise ValueError(f"wall mask {max(self.masks)} is not a 4-bit mask")
         for name in ("origin", "target"):
             p = getattr(self, name)
             if p is not None and not self.in_bounds(p):
@@ -197,11 +209,17 @@ class Maze:
     def in_bounds(self, p: Position) -> bool:
         return 0 <= p.row < self.height and 0 <= p.col < self.width
 
+    @property
+    def walls(self) -> tuple[tuple[WallSet, ...], ...]:
+        """The masks as rows of ``WallSet``, top to bottom."""
+        w = self.width
+        return tuple(tuple(WALL_SETS[x] for x in self.masks[i : i + w]) for i in range(0, len(self.masks), w))
+
     def wall_at(self, p: Position) -> WallSet:
-        return self.walls[p.row][p.col]
+        return WALL_SETS[self.masks[_index(self, p)]]
 
     def with_endpoints(self, origin: Position, target: Position) -> "Maze":
-        return Maze(self.width, self.height, self.walls, origin, target)
+        return Maze(self.width, self.height, self.masks, origin, target)
 
     def positions(self) -> Iterator[Position]:
         return iter(_cells(self.width, self.height))
@@ -239,32 +257,15 @@ class SimOutcome:
         return self.status is SimStatus.REACHED_TARGET
 
 
-def apply_move(p: Position, d: MoveDirection, width: int, height: int) -> Position:
-    """Neighboring position under the up = row-1 convention.
-
-    Raises OutOfBoundsError if the move would leave the width x height grid.
-    """
-    dr, dc = d.delta
-    q = Position(p.row + dr, p.col + dc)
-    if not (0 <= q.row < height and 0 <= q.col < width):
-        raise OutOfBoundsError(f"move {d.value} from {p} leaves the {width}x{height} grid")
-    return q
-
-
 def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]:
     """Open (direction, neighbor) pairs from p, in canonical direction order.
 
-    The one open-edge rule (``_open``): the edge stays in bounds and the
+    The one open-edge rule (``_crosses``): the edge stays in bounds and the
     wall bit on neither side of it is set; the two bits agree on any maze
     that passes ``validate_maze``.
     """
     cells = _cells(m.width, m.height)
-    return [(d, cells[j]) for d, j in _open(_masks(m), links(m.width, m.height), _index(m, p))]
-
-
-def is_open(m: Maze, p: Position, d: MoveDirection) -> bool:
-    """True iff a move from p in direction d crosses no wall and stays in bounds."""
-    return any(e is d for e, _ in open_neighbors(m, p))
+    return [(d, cells[j]) for d, j in _open(m.masks, links(m.width, m.height), _index(m, p))]
 
 
 def wall_count(m: Maze, p: Position) -> int:
@@ -279,20 +280,20 @@ def validate_maze(m: Maze) -> list[str]:
     origin != target when both are set, and connectivity of the open-passage
     graph.  An empty list means the maze is valid.
     """
+    masks, w, last_row, last_col = m.masks, m.width, m.height - 1, m.width - 1
     problems = [
         f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"
-        for r, c, r2, c2, pair in wall_mismatches(m.walls)
+        for r, c, r2, c2, pair in wall_mismatches(masks, w)
     ]
-    walls, last_row, last_col = m.walls, m.height - 1, m.width - 1
-    for c in range(m.width):
-        if not walls[0][c] & 1:
+    for c in range(w):
+        if not masks[c] & 1:
             problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
-        if not walls[last_row][c] & 2:
+        if not masks[last_row * w + c] & 2:
             problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
     for r in range(m.height):
-        if not walls[r][0] & 4:
+        if not masks[r * w] & 4:
             problems.append(f"perimeter gap: ({r},0) lacks a left wall")
-        if not walls[r][last_col] & 8:
+        if not masks[r * w + last_col] & 8:
             problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
@@ -303,40 +304,23 @@ def validate_maze(m: Maze) -> list[str]:
     return problems
 
 
-def wall_mismatches(walls) -> Iterator[tuple[int, int, int, int, str]]:
+def wall_mismatches(masks, width: int) -> Iterator[tuple[int, int, int, int, str]]:
     """Shared edges whose two cells disagree about the wall, in row-major order.
 
     Yields (row, col, neighbour row, neighbour col, "down/up" or
-    "right/left") for a grid of wall masks.
+    "right/left") for row-major wall masks of a grid ``width`` cells wide.
     """
-    height, width = len(walls), len(walls[0])
-    for r in range(height):
-        for c in range(width):
-            # shifted right by one, the down bit (2) lands on up (1) and the
-            # right bit (8) on left (4), the bits the facing cells hold
-            facing = walls[r][c] >> 1
-            if r + 1 < height and (facing ^ walls[r + 1][c]) & 1:
-                yield r, c, r + 1, c, "down/up"
-            if c + 1 < width and (facing ^ walls[r][c + 1]) & 4:
-                yield r, c, r, c + 1, "right/left"
-
-
-def bfs(
-    m: Maze, src: Position, dst: Optional[Position] = None
-) -> dict[Position, Optional[tuple[Position, MoveDirection]]]:
-    """Breadth-first search over open passages from src.
-
-    Returns parent links for every cell reached: each maps to its
-    (predecessor, move) pair, and src maps to None.  Neighbours expand in
-    canonical direction order; the search stops as soon as dst is reached.
-    """
-    cells = _cells(m.width, m.height)
-    parents, order = _search(m, _index(m, src), -1 if dst is None else _index(m, dst))
-    prev: dict[Position, Optional[tuple[Position, MoveDirection]]] = {src: None}
-    for j in order[1:]:
-        i, d = parents[j]
-        prev[cells[j]] = (cells[i], d)
-    return prev
+    cells = len(masks)
+    for i in range(cells):
+        # shifted right by one, the down bit (2) lands on up (1) and the
+        # right bit (8) on left (4), the bits the facing cells hold
+        facing = masks[i] >> 1
+        if i + width < cells and (facing ^ masks[i + width]) & 1:
+            r, c = divmod(i, width)
+            yield r, c, r + 1, c, "down/up"
+        if (i + 1) % width and (facing ^ masks[i + 1]) & 4:
+            r, c = divmod(i, width)
+            yield r, c, r, c + 1, "right/left"
 
 
 def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
@@ -351,18 +335,16 @@ def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     if not m.in_bounds(start):
         raise OutOfBoundsError(f"start {start} outside the grid")
     seq = tuple(moves)
-    masks, table, cells = _masks(m), links(m.width, m.height), _cells(m.width, m.height)
+    masks, steps, cells = m.masks, _steps(m.width, m.height), _cells(m.width, m.height)
     i = _index(m, start)
     for k, d in enumerate(seq):
-        for e, j in _open(masks, table, i):
-            if e is d:
-                break
-        else:
+        edge = steps[i].get(d)
+        if edge is None or not _crosses(masks, i, edge):
             # a present wall blocks the move before the boundary does, so leaving
             # the grid is only reportable through a perimeter gap
-            off_grid = not masks[i] & _BITS[d] and all(e is not d for e, _, _, _ in table[i])
+            off_grid = edge is None and not masks[i] & _BITS[d]
             status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
             return SimOutcome(final=cells[i], steps_taken=k, status=status)
-        i = j
-    status = SimStatus.REACHED_TARGET if cells[i] == m.target else SimStatus.STOPPED_SHORT
+        i = edge[2]
+    status = SimStatus.REACHED_TARGET if i == _index(m, m.target) else SimStatus.STOPPED_SHORT
     return SimOutcome(final=cells[i], steps_taken=len(seq), status=status)

@@ -13,7 +13,10 @@ set and three training collections:
 
 Test mazes never appear in any training collection; identity is a hash of
 the wall grid plus endpoints, so even a duplicate maze generated under a
-different seed cannot leak across the boundary.  Everything is a pure
+different seed cannot leak across the boundary.  A ``--scale`` plan has no
+slack for the training mazes such a duplicate removes, so when a quota falls
+short the pool is topped up: items ``total_pool``, ``total_pool + 1``, ...
+join the training order until every quota fills.  Everything is a pure
 function of the master seeds, which makes output files byte-reproducible.
 """
 
@@ -136,6 +139,7 @@ class DatasetSplits:
     test: tuple[DatasetRecord, ...]
     sft: tuple[DatasetRecord, ...]
     grpo: tuple[DatasetRecord, ...]
+    top_up: int = 0  # pool items generated past plan.total_pool to fill a scaled plan
 
 
 def make_record(
@@ -166,61 +170,87 @@ def build_splits(
 ) -> DatasetSplits:
     """Generate the pool and carve it into test, sft and grpo collections.
 
-    Duplicate wall-grid/endpoint combinations are allowed in the pool.
-    Raises SplitShortfallError with the deficit when a quota cannot be met,
-    most commonly when the retry quota exceeds the number of mazes whose
-    origin produces wrong attempts.
+    Duplicate wall-grid/endpoint combinations are allowed in the pool, but
+    a training maze that repeats a test maze's id is left out.  A scaled
+    plan (``SplitPlan.scaled``) then tops the pool up past ``total_pool``
+    until every quota fills, generating at most ``total_pool`` extra items;
+    ``DatasetSplits.top_up`` counts them.  Raises SplitShortfallError with
+    the deficit when a quota cannot be met, most commonly when the retry
+    quota exceeds the number of mazes whose origin produces wrong attempts.
     """
     seeds: list[int] = []
     pool: list[Maze] = []
     solutions: list[SolutionPath] = []
     tokens: list[str] = []
-    for seed, m, solution in solved_pool(gen_cfg, plan.total_pool):
-        seeds.append(seed)
-        pool.append(m)
-        solutions.append(solution)
-        # rendered once: ids and every record of this maze share the string
-        tokens.append(render_maze_tokens(m))
-    ids = [hash16(t) for t in tokens]
+    ids: list[str] = []
 
-    order = list(range(plan.total_pool))
+    def generate(count: int) -> range:
+        start = len(pool)
+        for seed, m, solution in solved_pool(gen_cfg, count, start):
+            seeds.append(seed)
+            pool.append(m)
+            solutions.append(solution)
+            # rendered once: ids and every record of this maze share the string
+            tokens.append(render_maze_tokens(m))
+            ids.append(hash16(tokens[-1]))
+        return range(start, len(pool))
+
+    order = list(generate(plan.total_pool))
     SplitMix64(mix64(gen_cfg.seed ^ _SHUFFLE_SALT)).shuffle(order)
     test_indices = order[: plan.test_count]
     test_ids = {ids[i] for i in test_indices}
-    train_indices = [i for i in order[plan.test_count :] if ids[i] not in test_ids]
+    candidates = order[plan.test_count :]
+    train_indices = [i for i in candidates if ids[i] not in test_ids]
 
     # augmented in train order only until the retry quota fills; seeds are
     # per maze, so every maze still augmented draws as it would in a full pass
     traces = {}
-    for i in train_indices:
-        if len(traces) == plan.sft_retry_count:
+    augmented = 0  # train_indices[:augmented] have been augmented
+    top_up = 0
+    while True:
+        while len(traces) < plan.sft_retry_count and augmented < len(train_indices):
+            i = train_indices[augmented]
+            augmented += 1
+            trace = augment_trace(pool[i], solutions[i], AugmentConfig(aug_cfg.max_n_steps, derive_seed(aug_cfg.seed, i)))
+            if trace.is_retry:
+                traces[i] = trace
+        # every quota fills exactly when these are all <= 0; each extra item
+        # adds at most one training maze, so the largest is a lower bound on
+        # the items still needed and the top-up never overshoots
+        short = max(
+            plan.sft_retry_count - len(traces),
+            plan.sft_retry_count + plan.sft_straight_count - len(train_indices),
+            plan.sft_straight_count + plan.grpo_count - len(train_indices),
+        )
+        if short <= 0 or plan.scale_factor is None or top_up >= plan.total_pool:
             break
-        trace = augment_trace(pool[i], solutions[i], AugmentConfig(aug_cfg.max_n_steps, derive_seed(aug_cfg.seed, i)))
-        if trace.is_retry:
-            traces[i] = trace
+        extra = generate(short)
+        top_up += short
+        candidates += extra
+        train_indices += [i for i in extra if ids[i] not in test_ids]
+
     retry_sel = list(traces)
-    if len(retry_sel) < plan.sft_retry_count:
-        raise SplitShortfallError(
-            f"retry quota shortfall: need {plan.sft_retry_count}, "
-            f"only {len(retry_sel)} mazes produce wrong attempts"
-        )
     retry_set = set(retry_sel)
-
     straight_sel = [i for i in train_indices if i not in retry_set][: plan.sft_straight_count]
-    if len(straight_sel) < plan.sft_straight_count:
-        raise SplitShortfallError(
-            f"straight quota shortfall: need {plan.sft_straight_count}, "
-            f"only {len(straight_sel)} mazes remain outside the retry selection"
-        )
     straight_set = set(straight_sel)
-
     leftovers = [i for i in train_indices if i not in retry_set and i not in straight_set]
     spill = [i for i in retry_sel if i not in straight_set]
     grpo_sel = (leftovers + spill)[: plan.grpo_count]
-    if len(grpo_sel) < plan.grpo_count:
-        raise SplitShortfallError(
-            f"grpo quota shortfall: need {plan.grpo_count}, only {len(grpo_sel)} mazes available"
+    shortfalls = [
+        f"{name} quota shortfall: need {need}, only {len(sel)} {why}"
+        for name, need, sel, why in (
+            ("retry", plan.sft_retry_count, retry_sel, "mazes produce wrong attempts"),
+            ("straight", plan.sft_straight_count, straight_sel, "mazes remain outside the retry selection"),
+            ("grpo", plan.grpo_count, grpo_sel, "mazes available"),
         )
+        if len(sel) < need
+    ]
+    if shortfalls:
+        repeated = [ids[i] for i in candidates if ids[i] in test_ids]
+        if repeated:
+            shown = ", ".join(repeated[:5]) + (", ..." if len(repeated) > 5 else "")
+            shortfalls[0] += f"; left out as repeats of a test maze id ({len(repeated)}): {shown}"
+        raise SplitShortfallError(shortfalls[0])
 
     def straight_record(i: int) -> DatasetRecord:
         text = render_trace(pool[i], [], solutions[i]).solution_text
@@ -235,7 +265,7 @@ def build_splits(
         for i in sorted(retry_sel + straight_sel)
     )
     grpo_records = tuple(straight_record(i) for i in sorted(grpo_sel))
-    return DatasetSplits(test=test_records, sft=sft_records, grpo=grpo_records)
+    return DatasetSplits(test=test_records, sft=sft_records, grpo=grpo_records, top_up=top_up)
 
 
 @contextmanager
@@ -315,6 +345,9 @@ def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
     except ValueError:
         raise DatasetError(f"{where}: field 'kind' must be one of "
                            f"{[k.value for k in RecordKind]}, got {row['kind']!r}") from None
+    # a valid prompt is the maze text itself (see make_record): keep one copy
+    if values["prompt"] == values["maze_tokens"]:
+        values["prompt"] = values["maze_tokens"]
     return DatasetRecord(**values)
 
 

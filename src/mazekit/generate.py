@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .core import WALL_SETS, Maze, MoveDirection, Position, _cells, _index, _search, links, open_neighbors
+from .core import Maze, MoveDirection, Position, _cells, _index, _search, links
 from .rng import SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
@@ -72,11 +72,11 @@ def generate_maze(cfg: GenConfig) -> Maze:
     # every cell starts with all four walls; carving an edge clears one bit
     # on each side, so a cell is unvisited while its mask is still 15 (the
     # start cell loses a bit on the first step)
-    masks = [15] * (w * h)
+    masks = bytearray(b"\x0f" * (w * h))
     stack = [rng.randbelow(h) * w + rng.randbelow(w)]
     while stack:
         i = stack[-1]
-        candidates = [(bit, back, j) for _, bit, back, j in table[i] if masks[j] == 15]
+        candidates = [edge for _, edge in table[i] if masks[edge[2]] == 15]
         if not candidates:
             stack.pop()
             continue
@@ -84,8 +84,7 @@ def generate_maze(cfg: GenConfig) -> Maze:
         masks[i] &= ~bit
         masks[j] &= ~back
         stack.append(j)
-    rows = (masks[r * w : r * w + w] for r in range(h))
-    return Maze(width=w, height=h, walls=tuple(tuple(WALL_SETS[x] for x in row) for row in rows))
+    return Maze(width=w, height=h, masks=bytes(masks))
 
 
 def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMPTS) -> Maze:
@@ -126,12 +125,13 @@ def generate_solved_maze(cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMP
     return place_endpoints(generate_maze(cfg), cfg, attempts=attempts)
 
 
-def solved_pool(cfg: GenConfig, count: int) -> Iterator[tuple[int, Maze, SolutionPath]]:
-    """Yield (seed, solved maze, shortest path) for items 0..count-1.
+def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[int, Maze, SolutionPath]]:
+    """Yield (seed, solved maze, shortest path) for items start..start+count-1.
 
-    Item i is generated from ``cfg`` with seed ``derive_seed(cfg.seed, i)``.
+    Item i is generated from ``cfg`` with seed ``derive_seed(cfg.seed, i)``,
+    so it is the same whichever range it is drawn in.
     """
-    for i in range(count):
+    for i in range(start, start + count):
         item = replace(cfg, seed=derive_seed(cfg.seed, i))
         yield item.seed, *_solved(generate_maze(item), item, DEFAULT_ENDPOINT_ATTEMPTS)
 
@@ -162,9 +162,3 @@ def _shortest_path(m: Maze, origin: int, target: int) -> Optional[SolutionPath]:
         moves.append(d)
         cells.append(positions[cur])
     return SolutionPath(moves=tuple(reversed(moves)), cells=tuple(reversed(cells)))
-
-
-def open_passage_count(m: Maze) -> int:
-    """Count of open interior edges; equals cells - 1 on a perfect maze."""
-    # the rule is symmetric, so each open edge is seen from both of its cells
-    return sum(len(open_neighbors(m, p)) for p in m.positions()) // 2

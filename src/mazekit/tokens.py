@@ -31,10 +31,11 @@ TARGET_TOKEN = "<|target|>"
 NO_WALL_TOKEN = "<|no_wall|>"
 
 MOVE_TOKENS = {d: f"<|{d.value}|>" for d in DIRECTIONS}
+_MOVE_NAMES = {d.value: d for d in DIRECTIONS}
 
 _MOVE_TOKEN_RE = re.compile(r"<\|(up|down|left|right)\|>")
 _TOKEN_RE = re.compile(r"<\|([^<>|]*)\|>")
-_COORD_RE = re.compile(r"^(\d+)-(\d+)$")
+_COORD_RE = re.compile(r"^\d+-\d+$")
 
 
 class MazeParseError(ValueError):
@@ -50,11 +51,6 @@ _WALL_TABLE = dict(zip(_WALL_TOKENS, WALL_SETS))
 # the same table keyed by the name between the brackets, for the row fast path
 _WALL_NAMES = {token[2:-2]: w for token, w in _WALL_TABLE.items()}
 _STATE_NAMES = frozenset(token[2:-2] for token in (BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN))
-
-
-def wall_token(w: WallSet) -> str:
-    """Wall token for one cell, e.g. ``<|up_down_right_wall|>``."""
-    return _WALL_TOKENS[w]
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -81,10 +77,8 @@ def render_maze_tokens(m: Maze) -> str:
     states = [BLANK_TOKEN] * len(coords)
     states[m.origin.row * w + m.origin.col] = ORIGIN_TOKEN
     states[m.target.row * w + m.target.col] = TARGET_TOKEN
-    return "\n".join(
-        "".join(coords[i] + _WALL_TOKENS[mask] + states[i] for i, mask in enumerate(row, r * w))
-        for r, row in enumerate(m.walls)
-    )
+    cells = [coord + _WALL_TOKENS[mask] + state for coord, mask, state in zip(coords, m.masks, states)]
+    return "\n".join("".join(cells[i : i + w]) for i in range(0, len(cells), w))
 
 
 def render_move_tokens(moves) -> str:
@@ -98,7 +92,7 @@ def extract_move_tokens(model_output: str) -> tuple[MoveDirection, ...]:
     All other characters are ignored, including reasoning-tag markup, so
     any token that looks like a move counts as one.
     """
-    return tuple(MoveDirection(name) for name in _MOVE_TOKEN_RE.findall(model_output))
+    return tuple(map(_MOVE_NAMES.__getitem__, _MOVE_TOKEN_RE.findall(model_output)))
 
 
 def first_move_token_index(text: str) -> int | None:
@@ -140,10 +134,10 @@ def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None])
     row_walls: list[WallSet] = []
     for c in range(row_width):
         coord, wall, state = tokens[3 * c : 3 * c + 3]
-        cm = _COORD_RE.match(coord[2:-2])
-        if not cm:
+        if not _COORD_RE.match(coord[2:-2]):
             raise MazeParseError(f"row {r}, cell {c}: expected coordinate token, got {coord!r}")
-        if (int(cm.group(1)), int(cm.group(2))) != (r, c):
+        # the text, not its value: "01-0" names (1,0) but is not how it is written
+        if coord[2:-2] != f"{r}-{c}":
             raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
         ws = _WALL_TABLE.get(wall)
         if ws is None:
@@ -159,7 +153,7 @@ def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None])
 def parse_maze_tokens(text: str) -> Maze:
     """Parse token text back into a maze; the inverse of ``render_maze_tokens``.
 
-    Enforces coordinate tokens matching grid position, mutual wall
+    Enforces coordinate tokens spelt as their grid position, mutual wall
     consistency between neighbors, and exactly one origin and one target.
     Perimeter closure and connectivity are not checked here; run
     ``validate_maze`` on the result when those matter.
@@ -170,7 +164,7 @@ def parse_maze_tokens(text: str) -> Maze:
         raise MazeParseError("empty maze text")
     height = len(lines)
 
-    grid: list[tuple[WallSet, ...]] = []
+    grid = bytearray()
     ends: list[Position | None] = [None, None]
     width: int | None = None
     for r, line in enumerate(lines):
@@ -195,16 +189,16 @@ def parse_maze_tokens(text: str) -> Maze:
         else:
             row_walls = _walk_row(line, r, width, ends)
         width = len(row_walls)
-        grid.append(row_walls)
+        grid.extend(row_walls)
 
-    for r, c, r2, c2, _ in wall_mismatches(grid):
+    for r, c, r2, c2, _ in wall_mismatches(grid, width):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
     origin, target = ends
     if origin is None:
         raise MazeParseError("missing origin token")
     if target is None:
         raise MazeParseError("missing target token")
-    return Maze(width=width, height=height, walls=tuple(grid), origin=origin, target=target)
+    return Maze(width=width, height=height, masks=bytes(grid), origin=origin, target=target)
 
 
 def ascii_preview(m: Maze) -> str:
@@ -214,18 +208,18 @@ def ascii_preview(m: Maze) -> str:
         top = []
         mid = []
         for c in range(m.width):
-            w = m.walls[r][c]
-            top.append("+" + ("---" if w.up else "   "))
             p = Position(r, c)
+            w = m.wall_at(p)
+            top.append("+" + ("---" if w.up else "   "))
             mark = " O " if p == m.origin else (" T " if p == m.target else "   ")
             mid.append(("|" if w.left else " ") + mark)
         top.append("+")
-        mid.append("|" if m.walls[r][m.width - 1].right else " ")
+        mid.append("|" if m.wall_at(Position(r, m.width - 1)).right else " ")
         lines.append("".join(top))
         lines.append("".join(mid))
     bottom = []
     for c in range(m.width):
-        bottom.append("+" + ("---" if m.walls[m.height - 1][c].down else "   "))
+        bottom.append("+" + ("---" if m.wall_at(Position(m.height - 1, c)).down else "   "))
     bottom.append("+")
     lines.append("".join(bottom))
     return "\n".join(lines)

@@ -24,7 +24,6 @@ from mazekit.dataset import RecordKind, SplitPlan, build_splits, validate_record
 from mazekit.generate import (
     GenConfig,
     generate_solved_maze,
-    open_passage_count,
     solve_shortest_path,
 )
 from mazekit.rewards import group_advantages, total_reward
@@ -34,6 +33,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
+from reference import is_open, open_passage_count
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
 
@@ -196,7 +196,7 @@ def test_criterion_7_bench_harness():
     truncated = {e.id: render_move_tokens(solve_shortest_path(e.maze).moves[:-1]) for e in suite.entries}
     assert evaluate_suite(suite, truncated).overall == 0.0
 
-    from mazekit.core import DIRECTIONS, is_open
+    from mazekit.core import DIRECTIONS
 
     entry = suite.entries[0]
     closed = next(d for d in DIRECTIONS if not is_open(entry.maze, entry.maze.origin, d))

@@ -108,7 +108,8 @@ def test_truncated_oracle_scores_0(suite):
 
 
 def test_wall_hit_reason_carries_index(suite):
-    from mazekit.core import DIRECTIONS, is_open
+    from mazekit.core import DIRECTIONS
+    from reference import is_open
 
     entry = suite.entries[0]
     closed = next(d for d in DIRECTIONS if not is_open(entry.maze, entry.maze.origin, d))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import EDGES, WALL_SETS, Maze, MoveDirection, Position, WallSet, bfs, open_neighbors, validate_maze
+from mazekit.core import EDGES, Maze, MoveDirection, Position, WallSet, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
     GenConfig,
@@ -15,6 +15,7 @@ from mazekit.generate import (
     solve_shortest_path,
 )
 from mazekit.rng import derive_seed
+from reference import bfs
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -29,19 +30,17 @@ def room(width: int, height: int, split_after_col=None, closed=False) -> Maze:
     def cut(c):
         return closed or c == width - 1 or c == split_after_col
 
-    rows = tuple(
-        tuple(
-            WallSet(
-                up=closed or r == 0,
-                down=closed or r == height - 1,
-                left=c == 0 or cut(c - 1),
-                right=cut(c),
-            )
-            for c in range(width)
+    masks = bytes(
+        WallSet(
+            up=closed or r == 0,
+            down=closed or r == height - 1,
+            left=c == 0 or cut(c - 1),
+            right=cut(c),
         )
         for r in range(height)
+        for c in range(width)
     )
-    return Maze(width, height, rows)
+    return Maze(width, height, masks)
 
 
 def test_bfs_parent_links_follow_canonical_order():
@@ -88,7 +87,7 @@ def reference_neighbors(m: Maze, p: Position):
     out = []
     for d, bit, back, dr, dc in EDGES:
         q = Position(p.row + dr, p.col + dc)
-        if m.in_bounds(q) and not m.walls[p.row][p.col] & bit and not m.walls[q.row][q.col] & back:
+        if m.in_bounds(q) and not m.wall_at(p) & bit and not m.wall_at(q) & back:
             out.append((d, q))
     return out
 
@@ -112,9 +111,8 @@ def any_grid(draw):
     """Any 1x1..7x7 grid of masks: walls may disagree across an edge and the perimeter may be open."""
     width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     masks = draw(st.lists(st.integers(0, 15), min_size=width * height, max_size=width * height))
-    walls = tuple(tuple(WALL_SETS[x] for x in masks[r * width : (r + 1) * width]) for r in range(height))
     cell = st.builds(Position, st.integers(0, height - 1), st.integers(0, width - 1))
-    return Maze(width, height, walls), draw(cell), draw(st.none() | cell)
+    return Maze(width, height, bytes(masks)), draw(cell), draw(st.none() | cell)
 
 
 @settings(max_examples=300, deadline=None)

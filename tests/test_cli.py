@@ -144,6 +144,27 @@ def test_trend_fits_points(capsys, tmp_path):
     assert fit["intercept"] == pytest.approx(87.5909, abs=1e-3)
 
 
+def test_bench_build_renders_each_entry_once(capsys, tmp_path, monkeypatch):
+    from mazekit import bench, cli, tokens
+
+    pool = tmp_path / "pool.jsonl"
+    suite = tmp_path / "suite.jsonl"
+    run(capsys, "generate", "--count", "400", "--seed", "11", "--out", str(pool))
+    rendered = []
+
+    def counting(m):
+        rendered.append(m)
+        return tokens.render_maze_tokens(m)
+
+    for module in (bench, cli):
+        monkeypatch.setattr(module, "render_maze_tokens", counting)
+    code, _, _ = run(capsys, "bench", "build", "--pool", str(pool), "--seed", "7", "--out", str(suite))
+    assert code == 0
+    rows = [json.loads(line) for line in suite.read_text().splitlines()]
+    assert len(rendered) == len(rows) == 100
+    assert [tokens.render_maze_tokens(m) for m in rendered] == [row["maze_tokens"] for row in rows]
+
+
 def test_build_dataset_explicit_counts(capsys, tmp_path):
     outdir = tmp_path / "ds"
     code, _, _ = run(capsys, "build-dataset", "--seed", "6",

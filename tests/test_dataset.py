@@ -65,6 +65,14 @@ def test_prompt_is_the_maze_grid(small_splits):
         assert r.prompt == r.maze_tokens
 
 
+def test_read_records_keeps_one_copy_of_the_maze_text(small_splits, tmp_path):
+    path = str(tmp_path / "sft.jsonl")
+    write_records(small_splits.sft, path)
+    assert all(r.prompt is r.maze_tokens for r in read_records(path))
+    row = {**small_splits.sft[0].to_dict(), "prompt": "hello"}
+    assert record_from_dict(row).prompt == "hello"
+
+
 def test_grpo_disjoint_from_sft_straight(small_splits):
     straight_ids = {_maze_hash(r) for r in small_splits.sft if r.kind is RecordKind.STRAIGHT_SUCCESS}
     grpo_ids = {_maze_hash(r) for r in small_splits.grpo}
@@ -91,6 +99,48 @@ def test_grpo_shortfall_reported():
     plan = SplitPlan(total_pool=30, test_count=0, sft_straight_count=0, sft_retry_count=0, grpo_count=40)
     with pytest.raises(SplitShortfallError, match="grpo quota"):
         build_splits(plan, GenConfig(seed=5), AugmentConfig(seed=5))
+
+
+# at --scale 400 one training maze of this seed repeats a test maze's id,
+# which leaves the straight quota one maze short of the unpadded plan
+REPEAT_SEED = 7750221749264622373
+
+
+def test_scaled_plan_tops_up_past_a_repeated_test_maze():
+    splits = build_splits(SplitPlan.scaled(400), GenConfig(seed=REPEAT_SEED), AugmentConfig(seed=REPEAT_SEED))
+    assert splits.top_up == 1
+    assert (len(splits.test), len(splits.sft), len(splits.grpo)) == (75, 1250, 375)
+    assert sum(r.kind is RecordKind.RETRY for r in splits.sft) == 625
+    test_ids = {_maze_hash(r) for r in splits.test}
+    assert not test_ids & {_maze_hash(r) for r in splits.sft + splits.grpo}
+    # the extra item is pool index total_pool, and it is used
+    assert max(int(r.id.split("-")[0]) for r in splits.sft + splits.grpo) == 1325
+    for r in splits.test + splits.sft + splits.grpo:
+        validate_record(r)
+
+
+def test_explicit_plan_names_the_repeated_ids():
+    plan = replace(SplitPlan.scaled(400), scale_factor=None)
+    with pytest.raises(SplitShortfallError) as err:
+        build_splits(plan, GenConfig(seed=REPEAT_SEED), AugmentConfig(seed=REPEAT_SEED))
+    assert str(err.value) == (
+        "straight quota shortfall: need 625, only 624 mazes remain outside the retry selection; "
+        "left out as repeats of a test maze id (1): b491488198974a79"
+    )
+
+
+def test_top_up_is_bounded_by_the_pool_size():
+    # 2x2 grids hold 48 distinct solved mazes, so nearly every training maze
+    # repeats a test maze: the top-up stops after total_pool extra items
+    plan = SplitPlan.scaled(400)
+    with pytest.raises(SplitShortfallError, match=r"retry quota shortfall: .*left out as repeats of a test maze id \(\d+\): \w{16}, "):
+        build_splits(plan, GenConfig(width=2, height=2, seed=1), AugmentConfig(seed=1))
+
+
+def test_a_plan_that_fills_generates_nothing_extra(small_splits):
+    assert small_splits.top_up == 0
+    scaled = build_splits(SplitPlan.scaled(400), GenConfig(seed=400), AugmentConfig(seed=400))
+    assert scaled.top_up == 0
 
 
 @pytest.mark.parametrize(

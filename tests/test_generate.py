@@ -2,18 +2,18 @@ from dataclasses import replace
 
 import pytest
 
-from mazekit.core import Position, SimStatus, is_open, simulate_moves, open_neighbors, validate_maze
+from mazekit.core import Position, SimStatus, simulate_moves, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
     GenConfig,
     generate_maze,
     generate_solved_maze,
-    open_passage_count,
     place_endpoints,
     solve_shortest_path,
     solved_pool,
 )
 from mazekit.rng import derive_seed
+from reference import apply_move, is_open, open_passage_count
 
 
 def enumerate_simple_paths(m, start, goal):
@@ -91,8 +91,6 @@ def test_solution_simulates_to_target(maze_corpus):
 
 
 def test_solution_cells_chain(maze_corpus):
-    from mazekit.core import apply_move
-
     for m, sol in maze_corpus[:50]:
         assert len(sol.cells) == len(sol.moves) + 1
         assert len(set(sol.cells)) == len(sol.cells)
@@ -141,12 +139,11 @@ def test_solver_requires_endpoints():
 
 
 def test_disconnected_maze_rejected():
-    from mazekit.core import Maze, WallSet
+    from mazekit.core import Maze
     from mazekit.generate import UnreachableTargetError
 
     # 2x2 grid with every wall present: no passages at all
-    full = WallSet(True, True, True, True)
-    m = Maze(2, 2, ((full, full), (full, full)), Position(0, 0), Position(1, 1))
+    m = Maze(2, 2, bytes([15] * 4), Position(0, 0), Position(1, 1))
     with pytest.raises(UnreachableTargetError):
         solve_shortest_path(m)
 

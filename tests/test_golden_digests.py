@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from mazekit.cli import main
+from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
 
@@ -51,6 +52,14 @@ SHAPED_BUILD_DIGESTS = {
     "grpo.jsonl": "3ebbcb619e2007981c08326cb7987074e16f141705c664643cffede31ce183d2",
     "manifest.json": "662364e1e9292f35bea1f47cc5a246d3a6a895fdd5b0d0bfc6b8f3551b9ef3dd",
 }
+# build-dataset --scale 400 at a seed whose pool repeats a test maze id: the
+# plan is topped up by one pool item and the manifest records "top_up": 1
+TOPPED_UP_BUILD_DIGESTS = {
+    "test.jsonl": "707af4a9fadb59be3541541f30ff465bad76972b77681182fcf59958f20234a8",
+    "sft.jsonl": "d89bc4d00d2b2e63ebd92c5ca322599f39e9fd0c5cf4eb2a1266c9f59bd06dd7",
+    "grpo.jsonl": "deacdf6a9b40e3704cf0663e0b34764967657b9853f0e836f3b45c1558edb3db",
+    "manifest.json": "eb731ac7d63ef4933e436c64e754354d6c5fa80287e7bdc8c8d534b69368bc9e",
+}
 SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
 BENCH_REPORT_DIGEST = "227cd19c9bc798c59864529ccd859e581d4ff240a901d260499e236fe92c1e2e"
 REWARD_DIGEST = "73c318e4ff726c7d1186ccf4f727d8da3e10a89801975a27bed3c9024752660f"
@@ -79,6 +88,16 @@ def test_build_dataset_digests(tmp_path, capsys):
     outdir = tmp_path / "ds"
     assert main(["build-dataset", "--seed", "42", "--scale", "400", "--out", str(outdir)]) == 0
     assert {name: sha256(outdir / name) for name in BUILD_DIGESTS} == BUILD_DIGESTS
+
+
+def test_topped_up_build_dataset_digests(tmp_path, capsys):
+    outdir = tmp_path / "ds"
+    argv = ["build-dataset", "--seed", "7750221749264622373", "--scale", "400", "--out", str(outdir)]
+    assert main(argv) == 0
+    assert {name: sha256(outdir / name) for name in TOPPED_UP_BUILD_DIGESTS} == TOPPED_UP_BUILD_DIGESTS
+    assert json.loads((outdir / "manifest.json").read_text())["top_up"] == 1
+    for split in ("test", "sft", "grpo"):
+        read_records(str(outdir / f"{split}.jsonl"), strict=True)
 
 
 @pytest.mark.parametrize("argv", list(SHAPED_POOL_DIGESTS), ids=lambda argv: "_".join(argv[2:]).replace("--", ""))

@@ -7,7 +7,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import WALL_SETS, Maze, Position, WallSet, wall_mismatches
+from mazekit.core import WALL_SETS, Maze, Position, wall_mismatches
 from mazekit.generate import GenConfig, solved_pool
 from mazekit.tokens import (
     BLANK_TOKEN,
@@ -17,15 +17,16 @@ from mazekit.tokens import (
     MazeParseError,
     parse_maze_tokens,
     render_maze_tokens,
-    wall_token,
 )
+from reference import wall_token
 
 _TOKEN_RE = re.compile(r"<\|([^<>|]*)\|>")
 _COORD_RE = re.compile(r"^(\d+)-(\d+)$")
 
 
 # The reference: the token-by-token parser, kept as it was before the row
-# fast path.
+# fast path, except that a coordinate must be spelt exactly as it is rendered
+# ("1-0", not "01-0") and the grid is kept as row-major mask bytes.
 
 
 def _line_tokens(line: str, row: int) -> list[str]:
@@ -48,7 +49,7 @@ def reference_parse(text: str) -> Maze:
         raise MazeParseError("empty maze text")
     height = len(lines)
 
-    grid: list[list[WallSet]] = []
+    grid = bytearray()
     origin: Position | None = None
     target: Position | None = None
     width: int | None = None
@@ -61,14 +62,14 @@ def reference_parse(text: str) -> Maze:
             width = row_width
         elif row_width != width:
             raise MazeParseError(f"row {r} has {row_width} cells, expected {width}")
-        row_walls: list[WallSet] = []
+        row_walls = bytearray()
         for c in range(row_width):
             coord, wall, state = tokens[3 * c : 3 * c + 3]
             inner = coord[2:-2]
             cm = _COORD_RE.match(inner)
             if not cm:
                 raise MazeParseError(f"row {r}, cell {c}: expected coordinate token, got {coord!r}")
-            if (int(cm.group(1)), int(cm.group(2))) != (r, c):
+            if inner != f"{r}-{c}":
                 raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
             ws = _WALL_TABLE.get(wall)
             if ws is None:
@@ -88,22 +89,16 @@ def reference_parse(text: str) -> Maze:
                 target = Position(r, c)
             elif state != BLANK_TOKEN:
                 raise MazeParseError(f"row {r}, cell {c}: unknown state token {state!r}")
-        grid.append(row_walls)
+        grid += row_walls
 
     assert width is not None
-    for r, c, r2, c2, _ in wall_mismatches(grid):
+    for r, c, r2, c2, _ in wall_mismatches(grid, width):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
     if origin is None:
         raise MazeParseError("missing origin token")
     if target is None:
         raise MazeParseError("missing target token")
-    return Maze(
-        width=width,
-        height=height,
-        walls=tuple(tuple(row) for row in grid),
-        origin=origin,
-        target=target,
-    )
+    return Maze(width=width, height=height, masks=bytes(grid), origin=origin, target=target)
 
 
 def outcome(parse, text):
@@ -218,8 +213,12 @@ def test_first_repeated_endpoint_in_a_clean_row_is_named():
         assert outcome(reference_parse, text) == outcome(parse_maze_tokens, text) == f"MazeParseError: {message}"
 
 
-def test_zero_padded_coordinate_is_accepted():
-    text = ROW0 + "\n<|01-0|><|down_left_wall|><|blank|><|1-01|><|down_wall|><|blank|><|1-2|><|down_right_wall|><|blank|>"
-    m = parse_maze_tokens(text)
-    assert m == reference_parse(text)
-    assert (m.origin, m.target) == (Position(0, 0), Position(0, 1))
+def test_zero_padded_coordinate_is_rejected():
+    row1 = "<|1-0|><|down_left_wall|><|blank|><|1-1|><|down_wall|><|blank|><|1-2|><|down_right_wall|><|blank|>"
+    assert parse_maze_tokens(ROW0 + "\n" + row1).origin == Position(0, 0)
+    # each names cell (1,0) by value (the second with an Arabic-Indic one),
+    # but only "1-0" is how it is rendered
+    for coord in ("01-0", "\u0661-0", "1-00"):
+        text = ROW0 + "\n" + row1.replace("<|1-0|>", f"<|{coord}|>")
+        message = f"coordinate token '<|{coord}|>' does not match grid position (1,0)"
+        assert outcome(reference_parse, text) == outcome(parse_maze_tokens, text) == f"MazeParseError: {message}"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,8 @@ from mazekit.tokens import (
     parse_maze_tokens,
     render_maze_tokens,
     render_move_tokens,
-    wall_token,
 )
+from reference import wall_token
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -147,6 +149,21 @@ def test_extract_inverts_render(seq):
 def test_extract_ignores_noise(seq, noise):
     text = noise + render_move_tokens(seq) + noise
     assert list(extract_move_tokens(text)) == seq
+
+
+MOVE_NAMES = ["up", "down", "left", "right"]
+# stray bracket halves, partial and padded names, and whole tokens back to back
+PIECES = ["<|", "|>", "<", ">", "|", "u", "p", "upp", "lef", "righ", "dow", "Up", " ", "<||>", "<|up", "up|>"]
+PIECES += [f"<|{n}|>" for n in MOVE_NAMES]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PIECES + MOVE_NAMES) | st.text(max_size=3), max_size=40))
+def test_extract_matches_enum_lookup(parts):
+    # the extraction as it was: every findall name through the MoveDirection constructor
+    text = "".join(parts)
+    names = re.findall(r"<\|(up|down|left|right)\|>", text)
+    assert extract_move_tokens(text) == tuple(MoveDirection(name) for name in names)
 
 
 def test_ascii_preview_shape(example_maze):
