@@ -271,14 +271,9 @@ def _steps_text(m: Maze, cells, moves) -> str:
     return "\n".join(lines)
 
 
-def render_trace(m: Maze, attempts, solution: SolutionPath) -> ReasoningTrace:
-    """The reasoning trace of attempts and the correct solution; text renders on first use."""
-    return ReasoningTrace(m, tuple(attempts), solution)
-
-
 def augment_trace(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> ReasoningTrace:
-    """Full per-maze augmentation: attempts plus rendered trace."""
-    return render_trace(m, build_attempts(m, solution, cfg), solution)
+    """Full per-maze augmentation: the attempts and the trace that renders them on first use."""
+    return ReasoningTrace(m, tuple(build_attempts(m, solution, cfg)), solution)
 
 
 def _require_origin(m: Maze) -> Position:

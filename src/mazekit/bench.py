@@ -130,11 +130,11 @@ def build_suite(
     for idx in order:
         m = pool[idx]
         steps = solve_shortest_path(m).steps
-        band = next(
-            (d for d, (lo, hi) in DIFFICULTY_BANDS.items() if lo <= steps <= hi),
-            None,
-        )
-        if band is None or remaining.get(band, 0) <= 0:
+        try:
+            band = classify_difficulty(steps)
+        except ValueError:
+            continue  # longer than every band
+        if remaining.get(band, 0) <= 0:
             continue
         remaining[band] -= 1
         # rendered once: the id and the suite row share the text

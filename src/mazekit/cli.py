@@ -29,6 +29,7 @@ from .bench import (
     maze_id,
 )
 from .dataset import (
+    PAPER_COUNTS,
     DatasetError,
     RecordKind,
     SplitPlan,
@@ -78,6 +79,8 @@ def _read_text(path: str) -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     cfg = GenConfig(
         width=args.width, height=args.height, seed=args.seed, min_steps=args.min_steps, max_steps=args.max_steps
     )
@@ -156,19 +159,15 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
+    counts = (args.pool, args.test, args.sft_straight, args.sft_retry, args.grpo)
     if args.scale is not None:
+        if any(v is not None for v in counts):
+            raise ValueError("give --scale or --pool/--test/--sft-straight/--sft-retry/--grpo, not both")
         plan = SplitPlan.scaled(args.scale)
+    elif None in counts:
+        raise ValueError("give --scale or all of --pool/--test/--sft-straight/--sft-retry/--grpo")
     else:
-        required = (args.pool, args.test, args.sft_straight, args.sft_retry, args.grpo)
-        if any(v is None for v in required):
-            raise ValueError("give --scale or all of --pool/--test/--sft-straight/--sft-retry/--grpo")
-        plan = SplitPlan(
-            total_pool=args.pool,
-            test_count=args.test,
-            sft_straight_count=args.sft_straight,
-            sft_retry_count=args.sft_retry,
-            grpo_count=args.grpo,
-        )
+        plan = SplitPlan(*counts)
     aug_seed = args.aug_seed if args.aug_seed is not None else args.seed
     splits = build_splits(
         plan,
@@ -191,13 +190,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         "max_n_steps": args.max_n_steps,
         "width": args.width,
         "height": args.height,
-        "plan": {
-            "total_pool": plan.total_pool,
-            "test_count": plan.test_count,
-            "sft_straight_count": plan.sft_straight_count,
-            "sft_retry_count": plan.sft_retry_count,
-            "grpo_count": plan.grpo_count,
-        },
+        "plan": {name: getattr(plan, name) for name in PAPER_COUNTS},
         "records": {name: len(getattr(splits, name)) for name in ("test", "sft", "grpo")},
     }
     if splits.top_up:

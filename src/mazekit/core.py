@@ -39,10 +39,6 @@ class MoveDirection(Enum):
     # skips Enum's Python-level hash of the name on every dict lookup
     __hash__ = object.__hash__
 
-    @property
-    def opposite(self) -> "MoveDirection":
-        return _OPPOSITES[self]
-
 
 # The open-edge rule, one row per direction in canonical order:
 # (direction, this cell's wall bit, the neighbour's wall bit, row step, col step).
@@ -54,12 +50,6 @@ EDGES = (
     (MoveDirection.RIGHT, 8, 4, 0, 1),
 )
 _BITS = {d: bit for d, bit, _, _, _ in EDGES}
-_OPPOSITES = {
-    MoveDirection.UP: MoveDirection.DOWN,
-    MoveDirection.DOWN: MoveDirection.UP,
-    MoveDirection.LEFT: MoveDirection.RIGHT,
-    MoveDirection.RIGHT: MoveDirection.LEFT,
-}
 
 # Canonical direction order used everywhere: neighbor expansion, wall-token
 # naming, trace text. Pinned so results do not depend on enum iteration.
@@ -73,42 +63,22 @@ class Position:
 
 
 class WallSet(int):
-    """The walls of one cell as a 4-bit mask: up 1, down 2, left 4, right 8.
-
-    Constructed from flags; every instance is the shared one in ``WALL_SETS``.
-    """
+    """The walls of one cell as a 4-bit mask: up 1, down 2, left 4, right 8."""
 
     __slots__ = ()
-
-    def __new__(cls, up: bool = False, down: bool = False, left: bool = False, right: bool = False):
-        return WALL_SETS[bool(up) | bool(down) << 1 | bool(left) << 2 | bool(right) << 3]
-
-    def __getnewargs__(self) -> tuple[bool, bool, bool, bool]:
-        return self.up, self.down, self.left, self.right
 
     up = property(lambda self: bool(self & 1))
     down = property(lambda self: bool(self & 2))
     left = property(lambda self: bool(self & 4))
     right = property(lambda self: bool(self & 8))
 
-    def has(self, direction: MoveDirection) -> bool:
-        return bool(self & _BITS[direction])
-
-    @property
-    def count(self) -> int:
-        return self.bit_count()
-
     def directions(self) -> tuple[MoveDirection, ...]:
         """Present walls in canonical up, down, left, right order."""
         return tuple(d for d, bit, _, _, _ in EDGES if self & bit)
 
-    @classmethod
-    def of(cls, *directions: MoveDirection) -> "WallSet":
-        return cls(**{d.value: True for d in directions})
-
 
 # One instance per mask, indexed by the mask.
-WALL_SETS: tuple[WallSet, ...] = tuple(int.__new__(WallSet, mask) for mask in range(16))
+WALL_SETS: tuple[WallSet, ...] = tuple(map(WallSet, range(16)))
 
 SHAPE_CACHE = 64  # grid shapes whose per-shape tables stay cached
 
@@ -209,20 +179,11 @@ class Maze:
     def in_bounds(self, p: Position) -> bool:
         return 0 <= p.row < self.height and 0 <= p.col < self.width
 
-    @property
-    def walls(self) -> tuple[tuple[WallSet, ...], ...]:
-        """The masks as rows of ``WallSet``, top to bottom."""
-        w = self.width
-        return tuple(tuple(WALL_SETS[x] for x in self.masks[i : i + w]) for i in range(0, len(self.masks), w))
-
     def wall_at(self, p: Position) -> WallSet:
         return WALL_SETS[self.masks[_index(self, p)]]
 
     def with_endpoints(self, origin: Position, target: Position) -> "Maze":
         return Maze(self.width, self.height, self.masks, origin, target)
-
-    def positions(self) -> Iterator[Position]:
-        return iter(_cells(self.width, self.height))
 
 
 def _index(m: Maze, p: Position) -> int:
@@ -270,7 +231,7 @@ def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]
 
 def wall_count(m: Maze, p: Position) -> int:
     """Number of present walls at p (0..4)."""
-    return m.wall_at(p).count
+    return m.masks[_index(m, p)].bit_count()
 
 
 def validate_maze(m: Maze) -> list[str]:

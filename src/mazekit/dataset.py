@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .augment import RESET_MARKER, AugmentConfig, augment_trace, render_trace
+from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
 from .bench import hash16
 from .core import Maze, simulate_moves
 from .generate import GenConfig, SolutionPath, solved_pool
@@ -60,6 +60,10 @@ class SplitShortfallError(RuntimeError):
 class RecordKind(Enum):
     STRAIGHT_SUCCESS = "straight_success"
     RETRY = "retry"
+
+
+# the last part of a record id, after the index and the maze hash
+_ID_SUFFIX = {RecordKind.STRAIGHT_SUCCESS: "straight", RecordKind.RETRY: "retry"}
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,7 @@ class SplitPlan:
     scale_factor: Optional[int] = None
 
     def __post_init__(self) -> None:
-        counts = (
-            self.total_pool,
-            self.test_count,
-            self.sft_straight_count,
-            self.sft_retry_count,
-            self.grpo_count,
-        )
-        if any(c < 0 for c in counts):
+        if any(getattr(self, name) < 0 for name in PAPER_COUNTS):
             raise ValueError("split counts must be non-negative")
         if self.test_count > self.total_pool:
             raise ValueError("test_count exceeds total_pool")
@@ -124,14 +121,7 @@ class SplitPlan:
         """Proportional replica of the full-scale plan, divided by factor."""
         if factor < 1:
             raise ValueError("scale factor must be at least 1")
-        return cls(
-            total_pool=PAPER_COUNTS["total_pool"] // factor,
-            test_count=PAPER_COUNTS["test_count"] // factor,
-            sft_straight_count=PAPER_COUNTS["sft_straight_count"] // factor,
-            sft_retry_count=PAPER_COUNTS["sft_retry_count"] // factor,
-            grpo_count=PAPER_COUNTS["grpo_count"] // factor,
-            scale_factor=factor,
-        )
+        return cls(**{name: count // factor for name, count in PAPER_COUNTS.items()}, scale_factor=factor)
 
 
 @dataclass(frozen=True)
@@ -151,9 +141,8 @@ def make_record(
     trace_text: str,
 ) -> DatasetRecord:
     """Assemble one record; the completion is the think block, then the answer moves."""
-    suffix = "retry" if kind is RecordKind.RETRY else "straight"
     return DatasetRecord(
-        id=f"{index:06d}-{hash16(maze_tokens)}-{suffix}",
+        id=f"{index:06d}-{hash16(maze_tokens)}-{_ID_SUFFIX[kind]}",
         seed=seed,
         maze_tokens=maze_tokens,
         steps=solution.steps,
@@ -253,7 +242,7 @@ def build_splits(
         raise SplitShortfallError(shortfalls[0])
 
     def straight_record(i: int) -> DatasetRecord:
-        text = render_trace(pool[i], [], solutions[i]).solution_text
+        text = ReasoningTrace(pool[i], (), solutions[i]).solution_text
         return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
 
     def retry_record(i: int) -> DatasetRecord:
@@ -352,12 +341,19 @@ def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
 
 
 def validate_record(record: DatasetRecord, where: str = "record") -> None:
-    """Strict semantic checks: the completion must solve its own maze and
-    the kind flag must agree with the presence of RESET in the think block."""
+    """Strict semantic checks against the record's own maze: the prompt is
+    the maze text, the id carries its hash, the completion solves it, the
+    kind agrees with RESET in the think block and with the id suffix, and
+    ``steps`` counts the answer's moves."""
     try:
         m = parse_maze_tokens(record.maze_tokens)
     except ValueError as exc:
         raise DatasetError(f"{where}: maze_tokens do not parse: {exc}") from exc
+    if record.prompt != record.maze_tokens:
+        raise DatasetError(f"{where}: field 'prompt' is not the maze_tokens text")
+    id_parts, maze_hash = record.id.split("-"), hash16(record.maze_tokens)
+    if len(id_parts) != 3 or id_parts[1] != maze_hash:
+        raise DatasetError(f"{where}: field 'id' {record.id!r} does not carry the maze hash {maze_hash}")
     moves = extract_move_tokens(record.completion)
     outcome = simulate_moves(m, m.origin, moves)
     if not outcome.solved:
@@ -367,6 +363,11 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     has_reset = RESET_MARKER in record.completion
     if has_reset != (record.kind is RecordKind.RETRY):
         raise DatasetError(f"{where}: kind '{record.kind.value}' disagrees with RESET content")
+    suffix = _ID_SUFFIX[record.kind]
+    if id_parts[2] != suffix:
+        raise DatasetError(f"{where}: field 'id' {record.id!r} does not end in '-{suffix}' for kind '{record.kind.value}'")
+    if record.steps != len(moves):
+        raise DatasetError(f"{where}: field 'steps' is {record.steps}, the answer has {len(moves)} moves")
 
 
 def read_records(path: str, strict: bool = False) -> list[DatasetRecord]:

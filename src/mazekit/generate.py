@@ -20,7 +20,7 @@ from .rng import SplitMix64, derive_seed, mix64
 # wall-carving draws of the same seed.
 _ENDPOINT_SALT = 0x5E1EC7_0E2D_901D
 
-DEFAULT_ENDPOINT_ATTEMPTS = 1000
+ENDPOINT_ATTEMPTS = 1000
 
 
 class EndpointSamplingError(RuntimeError):
@@ -87,21 +87,21 @@ def generate_maze(cfg: GenConfig) -> Maze:
     return Maze(width=w, height=h, masks=bytes(masks))
 
 
-def place_endpoints(m: Maze, cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMPTS) -> Maze:
+def place_endpoints(m: Maze, cfg: GenConfig) -> Maze:
     """Draw origin/target from the seed's endpoint stream.
 
     When step bounds are configured, candidate pairs are rejection-sampled
     until the shortest-path length lies in [min_steps, max_steps].  Raises
     EndpointSamplingError once the attempt budget is exhausted.
     """
-    return _solved(m, cfg, attempts)[0]
+    return _solved(m, cfg)[0]
 
 
-def _solved(m: Maze, cfg: GenConfig, attempts: int) -> tuple[Maze, SolutionPath]:
+def _solved(m: Maze, cfg: GenConfig) -> tuple[Maze, SolutionPath]:
     """``place_endpoints`` with the shortest path its accept test found."""
     rng = SplitMix64(mix64(cfg.seed ^ _ENDPOINT_SALT))
     cells = m.width * m.height
-    for _ in range(attempts):
+    for _ in range(ENDPOINT_ATTEMPTS):
         o = rng.randbelow(cells)
         t = rng.randbelow(cells)
         if o == t:
@@ -116,13 +116,13 @@ def _solved(m: Maze, cfg: GenConfig, attempts: int) -> tuple[Maze, SolutionPath]
         return m.with_endpoints(path.cells[0], path.cells[-1]), path
     raise EndpointSamplingError(
         f"no endpoint pair with path length in "
-        f"[{cfg.min_steps}, {cfg.max_steps}] after {attempts} attempts"
+        f"[{cfg.min_steps}, {cfg.max_steps}] after {ENDPOINT_ATTEMPTS} attempts"
     )
 
 
-def generate_solved_maze(cfg: GenConfig, attempts: int = DEFAULT_ENDPOINT_ATTEMPTS) -> Maze:
+def generate_solved_maze(cfg: GenConfig) -> Maze:
     """Convenience: carve walls and place endpoints in one call."""
-    return place_endpoints(generate_maze(cfg), cfg, attempts=attempts)
+    return place_endpoints(generate_maze(cfg), cfg)
 
 
 def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[int, Maze, SolutionPath]]:
@@ -133,7 +133,7 @@ def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[in
     """
     for i in range(start, start + count):
         item = replace(cfg, seed=derive_seed(cfg.seed, i))
-        yield item.seed, *_solved(generate_maze(item), item, DEFAULT_ENDPOINT_ATTEMPTS)
+        yield item.seed, *_solved(generate_maze(item), item)
 
 
 def solve_shortest_path(m: Maze) -> SolutionPath:

@@ -1,11 +1,20 @@
 """Reference helpers for the tests: Position-based restatements of rules the
 package itself applies on the flat cell index, a Position-keyed view of its
-integer BFS, and the per-cell wall token."""
+integer BFS, wall masks built from directions, and the per-cell wall token."""
 
-from mazekit.core import EDGES, OutOfBoundsError, Position, _cells, _index, _search, open_neighbors
+from mazekit.core import EDGES, MoveDirection, OutOfBoundsError, Position, _cells, _index, _search, open_neighbors
 from mazekit.tokens import _WALL_TOKENS
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
+BITS = {d: bit for d, bit, _, _, _ in EDGES}
+
+U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
+OPPOSITE = {U: D, D: U, L: R, R: L}
+
+
+def mask(*directions):
+    """Wall mask with a wall on each given side."""
+    return sum(BITS[d] for d in set(directions))
 
 
 def apply_move(p, d, width, height):
@@ -40,7 +49,7 @@ def bfs(m, src, dst=None):
 def open_passage_count(m):
     """Count of open interior edges; equals cells - 1 on a perfect maze."""
     # the rule is symmetric, so each open edge is seen from both of its cells
-    return sum(len(open_neighbors(m, p)) for p in m.positions()) // 2
+    return sum(len(open_neighbors(m, p)) for p in _cells(m.width, m.height)) // 2
 
 
 def wall_token(w):

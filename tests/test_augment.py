@@ -7,6 +7,7 @@ from mazekit.augment import (
     WRONG_DIRECTION_MESSAGE,
     AugmentConfig,
     OriginClass,
+    ReasoningTrace,
     TerminalKind,
     augment_trace,
     build_attempts,
@@ -14,7 +15,6 @@ from mazekit.augment import (
     generate_wrong_path,
     process_order1,
     process_order2,
-    render_trace,
 )
 from mazekit.core import SimStatus, open_neighbors, simulate_moves, wall_count
 from mazekit.rng import SplitMix64
@@ -142,7 +142,7 @@ def test_generate_wrong_path_rejects_forbidden_anchor(maze_corpus):
 
 def test_trace_straight_success(maze_corpus):
     m, sol = maze_corpus[0]
-    trace = render_trace(m, [], sol)
+    trace = ReasoningTrace(m, (), sol)
     assert not trace.is_retry
     text = trace.render()
     assert RESET_MARKER not in text
@@ -185,7 +185,7 @@ def test_think_text_has_no_move_tokens(maze_corpus):
 
 def test_step_template(maze_corpus):
     m, sol = maze_corpus[0]
-    first = render_trace(m, [], sol).solution_text.split("\n")[0]
+    first = ReasoningTrace(m, (), sol).solution_text.split("\n")[0]
     o = m.origin
     assert first.startswith(f"At ({o.row},{o.col}), open: ")
     assert ". Move " in first and first.endswith(").")

@@ -206,6 +206,23 @@ def test_generate_checks_config_before_the_loop(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_generate_rejects_negative_count(capsys, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    code, _, err = run(capsys, "generate", "--count", "-3", "--out", str(out))
+    assert code == 1
+    assert "error: --count must be non-negative, got -3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pool", "--test", "--sft-straight", "--sft-retry", "--grpo"])
+def test_build_dataset_rejects_scale_with_explicit_counts(capsys, tmp_path, flag):
+    out = tmp_path / "ds"
+    code, _, err = run(capsys, "build-dataset", "--scale", "400", flag, "5", "--out", str(out))
+    assert code == 1
+    assert "error: give --scale or --pool/--test/--sft-straight/--sft-retry/--grpo, not both" in err
+    assert not out.exists()
+
+
 def test_build_dataset_requires_plan(capsys, tmp_path):
     code, _, err = run(capsys, "build-dataset", "--out", str(tmp_path / "x"))
     assert code == 1

@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 
 import pytest
 
@@ -12,14 +10,14 @@ from mazekit.core import (
     OutOfBoundsError,
     Position,
     SimStatus,
-    WallSet,
+    _cells,
     open_neighbors,
     simulate_moves,
     validate_maze,
     wall_count,
     wall_mismatches,
 )
-from reference import apply_move, bfs, is_open
+from reference import BITS, OPPOSITE, apply_move, bfs, is_open
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -47,22 +45,11 @@ def test_off_grid_position_is_rejected(example_maze, p):
         bfs(example_maze, Position(0, 0), p)
 
 
-@pytest.mark.parametrize("d", DIRECTIONS)
-def test_opposite_is_involution(d):
-    assert d.opposite.opposite is d
-
-
 def test_wall_set_is_its_mask():
-    assert WallSet(up=True, right=True) == 9
-    assert WallSet() == 0 and WallSet(True, True, True, True) == 15
     for mask, w in enumerate(WALL_SETS):
         assert w == mask
-        assert WallSet(w.up, w.down, w.left, w.right) is w
-        assert WallSet.of(*w.directions()) is w
-        assert w.count == len(w.directions())
-        assert [d for d in DIRECTIONS if w.has(d)] == list(w.directions())
-        assert pickle.loads(pickle.dumps(w)) is w
-        assert copy.deepcopy(w) is w
+        assert (w.up, w.down, w.left, w.right) == tuple(bool(mask & BITS[d]) for d in DIRECTIONS)
+        assert [d for d in DIRECTIONS if mask & BITS[d]] == list(w.directions())
 
 
 def test_is_open_on_example(example_maze):
@@ -82,15 +69,10 @@ def test_validate_example_is_clean(example_maze):
 
 
 def _with_wall(m: Maze, r: int, c: int, **flags) -> Maze:
-    old = m.wall_at(Position(r, c))
-    new = WallSet(
-        up=flags.get("up", old.up),
-        down=flags.get("down", old.down),
-        left=flags.get("left", old.left),
-        right=flags.get("right", old.right),
-    )
-    masks = bytearray(m.masks)
-    masks[r * m.width + c] = new
+    masks, i = bytearray(m.masks), r * m.width + c
+    for name, present in flags.items():
+        bit = BITS[MoveDirection(name)]
+        masks[i] = masks[i] | bit if present else masks[i] & ~bit
     return Maze(m.width, m.height, bytes(masks), m.origin, m.target)
 
 
@@ -161,20 +143,20 @@ def test_simulate_stops_at_first_illegal_move(example_maze):
 
 def test_is_open_symmetry(maze_corpus):
     for m, _ in maze_corpus[:50]:
-        for p in m.positions():
+        for p in _cells(m.width, m.height):
             for d in DIRECTIONS:
                 try:
                     q = apply_move(p, d, m.width, m.height)
                 except OutOfBoundsError:
                     assert is_open(m, p, d) is False
                     continue
-                assert is_open(m, p, d) == is_open(m, q, d.opposite)
+                assert is_open(m, p, d) == is_open(m, q, OPPOSITE[d])
 
 
 def test_path_symmetry(maze_corpus):
     # reversing the solution and swapping endpoints still reaches the target
     for m, sol in maze_corpus[:50]:
-        reversed_moves = [d.opposite for d in reversed(sol.moves)]
+        reversed_moves = [OPPOSITE[d] for d in reversed(sol.moves)]
         swapped = m.with_endpoints(m.target, m.origin)
         out = simulate_moves(swapped, swapped.origin, reversed_moves)
         assert out.status is SimStatus.REACHED_TARGET

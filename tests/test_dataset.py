@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from mazekit import dataset
 from mazekit.augment import RESET_MARKER, AugmentConfig
+from mazekit.bench import hash16
 from mazekit.dataset import (
     DatasetError,
     DatasetRecord,
@@ -266,6 +268,41 @@ def test_strict_mode_catches_kind_mismatch(small_splits, tmp_path):
     path = tmp_path / "kind.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="disagrees with RESET"):
+        read_records(str(path), strict=True)
+
+
+def _forged_rows(record):
+    """Rows that differ from a straight record in one field that strict mode checks against its maze."""
+    row = record.to_dict()
+    other_maze = hash16(row["maze_tokens"] + "\n")
+    retry_id = row["id"].replace("-straight", "-retry")
+    return {
+        "prompt-not-the-maze": ({**row, "prompt": "hello"}, "field 'prompt' is not the maze_tokens text"),
+        "id-made-up": ({**row, "id": "made-up"}, "field 'id' 'made-up' does not carry the maze hash"),
+        "id-hash-of-another-maze": (
+            {**row, "id": f"000001-{other_maze}-straight"},
+            f"field 'id' '000001-{other_maze}-straight' does not carry the maze hash",
+        ),
+        "id-suffix-not-kind": (
+            {**row, "id": retry_id},
+            f"field 'id' '{retry_id}' does not end in '-straight' for kind 'straight_success'",
+        ),
+        "steps-raised": (
+            {**row, "steps": row["steps"] + 5},
+            f"field 'steps' is {row['steps'] + 5}, the answer has {row['steps']} moves",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["prompt-not-the-maze", "id-made-up", "id-hash-of-another-maze", "id-suffix-not-kind", "steps-raised"]
+)
+def test_strict_mode_checks_record_against_its_maze(small_splits, tmp_path, case):
+    row, message = _forged_rows(small_splits.test[0])[case]
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert len(read_records(str(path))) == 1
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: line 1: {message}")):
         read_records(str(path), strict=True)
 
 

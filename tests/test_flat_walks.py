@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazekit import augment
-from mazekit.augment import AugmentConfig, TerminalKind, generate_wrong_path, process_order1, render_trace
+from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, generate_wrong_path, process_order1
 from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, simulate_moves
 from mazekit.generate import SolutionPath
 from mazekit.rng import SplitMix64
@@ -32,7 +32,7 @@ class CountingRng(SplitMix64):
 
 
 def walls(m, p: Position) -> int:
-    return m.walls[p.row][p.col]
+    return m.masks[p.row * m.width + p.col]
 
 
 def reference_walk(m, start, first, forbidden, max_moves, rng):
@@ -142,7 +142,7 @@ def test_off_grid_inputs_raise(case, side):
     with pytest.raises(OutOfBoundsError):
         simulate_moves(m.with_endpoints(inside, inside), off, [up])
     with pytest.raises(OutOfBoundsError):
-        render_trace(m, [], SolutionPath((up,), (off, inside))).solution_text
+        ReasoningTrace(m, (), SolutionPath((up,), (off, inside))).solution_text
 
 
 def test_off_grid_forbidden_position_blocks_nothing():

@@ -1,5 +1,5 @@
 """``Maze.masks``, the one stored grid: constructor checks, the derived
-``walls``/``wall_at`` views, value semantics, and the identity-hashed
+``wall_at`` view, value semantics, and the identity-hashed
 ``MoveDirection`` that keys the move step."""
 
 import copy
@@ -9,7 +9,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from mazekit.core import DIRECTIONS, WALL_SETS, Maze, MoveDirection, OutOfBoundsError, Position, wall_mismatches
+from mazekit.core import DIRECTIONS, WALL_SETS, Maze, MoveDirection, OutOfBoundsError, Position, _cells, wall_mismatches
 from test_bfs import any_grid
 
 
@@ -50,11 +50,8 @@ def test_constructor_rejects_off_grid_endpoints():
 @given(any_grid())
 def test_walls_and_wall_at_agree_with_masks(case):
     m, _, _ = case
-    assert len(m.walls) == m.height and all(len(row) == m.width for row in m.walls)
-    for p in m.positions():
-        mask = m.masks[p.row * m.width + p.col]
-        assert m.walls[p.row][p.col] is WALL_SETS[mask]
-        assert m.wall_at(p) is WALL_SETS[mask]
+    for p in _cells(m.width, m.height):
+        assert m.wall_at(p) is WALL_SETS[m.masks[p.row * m.width + p.col]]
     with pytest.raises(OutOfBoundsError):
         m.wall_at(Position(0, m.width))
 
@@ -62,14 +59,15 @@ def test_walls_and_wall_at_agree_with_masks(case):
 @settings(max_examples=300, deadline=None)
 @given(any_grid())
 def test_wall_mismatches_match_a_cell_by_cell_reference(case):
-    # the flat-index scan against the rows of WallSet flags it replaced
+    # the flat-index scan against a cell-by-cell comparison of WallSet flags
     m, _, _ = case
-    walls, want = m.walls, []
+    want = []
     for r in range(m.height):
         for c in range(m.width):
-            if r + 1 < m.height and walls[r][c].down != walls[r + 1][c].up:
+            here = m.wall_at(Position(r, c))
+            if r + 1 < m.height and here.down != m.wall_at(Position(r + 1, c)).up:
                 want.append((r, c, r + 1, c, "down/up"))
-            if c + 1 < m.width and walls[r][c].right != walls[r][c + 1].left:
+            if c + 1 < m.width and here.right != m.wall_at(Position(r, c + 1)).left:
                 want.append((r, c, r, c + 1, "right/left"))
     assert list(wall_mismatches(m.masks, m.width)) == want
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import MoveDirection, Position, WallSet
+from mazekit.core import MoveDirection, Position
 from mazekit.generate import GenConfig, generate_solved_maze
 from mazekit.tokens import (
     MazeParseError,
@@ -14,7 +14,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
-from reference import wall_token
+from reference import mask, wall_token
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -30,7 +30,7 @@ U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirec
     ],
 )
 def test_wall_token_canonical_order(walls, expected):
-    assert wall_token(WallSet.of(*walls)) == expected
+    assert wall_token(mask(*walls)) == expected
 
 
 def test_render_matches_golden_bytes(example_maze, golden_text):
