@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .core import DIRECTIONS, Maze, MoveDirection, Position, _cells, _index, _open, links, open_neighbors, wall_count
+from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _crosses, _index, _open, links
+from .core import open_neighbors, wall_count
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -255,19 +256,31 @@ def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[
 
 
 _NAMES = {d: d.value for d in DIRECTIONS}
+# the open-direction text of each cell, indexed by the wall bits of its open edges
+_OPEN_TEXT = tuple(", ".join(d.value for d, bit, _, _, _ in EDGES if bits & bit) for bits in range(16))
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _cell_names(width: int, height: int) -> tuple[str, ...]:
+    """``"(r,c)"`` of each flat index, as step lines name cells."""
+    return tuple(f"({r},{c})" for r in range(height) for c in range(width))
 
 
 def _steps_text(m: Maze, cells, moves) -> str:
-    masks, table = m.masks, links(m.width, m.height)
+    """One template line per move, from the ``_OPEN_TEXT`` and ``_cell_names`` tables.
+
+    Every cell is looked up through ``_index``, so an off-grid cell raises
+    ``OutOfBoundsError``.
+    """
+    masks, table, names = m.masks, links(m.width, m.height), _cell_names(m.width, m.height)
+    at = [_index(m, p) for p in cells]
     lines = []
-    for i, d in enumerate(moves):
-        cur = cells[i]
-        nxt = cells[i + 1]
-        open_dirs = ", ".join(_NAMES[e] for e, _ in _open(masks, table, _index(m, cur)))
-        lines.append(
-            f"At ({cur.row},{cur.col}), open: {open_dirs}. "
-            f"Move {_NAMES[d]} to ({nxt.row},{nxt.col})."
-        )
+    for d, i, j in zip(moves, at, at[1:]):
+        bits = 0
+        for _, edge in table[i]:
+            if _crosses(masks, i, edge):
+                bits |= edge[0]
+        lines.append(f"At {names[i]}, open: {_OPEN_TEXT[bits]}. Move {_NAMES[d]} to {names[j]}.")
     return "\n".join(lines)
 
 

@@ -100,6 +100,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
     rows = list(iter_jsonl(args.infile))
+    if not rows:
+        raise ValueError(f"{args.infile}: no rows to tokenize")
     if not 0 <= args.index < len(rows):
         raise ValueError(f"index {args.index} outside 0..{len(rows) - 1}")
     text = field(*rows[args.index], "maze_tokens", str)

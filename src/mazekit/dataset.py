@@ -29,9 +29,10 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _json_str  # json.dumps' string encoder when ensure_ascii=False
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
+from .augment import RESET_MARKER, AugmentConfig, _steps_text, augment_trace
 from .bench import hash16
 from .core import Maze, simulate_moves
 from .generate import GenConfig, SolutionPath, solved_pool
@@ -242,7 +243,8 @@ def build_splits(
         raise SplitShortfallError(shortfalls[0])
 
     def straight_record(i: int) -> DatasetRecord:
-        text = ReasoningTrace(pool[i], (), solutions[i]).solution_text
+        # a spilled retry maze's trace already holds its solution text (sft renders first)
+        text = traces[i].solution_text if i in traces else _steps_text(pool[i], solutions[i].cells, solutions[i].moves)
         return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
 
     def retry_record(i: int) -> DatasetRecord:
@@ -277,18 +279,24 @@ def _open_for_read(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def write_jsonl(path: str, rows: Iterable[dict]) -> int:
-    """Write one compact JSON object per line, atomically; returns the row count."""
+def _write_lines(path: str, lines: Iterable[str]) -> int:
+    """Write each line and a newline, atomically, gzip-compressed when path
+    ends in ``.gz``; returns the line count."""
     n = 0
     with atomic_write(path) as raw:
         # mtime=0: the header carries no write time, so equal rows give equal bytes
         binary = gzip.GzipFile(path, "wb", fileobj=raw, mtime=0) if str(path).endswith(".gz") else raw
         with io.TextIOWrapper(binary, encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
+            for line in lines:
+                fh.write(line)
                 fh.write("\n")
                 n += 1
     return n
+
+
+def write_jsonl(path: str, rows: Iterable[dict]) -> int:
+    """Write one compact JSON object per line, atomically; returns the row count."""
+    return _write_lines(path, (json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows))
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
@@ -318,9 +326,20 @@ def field(where: str, row: dict, name: str, typ: type):
     return value
 
 
+def _record_line(r: DatasetRecord) -> str:
+    """``json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":"))``,
+    with the maze text encoded once when the prompt repeats it."""
+    maze = _json_str(r.maze_tokens)
+    prompt = maze if r.prompt == r.maze_tokens else _json_str(r.prompt)
+    return (
+        f'{{"id":{_json_str(r.id)},"seed":{r.seed},"maze_tokens":{maze},"steps":{r.steps},'
+        f'"kind":{_json_str(r.kind.value)},"prompt":{prompt},"completion":{_json_str(r.completion)}}}'
+    )
+
+
 def write_records(records: Iterable[DatasetRecord], path: str) -> int:
     """Serialize records as JSONL, preserving order; returns the count."""
-    return write_jsonl(path, (r.to_dict() for r in records))
+    return _write_lines(path, map(_record_line, records))
 
 
 def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
@@ -342,9 +361,9 @@ def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
 
 def validate_record(record: DatasetRecord, where: str = "record") -> None:
     """Strict semantic checks against the record's own maze: the prompt is
-    the maze text, the id carries its hash, the completion solves it, the
-    kind agrees with RESET in the think block and with the id suffix, and
-    ``steps`` counts the answer's moves."""
+    the maze text, the id carries a pool index and the maze hash, the
+    completion solves it, the kind agrees with RESET in the think block and
+    with the id suffix, and ``steps`` counts the answer's moves."""
     try:
         m = parse_maze_tokens(record.maze_tokens)
     except ValueError as exc:
@@ -354,6 +373,9 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     id_parts, maze_hash = record.id.split("-"), hash16(record.maze_tokens)
     if len(id_parts) != 3 or id_parts[1] != maze_hash:
         raise DatasetError(f"{where}: field 'id' {record.id!r} does not carry the maze hash {maze_hash}")
+    index = id_parts[0]
+    if len(index) < 6 or not (index.isascii() and index.isdigit()):
+        raise DatasetError(f"{where}: field 'id' {record.id!r} does not start with a pool index of 6 or more digits")
     moves = extract_move_tokens(record.completion)
     outcome = simulate_moves(m, m.origin, moves)
     if not outcome.solved:

@@ -50,6 +50,14 @@ class GenConfig:
             and self.min_steps > self.max_steps
         ):
             raise ValueError(f"min_steps {self.min_steps} exceeds max_steps {self.max_steps}")
+        # distinct endpoints are at least one step apart, and a path visits each cell once
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps {self.max_steps} is below 1, the shortest path between distinct endpoints")
+        longest = self.width * self.height - 1
+        if self.min_steps is not None and self.min_steps > longest:
+            raise ValueError(
+                f"min_steps {self.min_steps} exceeds {longest}, the longest path in a {self.width}x{self.height} maze"
+            )
 
 
 @dataclass(frozen=True)

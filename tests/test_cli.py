@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from mazekit import cli
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
@@ -212,6 +213,33 @@ def test_generate_rejects_negative_count(capsys, tmp_path):
     assert code == 1
     assert "error: --count must be non-negative, got -3" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--min-steps", "-4", "--max-steps", "-1"], "error: max_steps -1 is below 1"),
+        (["--width", "3", "--height", "3", "--min-steps", "9"], "error: min_steps 9 exceeds 8"),
+    ],
+)
+def test_generate_rejects_step_bounds_no_path_meets(capsys, tmp_path, monkeypatch, argv, message):
+    def no_pool(*args):
+        raise AssertionError("the pool loop ran")
+
+    monkeypatch.setattr(cli, "solved_pool", no_pool)
+    out = tmp_path / "pool.jsonl"
+    code, _, err = run(capsys, "generate", "--count", "1", *argv, "--out", str(out))
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_tokenize_names_an_empty_file(capsys, tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, out, err = run(capsys, "tokenize", "--in", str(empty))
+    assert (code, out) == (1, "")
+    assert err == f"error: {empty}: no rows to tokenize\n"
 
 
 @pytest.mark.parametrize("flag", ["--pool", "--test", "--sft-straight", "--sft-retry", "--grpo"])

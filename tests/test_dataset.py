@@ -1,9 +1,14 @@
+import gzip
 import json
+import os
 import re
+import tempfile
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazekit import dataset
 from mazekit.augment import RESET_MARKER, AugmentConfig
@@ -15,13 +20,15 @@ from mazekit.dataset import (
     SplitPlan,
     SplitShortfallError,
     build_splits,
+    make_record,
     read_records,
     record_from_dict,
     validate_record,
     write_jsonl,
     write_records,
 )
-from mazekit.generate import GenConfig
+from mazekit.generate import GenConfig, solved_pool
+from mazekit.tokens import render_maze_tokens
 
 SMALL_PLAN = SplitPlan(total_pool=120, test_count=10, sft_straight_count=40, sft_retry_count=40, grpo_count=30)
 
@@ -317,3 +324,59 @@ def test_records_ordered_by_pool_index(small_splits):
     for split in (small_splits.test, small_splits.sft, small_splits.grpo):
         indices = [int(r.id.split("-")[0]) for r in split]
         assert indices == sorted(indices)
+
+
+# Arabic-Indic 000006 is a digit string to str.isdigit, but not ASCII
+@pytest.mark.parametrize("index", ["banana", "00006", "", "\u0660" * 5 + "\u0666", "+00006"])
+def test_strict_mode_requires_a_pool_index_in_the_id(tmp_path, index):
+    # pool item 6 of a seed-0 2x2 pool is the maze c7c661f0d63d96dd
+    seed, m, solution = list(solved_pool(GenConfig(width=2, height=2, seed=0), 7))[6]
+    record = make_record(6, seed, render_maze_tokens(m), solution, RecordKind.STRAIGHT_SUCCESS, "")
+    assert record.id == "000006-c7c661f0d63d96dd-straight"
+    validate_record(record)
+    forged = f"{index}-c7c661f0d63d96dd-straight"
+    path = tmp_path / "forged.jsonl"
+    write_records([replace(record, id=forged)], str(path))
+    message = f"{path}: line 1: field 'id' {forged!r} does not start with a pool index of 6 or more digits"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        read_records(str(path), strict=True)
+
+
+def test_strict_mode_accepts_indices_past_six_digits(small_splits):
+    record = small_splits.test[0]
+    validate_record(replace(record, id="1" + record.id))
+
+
+# JSON's escapes, characters ensure_ascii=False leaves raw (the line and
+# paragraph separators among them), a BOM, an astral character and token text
+_awkward = st.text(st.sampled_from('a"\\/\x00\x08\n\r\t\x1f\x7f\u00e9\u8ff7\u2028\u2029\ufeff\U0001f600<|>'))
+_strings = _awkward | st.text()
+
+
+@st.composite
+def _records(draw):
+    maze_tokens = draw(_strings)
+    return DatasetRecord(
+        id=draw(_strings),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        maze_tokens=maze_tokens,
+        steps=draw(st.integers(-5, 10**6)),
+        kind=draw(st.sampled_from(RecordKind)),
+        prompt=draw(st.just(maze_tokens) | _strings),
+        completion=draw(_strings),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records(), max_size=4), st.sampled_from(["r.jsonl", "r.jsonl.gz"]))
+def test_record_lines_equal_json_dumps_of_to_dict(records, name):
+    """The record writer's bytes are json.dumps of each to_dict, one per line."""
+    expected = "".join(json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        assert write_records(records, path) == len(records)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if name.endswith(".gz"):
+        data = gzip.decompress(data)
+    assert data == expected.encode("utf-8")

@@ -1,7 +1,7 @@
-"""The walks that run on the flat cell index (wrong-path walks and move
-simulation) against Position-based references written from ``EDGES``, on
-arbitrary masks: walls may disagree across an edge and the perimeter may be
-open."""
+"""The walks that run on the flat cell index (wrong-path walks, move
+simulation and step text) against Position-based references written from
+``EDGES``, on arbitrary masks: walls may disagree across an edge and the
+perimeter may be open."""
 
 from unittest import mock
 
@@ -126,6 +126,30 @@ def test_simulate_moves_matches_reference(case, moves):
     m = m.with_endpoints(start, target or start)
     out = simulate_moves(m, start, moves)
     assert (out.final, out.steps_taken, out.status) == reference_simulate(m, start, moves)
+
+
+def reference_steps_text(m, cells, moves):
+    """The step template filled in from Position attributes and ``reference_neighbors``."""
+    return "\n".join(
+        f"At ({p.row},{p.col}), open: {', '.join(d.value for d, _ in reference_neighbors(m, p))}. "
+        f"Move {d.value} to ({q.row},{q.col})."
+        for d, p, q in zip(moves, cells, cells[1:])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid(), st.data())
+def test_steps_text_matches_reference(case, data):
+    m = case[0]
+    cell = st.builds(Position, st.integers(0, m.height - 1), st.integers(0, m.width - 1))
+    moves = data.draw(st.lists(st.sampled_from(DIRECTIONS), max_size=8))
+    # any cells in any order: the text names what it is given, adjacent or not
+    cells = data.draw(st.lists(cell, min_size=len(moves) + 1, max_size=len(moves) + 1))
+    assert augment._steps_text(m, cells, moves) == reference_steps_text(m, cells, moves)
+    off = data.draw(st.sampled_from([Position(-1, 0), Position(0, -1), Position(m.height, 0), Position(0, m.width)]))
+    k = data.draw(st.integers(0, len(cells) - 1))
+    with pytest.raises(OutOfBoundsError):
+        augment._steps_text(m, cells[:k] + [off] + cells[k + 1 :], moves)
 
 
 @settings(max_examples=100, deadline=None)

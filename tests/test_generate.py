@@ -61,6 +61,22 @@ def test_config_validation():
         GenConfig(min_steps=5, max_steps=2)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"max_steps": 0}, "max_steps 0 is below 1"),
+        ({"min_steps": -4, "max_steps": -1}, "max_steps -1 is below 1"),
+        ({"width": 3, "height": 3, "min_steps": 9}, "min_steps 9 exceeds 8, the longest path in a 3x3 maze"),
+    ],
+)
+def test_config_rejects_step_bounds_no_path_meets(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        GenConfig(**bounds)
+    # the largest bounds a path can still meet are accepted
+    GenConfig(width=3, height=3, min_steps=8, max_steps=8)
+    GenConfig(min_steps=-4, max_steps=1)
+
+
 def test_solver_on_example(example_maze):
     from mazekit.core import MoveDirection as MD
 
@@ -114,8 +130,9 @@ def test_adjacent_endpoints_with_unit_bounds():
 
 
 def test_infeasible_bounds_raise():
-    # a 3x3 tree has at most 8 edges on the longest path; 9..13 is impossible
-    cfg = GenConfig(width=3, height=3, seed=0, min_steps=9, max_steps=13)
+    # 8 edges is the longest path any 3x3 tree can have, so the config takes
+    # 8..13; this seed's tree has no path longer than 7, so placement fails
+    cfg = GenConfig(width=3, height=3, seed=0, min_steps=8, max_steps=13)
     m = generate_maze(cfg)
     with pytest.raises(EndpointSamplingError):
         place_endpoints(m, cfg)
