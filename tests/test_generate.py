@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from mazekit import generate
 from mazekit.core import Position, SimStatus, simulate_moves, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
@@ -14,6 +16,7 @@ from mazekit.generate import (
 )
 from mazekit.rng import derive_seed
 from reference import apply_move, is_open, open_passage_count
+from test_flat_walks import CountingRng
 
 
 def enumerate_simple_paths(m, start, goal):
@@ -182,3 +185,33 @@ def test_solved_pool_yields_the_path_it_placed(cfg):
         item = replace(cfg, seed=seed)
         assert path == solve_shortest_path(m)
         assert place_endpoints(generate_maze(item), item) == m
+
+
+# (width, height, seed, next_u64 draws of one generate_maze call, the masks it carves)
+CARVES = [
+    (5, 5, 0, 26, "0709050309050a0c0d0c0609060a0c0d0603090c060303020a"),
+    (5, 5, 2**63 + 11, 26, "05030905090c0d06080e0c04090c0d0c0e060a0c060303030a"),
+    (8, 3, 7, 25, "0d0501090d05030b0c0c0c0e0c060309060a06030203030a"),
+    (3, 8, 7, 25, "0503090c050a0c06090c050a0c060b06030905090c0e060a"),
+    (
+        9, 9, 42, 82,
+        "050303090509050109060b050a0c0c0c0c0c050906090e0c0c0c0c0c06090609060a0c0c060b0609"
+        "0603030a0c05030308050303030a0c07030a060905090d0c050303030a0c0c0c0602030303030a060a",
+    ),
+]
+
+
+@pytest.mark.parametrize("width, height, seed, draws, masks", CARVES, ids=["5x5", "5x5-big-seed", "8x3", "3x8", "9x9"])
+def test_carve_draws_and_masks_are_pinned(width, height, seed, draws, masks):
+    """The carve takes one draw per start coordinate and one per carved edge, and
+    its walls are pinned byte for byte, so a faster carve cannot change the stream."""
+    made = []
+
+    def counting(s):
+        made.append(CountingRng(s))
+        return made[-1]
+
+    with mock.patch.object(generate, "SplitMix64", counting):
+        m = generate_maze(GenConfig(width, height, seed))
+    assert [rng.draws for rng in made] == [draws]
+    assert m.masks.hex() == masks
