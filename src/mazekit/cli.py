@@ -148,7 +148,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
         trace = augment_trace(m, solution, cfg)
         kind = RecordKind.RETRY if trace.is_retry else RecordKind.STRAIGHT_SUCCESS
-        record = make_record(i, cfg.seed, render_maze_tokens(m), solution, kind, trace.render())
+        tokens = render_maze_tokens(m)
+        record = make_record(i, cfg.seed, tokens, hash16(tokens), solution, kind, trace.render())
         if args.strict:
             validate_record(record, where)
         records.append(record)

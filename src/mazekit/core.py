@@ -14,7 +14,10 @@ open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
 and the trace walks in ``augment``, and ``simulate_moves`` applies it to the
 one edge each move names, found in ``_steps``, the same edges keyed by
 direction.  The one integer BFS, ``_search``, inlines the same rule in its
-hot loop and serves connectivity, endpoint placement and the solver.
+hot loop and serves connectivity, endpoint placement and the solver.  The
+wall audits first test the whole grid as one integer against the per-shape
+bit masks of ``_grid_bits``; only a grid that fails is walked cell by cell,
+to name each fault.
 """
 
 from __future__ import annotations
@@ -110,6 +113,19 @@ def _steps(width: int, height: int) -> tuple[dict[MoveDirection, tuple[int, int,
 @lru_cache(maxsize=SHAPE_CACHE)
 def _cells(width: int, height: int) -> tuple[Position, ...]:
     return tuple(Position(r, c) for r in range(height) for c in range(width))
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _grid_bits(width: int, cells: int) -> tuple[int, int, int]:
+    """For a grid read as ``int.from_bytes(masks, "little")`` (cell i in bits 8i..8i+7):
+    bit 8i of each cell with one below, bit 8i+2 of each with one right, the perimeter walls."""
+    down = right = perimeter = 0
+    for i in range(cells):
+        c = i % width
+        down |= (i + width < cells) << 8 * i
+        right |= (c + 1 < width) << 8 * i + 2
+        perimeter |= ((i < width) | (i + width >= cells) << 1 | (c == 0) << 2 | (c + 1 == width) << 3) << 8 * i
+    return down, right, perimeter
 
 
 def _crosses(masks: bytes, i: int, edge: tuple[int, int, int]) -> bool:
@@ -246,16 +262,18 @@ def validate_maze(m: Maze) -> list[str]:
         f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"
         for r, c, r2, c2, pair in wall_mismatches(masks, w)
     ]
-    for c in range(w):
-        if not masks[c] & 1:
-            problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
-        if not masks[last_row * w + c] & 2:
-            problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
-    for r in range(m.height):
-        if not masks[r * w] & 4:
-            problems.append(f"perimeter gap: ({r},0) lacks a left wall")
-        if not masks[r * w + last_col] & 8:
-            problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
+    perimeter = _grid_bits(w, len(masks))[2]
+    if int.from_bytes(masks, "little") & perimeter != perimeter:  # walked only to name the gaps
+        for c in range(w):
+            if not masks[c] & 1:
+                problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
+            if not masks[last_row * w + c] & 2:
+                problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
+        for r in range(m.height):
+            if not masks[r * w] & 4:
+                problems.append(f"perimeter gap: ({r},0) lacks a left wall")
+            if not masks[r * w + last_col] & 8:
+                problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
     reached = len(_search(m, 0)[1])
@@ -272,9 +290,14 @@ def wall_mismatches(masks, width: int) -> Iterator[tuple[int, int, int, int, str
     "right/left") for row-major wall masks of a grid ``width`` cells wide.
     """
     cells = len(masks)
+    grid = int.from_bytes(masks, "little")
+    down, right, _ = _grid_bits(width, cells)
+    # shifted right by one bit, each down wall (2) lands on up (1) and each right
+    # wall (8) on left (4): the bits that the facing cells hold, in the whole
+    # grid a shift of 8 * width or 8 bits away, in the per-cell scan at i + width or i + 1
+    if not ((grid >> 1 ^ grid >> 8 * width) & down or (grid >> 1 ^ grid >> 8) & right):
+        return
     for i in range(cells):
-        # shifted right by one, the down bit (2) lands on up (1) and the
-        # right bit (8) on left (4), the bits the facing cells hold
         facing = masks[i] >> 1
         if i + width < cells and (facing ^ masks[i + width]) & 1:
             r, c = divmod(i, width)

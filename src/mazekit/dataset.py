@@ -137,13 +137,14 @@ def make_record(
     index: int,
     seed: int,
     maze_tokens: str,
+    maze_hash: str,
     solution: SolutionPath,
     kind: RecordKind,
     trace_text: str,
 ) -> DatasetRecord:
-    """Assemble one record; the completion is the think block, then the answer moves."""
+    """Assemble one record; ``maze_hash`` is ``hash16(maze_tokens)``, the completion a think block, then the moves."""
     return DatasetRecord(
-        id=f"{index:06d}-{hash16(maze_tokens)}-{_ID_SUFFIX[kind]}",
+        id=f"{index:06d}-{maze_hash}-{_ID_SUFFIX[kind]}",
         seed=seed,
         maze_tokens=maze_tokens,
         steps=solution.steps,
@@ -245,10 +246,10 @@ def build_splits(
     def straight_record(i: int) -> DatasetRecord:
         # a spilled retry maze's trace already holds its solution text (sft renders first)
         text = traces[i].solution_text if i in traces else _steps_text(pool[i], solutions[i].cells, solutions[i].moves)
-        return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
+        return make_record(i, seeds[i], tokens[i], ids[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
 
     def retry_record(i: int) -> DatasetRecord:
-        return make_record(i, seeds[i], tokens[i], solutions[i], RecordKind.RETRY, traces[i].render())
+        return make_record(i, seeds[i], tokens[i], ids[i], solutions[i], RecordKind.RETRY, traces[i].render())
 
     test_records = tuple(straight_record(i) for i in sorted(test_indices))
     sft_records = tuple(
@@ -363,7 +364,12 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     """Strict semantic checks against the record's own maze: the prompt is
     the maze text, the id carries a pool index and the maze hash, the
     completion solves it, the kind agrees with RESET in the think block and
-    with the id suffix, and ``steps`` counts the answer's moves."""
+    with the id suffix, and ``steps`` counts the answer's moves.  The maze text
+    has no carriage return or trailing newline: both parse, but name its maze twice."""
+    if "\r" in record.maze_tokens:
+        raise DatasetError(f"{where}: field 'maze_tokens' has a carriage return")
+    if record.maze_tokens.endswith("\n"):
+        raise DatasetError(f"{where}: field 'maze_tokens' ends in a newline")
     try:
         m = parse_maze_tokens(record.maze_tokens)
     except ValueError as exc:

@@ -10,7 +10,7 @@ determines the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Maze, MoveDirection, Position, _cells, _index, _search, links
@@ -81,14 +81,19 @@ def generate_maze(cfg: GenConfig) -> Maze:
     # on each side, so a cell is unvisited while its mask is still 15 (the
     # start cell loses a bit on the first step)
     masks = bytearray(b"\x0f" * (w * h))
-    stack = [rng.randbelow(h) * w + rng.randbelow(w)]
+    randbelow = rng.randbelow
+    stack = [randbelow(h) * w + randbelow(w)]
     while stack:
         i = stack[-1]
-        candidates = [edge for _, edge in table[i] if masks[edge[2]] == 15]
+        # a plain loop: a comprehension is a function call of its own on every step
+        candidates = []
+        for _, edge in table[i]:
+            if masks[edge[2]] == 15:
+                candidates.append(edge)
         if not candidates:
             stack.pop()
             continue
-        bit, back, j = rng.choice(candidates)
+        bit, back, j = candidates[randbelow(len(candidates))]
         masks[i] &= ~bit
         masks[j] &= ~back
         stack.append(j)
@@ -140,7 +145,7 @@ def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[in
     so it is the same whichever range it is drawn in.
     """
     for i in range(start, start + count):
-        item = replace(cfg, seed=derive_seed(cfg.seed, i))
+        item = GenConfig(cfg.width, cfg.height, derive_seed(cfg.seed, i), cfg.min_steps, cfg.max_steps)
         yield item.seed, *_solved(generate_maze(item), item)
 
 

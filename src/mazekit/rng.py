@@ -3,7 +3,8 @@
 All randomness flows through SplitMix64, a 64-bit mixing generator small
 enough to restate in a few lines in any language.  Given the same seed the
 stream is identical everywhere, which is what makes generated corpora and
-dataset splits byte-reproducible.
+dataset splits byte-reproducible.  ``randbelow`` reads the rejection limit
+of a small ``n`` (the carve, endpoint and trace draws) from ``_LIMITS``.
 
 Reference sequence (seed 0): the first three draws are
 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+_SMALL_N = 256
+_LIMITS = (0,) + tuple(MASK64 + 1 - ((MASK64 + 1) % n) for n in range(1, _SMALL_N))  # indexed by n
 
 
 def mix64(x: int) -> int:
@@ -49,7 +53,7 @@ class SplitMix64:
         """Uniform integer in [0, n). Rejection sampling kills modulo bias."""
         if n <= 0:
             raise ValueError("randbelow() requires n >= 1")
-        limit = MASK64 + 1 - ((MASK64 + 1) % n)
+        limit = _LIMITS[n] if n < _SMALL_N else MASK64 + 1 - ((MASK64 + 1) % n)
         while True:
             x = self.next_u64()
             if x < limit:

@@ -331,7 +331,8 @@ def test_records_ordered_by_pool_index(small_splits):
 def test_strict_mode_requires_a_pool_index_in_the_id(tmp_path, index):
     # pool item 6 of a seed-0 2x2 pool is the maze c7c661f0d63d96dd
     seed, m, solution = list(solved_pool(GenConfig(width=2, height=2, seed=0), 7))[6]
-    record = make_record(6, seed, render_maze_tokens(m), solution, RecordKind.STRAIGHT_SUCCESS, "")
+    text = render_maze_tokens(m)
+    record = make_record(6, seed, text, hash16(text), solution, RecordKind.STRAIGHT_SUCCESS, "")
     assert record.id == "000006-c7c661f0d63d96dd-straight"
     validate_record(record)
     forged = f"{index}-c7c661f0d63d96dd-straight"
@@ -339,6 +340,27 @@ def test_strict_mode_requires_a_pool_index_in_the_id(tmp_path, index):
     write_records([replace(record, id=forged)], str(path))
     message = f"{path}: line 1: field 'id' {forged!r} does not start with a pool index of 6 or more digits"
     with pytest.raises(DatasetError, match=re.escape(message)):
+        read_records(str(path), strict=True)
+
+
+@pytest.mark.parametrize(
+    "retext, message",
+    [
+        (lambda text: text + "\n", "field 'maze_tokens' ends in a newline"),
+        (lambda text: text.replace("\n", "\r\n"), "field 'maze_tokens' has a carriage return"),
+    ],
+    ids=["trailing-newline", "crlf"],
+)
+def test_strict_mode_rejects_non_canonical_maze_text(small_splits, tmp_path, retext, message):
+    # the parser reads both forms, so with a matching prompt and id hash they would name one maze twice
+    row = small_splits.test[0].to_dict()
+    text = retext(row["maze_tokens"])
+    index, _, suffix = row["id"].split("-")
+    forged = {**row, "maze_tokens": text, "prompt": text, "id": f"{index}-{hash16(text)}-{suffix}"}
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(forged) + "\n", encoding="utf-8")
+    assert len(read_records(str(path))) == 1
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: line 1: {message}")):
         read_records(str(path), strict=True)
 
 

@@ -1,6 +1,7 @@
 """``Maze.masks``, the one stored grid: constructor checks, the derived
-``wall_at`` view, value semantics, and the identity-hashed
-``MoveDirection`` that keys the move step."""
+``wall_at`` view, the whole-grid wall audits against per-cell references,
+value semantics, and the identity-hashed ``MoveDirection`` that keys the
+move step."""
 
 import copy
 import dataclasses
@@ -9,7 +10,18 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from mazekit.core import DIRECTIONS, WALL_SETS, Maze, MoveDirection, OutOfBoundsError, Position, _cells, wall_mismatches
+from mazekit.core import (
+    DIRECTIONS,
+    WALL_SETS,
+    Maze,
+    MoveDirection,
+    OutOfBoundsError,
+    Position,
+    _cells,
+    links,
+    validate_maze,
+    wall_mismatches,
+)
 from test_bfs import any_grid
 
 
@@ -56,11 +68,8 @@ def test_walls_and_wall_at_agree_with_masks(case):
         m.wall_at(Position(0, m.width))
 
 
-@settings(max_examples=300, deadline=None)
-@given(any_grid())
-def test_wall_mismatches_match_a_cell_by_cell_reference(case):
-    # the flat-index scan against a cell-by-cell comparison of WallSet flags
-    m, _, _ = case
+def reference_mismatches(m):
+    """A cell-by-cell comparison of WallSet flags across each shared edge, in row-major order."""
     want = []
     for r in range(m.height):
         for c in range(m.width):
@@ -69,7 +78,87 @@ def test_wall_mismatches_match_a_cell_by_cell_reference(case):
                 want.append((r, c, r + 1, c, "down/up"))
             if c + 1 < m.width and here.right != m.wall_at(Position(r, c + 1)).left:
                 want.append((r, c, r, c + 1, "right/left"))
-    assert list(wall_mismatches(m.masks, m.width)) == want
+    return want
+
+
+def reference_audit(m):
+    """``validate_maze``'s wall-mismatch and perimeter-gap messages, from per-cell flags."""
+    last_row, last_col = m.height - 1, m.width - 1
+    problems = [
+        f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"
+        for r, c, r2, c2, pair in reference_mismatches(m)
+    ]
+    for c in range(m.width):
+        if not m.wall_at(Position(0, c)).up:
+            problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
+        if not m.wall_at(Position(last_row, c)).down:
+            problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
+    for r in range(m.height):
+        if not m.wall_at(Position(r, 0)).left:
+            problems.append(f"perimeter gap: ({r},0) lacks a left wall")
+        if not m.wall_at(Position(r, last_col)).right:
+            problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
+    return problems
+
+
+def audit(m):
+    return [p for p in validate_maze(m) if p.startswith(("wall mismatch", "perimeter gap"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+def test_wall_mismatches_match_a_cell_by_cell_reference(case):
+    # the whole-grid test and its flat-index scan against per-cell WallSet flags
+    m, _, _ = case
+    assert list(wall_mismatches(m.masks, m.width)) == reference_mismatches(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+def test_validate_maze_audit_matches_a_cell_by_cell_reference(case):
+    m, _, _ = case
+    assert audit(m) == reference_audit(m)
+
+
+# 3 wide, 4 tall: every edge and perimeter wall of a grid whose rows are not square
+WIDTH, HEIGHT = 3, 4
+SHARED_EDGES = [(i, bit, j, back) for i, row in enumerate(links(WIDTH, HEIGHT)) for _, (bit, back, j) in row if j > i]
+PERIMETER = [
+    (r * WIDTH + c, bit)
+    for r in range(HEIGHT)
+    for c in range(WIDTH)
+    for bit, off_grid in ((1, r == 0), (2, r == HEIGHT - 1), (4, c == 0), (8, c == WIDTH - 1))
+    if off_grid
+]
+OPEN_ROOM = bytes(sum(bit for i2, bit in PERIMETER if i2 == i) for i in range(WIDTH * HEIGHT))
+
+
+@pytest.mark.parametrize("background", [b"\x0f" * (WIDTH * HEIGHT), OPEN_ROOM], ids=["all-walls", "open-room"])
+@pytest.mark.parametrize("edge", SHARED_EDGES, ids=[f"{i}-{j}" for i, _, j, _ in SHARED_EDGES])
+def test_one_mismatched_edge_is_named_alone(background, edge):
+    # toggling one side's wall on an edge makes it the only mismatch, wherever it sits
+    i, bit, j, back = edge
+    for cell, flag in ((i, bit), (j, back)):
+        masks = bytearray(background)
+        masks[cell] ^= flag
+        m = Maze(WIDTH, HEIGHT, bytes(masks))
+        (r, c), (r2, c2) = divmod(i, WIDTH), divmod(j, WIDTH)
+        pair = "down/up" if bit == 2 else "right/left"
+        assert list(wall_mismatches(m.masks, WIDTH)) == [(r, c, r2, c2, pair)]
+        assert audit(m) == reference_audit(m) == [f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"]
+
+
+@pytest.mark.parametrize("background", [b"\x0f" * (WIDTH * HEIGHT), OPEN_ROOM], ids=["all-walls", "open-room"])
+@pytest.mark.parametrize("wall", PERIMETER, ids=[f"{i}-{bit}" for i, bit in PERIMETER])
+def test_one_perimeter_gap_is_named_alone(background, wall):
+    i, bit = wall
+    masks = bytearray(background)
+    masks[i] &= ~bit
+    m = Maze(WIDTH, HEIGHT, bytes(masks))
+    assert list(wall_mismatches(m.masks, WIDTH)) == []
+    gaps = audit(m)
+    assert gaps == reference_audit(m) and len(gaps) == 1
+    assert gaps[0].startswith(f"perimeter gap: ({i // WIDTH},{i % WIDTH}) lacks")
 
 
 def test_maze_is_frozen_hashable_and_compares_the_grid():
