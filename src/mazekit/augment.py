@@ -2,11 +2,14 @@
 
 A wrong attempt is a seeded random walk that leaves the origin, never
 revisits a cell, and never touches the correct solution path (the origin
-itself excepted, since every attempt starts there).  The walk ends either
-at a dead end (a cell with three walls) or once it has used its step
-budget.  Which origins get attempts depends on the origin's wall count:
+itself excepted, since every attempt starts there).  One budgeted search
+makes every attempt: it walks with budgets descending from ``max_n_steps``
+and keeps the first walk that uses its whole budget or ends at a dead end
+(a cell with three walls).  Which origins get attempts depends on the
+origin's wall count:
 
-    1 wall  -> one attempt per open neighbor that is off the solution path
+    1 wall  -> one attempt per open neighbor that is off the solution path,
+               its first move committed into that neighbor
     2 walls -> a single attempt from the origin
     other   -> no attempts; the maze only yields a straight-success trace
 
@@ -47,6 +50,9 @@ class OriginClass(Enum):
     SKIP = "skip"
 
 
+_ORIGIN_CLASSES = {1: OriginClass.ORDER1, 2: OriginClass.ORDER2}
+
+
 class TerminalKind(Enum):
     DEAD_END = "dead_end"
     WRONG_DIRECTION = "wrong_direction"
@@ -66,7 +72,6 @@ class AugmentConfig:
 class WrongAttempt:
     """One failed excursion: the moves walked and every cell visited."""
 
-    start_cell: Position
     moves: tuple[MoveDirection, ...]
     cells: tuple[Position, ...]
     terminal_kind: TerminalKind
@@ -109,25 +114,15 @@ class ReasoningTrace:
         return _steps_text(self.maze, self.solution.cells, self.solution.moves)
 
     def render(self) -> str:
-        parts: list[str] = []
-        for seg in self.wrong_segments:
-            parts.append(seg.steps_text)
-            parts.append(seg.message)
-            parts.append(RESET_MARKER)
-        parts.append(self.solution_text)
-        return "\n".join(parts)
+        parts = [f"{seg.steps_text}\n{seg.message}\n{RESET_MARKER}" for seg in self.wrong_segments]
+        return "\n".join([*parts, self.solution_text])
 
 
 def classify_origin(m: Maze) -> OriginClass:
     """Dispatch on the origin's wall count: 1 and 2 get attempts, the rest skip."""
     if m.origin is None:
         raise ValueError("classify_origin requires a maze with an origin")
-    w = wall_count(m, m.origin)
-    if w == 1:
-        return OriginClass.ORDER1
-    if w == 2:
-        return OriginClass.ORDER2
-    return OriginClass.SKIP
+    return _ORIGIN_CLASSES.get(wall_count(m, m.origin), OriginClass.SKIP)
 
 
 def _walk(
@@ -164,84 +159,43 @@ def _walk(
     return moves, [cells[j] for j in path]
 
 
-def _attempt_from_walk(m: Maze, moves: list[MoveDirection], cells: list[Position]) -> WrongAttempt:
-    kind = (
-        TerminalKind.DEAD_END
-        if wall_count(m, cells[-1]) == DEAD_END_WALLS
-        else TerminalKind.WRONG_DIRECTION
-    )
-    return WrongAttempt(
-        start_cell=cells[0],
-        moves=tuple(moves),
-        cells=tuple(cells),
-        terminal_kind=kind,
-    )
+def _attempt(m: Maze, first, forbidden, max_n_steps: int, rng: SplitMix64) -> Optional[WrongAttempt]:
+    """The one budgeted search: a wrong attempt from the origin, or None.
 
-
-def _accepted(attempt: WrongAttempt, n_steps: int) -> bool:
-    # A walk counts at this budget if it used the whole budget or ended at
-    # a dead end; anything shorter was boxed in and gets retried smaller.
-    return len(attempt.moves) == n_steps or attempt.terminal_kind is TerminalKind.DEAD_END
-
-
-def generate_wrong_path(
-    m: Maze,
-    anchor: Position,
-    forbidden: set[Position] | frozenset[Position],
-    n_steps: int,
-    rng: SplitMix64,
-) -> Optional[WrongAttempt]:
-    """One seeded random walk from anchor, or None if no first move is legal.
-
-    The walk never enters forbidden cells, never revisits its own cells,
-    and stops at a dead end or after n_steps moves.  A boxed-in walk stops
-    early; callers decide whether a short walk is acceptable.
+    Walks at budgets descending from max_n_steps (a committed first move
+    counts) and keeps the first walk that fills its budget or ends on a dead
+    end; a shorter walk was boxed in and is retried one step smaller.  None
+    when no budget gives such a walk, as when no first move is legal.
     """
-    if anchor in forbidden:
-        raise ValueError("anchor must not be in the forbidden set")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    moves, cells = _walk(m, anchor, None, forbidden, n_steps, rng)
-    if not moves:
-        return None
-    return _attempt_from_walk(m, moves, cells)
+    for n_steps in range(max_n_steps, 0, -1):
+        moves, cells = _walk(m, m.origin, first, forbidden, n_steps, rng)
+        dead = wall_count(m, cells[-1]) == DEAD_END_WALLS
+        if moves and (dead or len(moves) == n_steps):
+            kind = TerminalKind.DEAD_END if dead else TerminalKind.WRONG_DIRECTION
+            return WrongAttempt(tuple(moves), tuple(cells), kind)
+    return None
 
 
 def process_order1(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[WrongAttempt]:
     """Attempts for a 1-wall origin: one per open neighbor off the solution path.
 
-    Each attempt commits its first move into the chosen neighbor, then
-    extends with budgets descending from max_n_steps (budgets count the
-    committed move) until a walk fills its budget or dead-ends.  The
-    one-move attempt into the neighbor itself always satisfies budget 1,
-    so every off-path neighbor yields exactly one attempt.
+    Each attempt commits its first move into the neighbor, which budgets
+    count.  The one-move attempt into the neighbor itself always satisfies
+    budget 1, so every off-path neighbor yields exactly one attempt.
     """
-    origin = _require_origin(m)
     rng = SplitMix64(cfg.seed)
     path_cells = frozenset(solution.cells)
-    attempts: list[WrongAttempt] = []
-    for d, neighbor in open_neighbors(m, origin):
-        if neighbor in path_cells:
-            continue
-        for n_steps in range(cfg.max_n_steps, 0, -1):
-            moves, cells = _walk(m, origin, (d, neighbor), path_cells, n_steps, rng)
-            attempt = _attempt_from_walk(m, moves, cells)
-            if _accepted(attempt, n_steps):
-                attempts.append(attempt)
-                break
-    return attempts
+    return [
+        _attempt(m, (d, neighbor), path_cells, cfg.max_n_steps, rng)
+        for d, neighbor in open_neighbors(m, _require_origin(m))
+        if neighbor not in path_cells
+    ]
 
 
 def process_order2(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> Optional[WrongAttempt]:
     """Single attempt for a 2-wall origin, or None when every first move is on the path."""
-    origin = _require_origin(m)
-    rng = SplitMix64(cfg.seed)
-    forbidden = frozenset(solution.cells) - {origin}
-    for n_steps in range(cfg.max_n_steps, 0, -1):
-        attempt = generate_wrong_path(m, origin, forbidden, n_steps, rng)
-        if attempt is not None and _accepted(attempt, n_steps):
-            return attempt
-    return None
+    forbidden = frozenset(solution.cells) - {_require_origin(m)}
+    return _attempt(m, None, forbidden, cfg.max_n_steps, SplitMix64(cfg.seed))
 
 
 def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[WrongAttempt]:

@@ -28,6 +28,7 @@ from .bench import (
     hash16,
     maze_id,
 )
+from .core import validate_maze
 from .dataset import (
     PAPER_COUNTS,
     DatasetError,
@@ -61,16 +62,22 @@ def _out(path: str) -> str:
     return path
 
 
-def _maze(where: str, row: dict):
+def _maze(where: str, row: dict, audit: bool = False):
+    """The row's maze; with ``audit``, also one that ``validate_maze`` passes,
+    for commands that render it again."""
     try:
-        return parse_maze_tokens(field(where, row, "maze_tokens", str))
+        m = parse_maze_tokens(field(where, row, "maze_tokens", str))
     except MazeParseError as exc:
         raise DatasetError(f"{where}: maze_tokens do not parse: {exc}") from exc
+    problems = validate_maze(m) if audit else []
+    if problems:
+        raise DatasetError(f"{where}: invalid maze: " + "; ".join(problems))
+    return m
 
 
 def _load_mazes(path: str) -> list:
-    """Read mazes from any JSONL whose rows carry a maze_tokens field."""
-    return [_maze(where, row) for where, row in iter_jsonl(path)]
+    """Read valid mazes from any JSONL whose rows carry a maze_tokens field."""
+    return [_maze(where, row, audit=True) for where, row in iter_jsonl(path)]
 
 
 def _read_text(path: str) -> str:
@@ -143,7 +150,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
     records = []
     for i, (where, row) in enumerate(iter_jsonl(args.infile)):
-        m = _maze(where, row)
+        m = _maze(where, row, audit=True)
         solution = solve_shortest_path(m)
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
         trace = augment_trace(m, solution, cfg)
@@ -184,9 +191,8 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         "sft": outdir / "sft.jsonl",
         "grpo": outdir / "grpo.jsonl",
     }
-    write_records(splits.test, str(files["test"]))
-    write_records(splits.sft, str(files["sft"]))
-    write_records(splits.grpo, str(files["grpo"]))
+    for name, path in files.items():
+        write_records(getattr(splits, name), str(path))
     manifest = {
         "seed": args.seed,
         "aug_seed": aug_seed,

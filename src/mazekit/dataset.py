@@ -80,15 +80,9 @@ class DatasetRecord:
     completion: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "seed": self.seed,
-            "maze_tokens": self.maze_tokens,
-            "steps": self.steps,
-            "kind": self.kind.value,
-            "prompt": self.prompt,
-            "completion": self.completion,
-        }
+        row = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        row["kind"] = self.kind.value
+        return row
 
 
 _RECORD_FIELDS = {
@@ -221,12 +215,11 @@ def build_splits(
         train_indices += [i for i in extra if ids[i] not in test_ids]
 
     retry_sel = list(traces)
-    retry_set = set(retry_sel)
-    straight_sel = [i for i in train_indices if i not in retry_set][: plan.sft_straight_count]
+    straight_sel = [i for i in train_indices if i not in traces][: plan.sft_straight_count]
     straight_set = set(straight_sel)
-    leftovers = [i for i in train_indices if i not in retry_set and i not in straight_set]
-    spill = [i for i in retry_sel if i not in straight_set]
-    grpo_sel = (leftovers + spill)[: plan.grpo_count]
+    leftovers = [i for i in train_indices if i not in traces and i not in straight_set]
+    # retry mazes spill into grpo after the leftovers
+    grpo_sel = (leftovers + retry_sel)[: plan.grpo_count]
     shortfalls = [
         f"{name} quota shortfall: need {need}, only {len(sel)} {why}"
         for name, need, sel, why in (
@@ -253,7 +246,7 @@ def build_splits(
 
     test_records = tuple(straight_record(i) for i in sorted(test_indices))
     sft_records = tuple(
-        retry_record(i) if i in retry_set else straight_record(i)
+        retry_record(i) if i in traces else straight_record(i)
         for i in sorted(retry_sel + straight_sel)
     )
     grpo_records = tuple(straight_record(i) for i in sorted(grpo_sel))

@@ -15,7 +15,6 @@ and population spread, so no learned value baseline is needed.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +26,6 @@ INTEGRITY_PER_TOKEN = 0.5
 THINKING_POINTS = 0.25
 
 DEFAULT_EPSILON = 1e-8
-
-_THINK_OPEN_RE = re.compile(r"<think>")
-_THINK_CLOSE_RE = re.compile(r"</think>")
 
 
 @dataclass(frozen=True)
@@ -73,14 +69,13 @@ def integrity_reward(output: str) -> float:
 
 def thinking_reward(output: str) -> float:
     """0.25 for exactly one ordered think-tag pair that precedes any move token."""
-    opens = [match.start() for match in _THINK_OPEN_RE.finditer(output)]
-    closes = [match.start() for match in _THINK_CLOSE_RE.finditer(output)]
-    if len(opens) != 1 or len(closes) != 1:
+    if output.count("<think>") != 1 or output.count("</think>") != 1:
         return 0.0
-    if opens[0] >= closes[0]:
+    close = output.find("</think>")
+    if output.find("<think>") >= close:
         return 0.0
     first_move = first_move_token_index(output)
-    if first_move is not None and first_move < closes[0]:
+    if first_move is not None and first_move < close:
         return 0.0
     return THINKING_POINTS
 

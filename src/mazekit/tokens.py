@@ -160,7 +160,7 @@ def parse_maze_tokens(text: str) -> Maze:
     """
     lines = text.rstrip("\n").split("\n")
     lines = [line.rstrip("\r") for line in lines]
-    if lines == [""]:
+    if not any(lines):
         raise MazeParseError("empty maze text")
     height = len(lines)
 

@@ -12,7 +12,6 @@ from mazekit.augment import (
     augment_trace,
     build_attempts,
     classify_origin,
-    generate_wrong_path,
     process_order1,
     process_order2,
 )
@@ -113,31 +112,22 @@ def test_trace_text_renders_once_on_first_use(maze_corpus, monkeypatch):
     assert trace == augment_trace(m, sol, cfg)
 
 
-def test_generate_wrong_path_infeasible_when_ringed(maze_corpus):
+def test_walk_infeasible_when_ringed(maze_corpus):
     m, sol = maze_corpus[0]
     anchor = m.origin
     forbidden = {q for _, q in open_neighbors(m, anchor)}
     rng = SplitMix64(7)
-    assert generate_wrong_path(m, anchor, forbidden, 3, rng) is None
+    assert augment._walk(m, anchor, None, forbidden, 3, rng) == ([], [anchor])
 
 
-def test_generate_wrong_path_single_step(maze_corpus):
+def test_walk_single_step(maze_corpus):
     for m, sol in maze_corpus[:20]:
         neighbors = open_neighbors(m, m.origin)
         allowed = [q for _, q in neighbors][:1]
         forbidden = {q for _, q in neighbors if q not in allowed}
-        attempt = generate_wrong_path(m, m.origin, forbidden, 1, SplitMix64(3))
-        assert attempt is not None
-        assert len(attempt.moves) == 1
-        assert attempt.cells[1] == allowed[0]
-        dead = wall_count(m, allowed[0]) == 3
-        assert (attempt.terminal_kind is TerminalKind.DEAD_END) == dead
-
-
-def test_generate_wrong_path_rejects_forbidden_anchor(maze_corpus):
-    m, _ = maze_corpus[0]
-    with pytest.raises(ValueError):
-        generate_wrong_path(m, m.origin, {m.origin}, 2, SplitMix64(0))
+        moves, cells = augment._walk(m, m.origin, None, forbidden, 1, SplitMix64(3))
+        assert len(moves) == 1
+        assert cells == [m.origin, allowed[0]]
 
 
 def test_trace_straight_success(maze_corpus):

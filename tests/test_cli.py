@@ -307,6 +307,8 @@ def _bad_row_cases(tmp_path):
         + ("<|origin|>" if c == 0 else "<|target|>" if c == 14 else "<|blank|>")
         for c in range(15)
     )
+    # parses, but (0,0) lacks its up wall, so rendering it again would fail
+    gap = golden.replace("<|up_left_wall|>", "<|left_wall|>", 1)
     suite = _jsonl(tmp_path / "suite.jsonl", entry)
     report = str(tmp_path / "report.json")
     out = str(tmp_path / "out.jsonl")
@@ -372,6 +374,16 @@ def _bad_row_cases(tmp_path):
              "--outputs", _jsonl(tmp_path / "o8.jsonl"), "--report", report],
             "s6.jsonl: line 1: step count 14 is outside the 1..13 difficulty bands",
         ),
+        "augment-invalid-maze": (
+            ["augment", "--in", _jsonl(tmp_path / "p2.jsonl", {"maze_tokens": golden}, {"maze_tokens": gap}),
+             "--out", out],
+            "p2.jsonl: line 2: invalid maze: perimeter gap: (0,0) lacks an up wall",
+        ),
+        "bench-build-invalid-maze": (
+            ["bench", "build", "--pool", _jsonl(tmp_path / "p3.jsonl", {"maze_tokens": golden}, {"maze_tokens": gap}),
+             "--out", out],
+            "p3.jsonl: line 2: invalid maze: perimeter gap: (0,0) lacks an up wall",
+        ),
     }
 
 
@@ -390,6 +402,8 @@ def _bad_row_cases(tmp_path):
         "suite-difficulty-not-band",
         "suite-unreachable-target",
         "suite-steps-outside-bands",
+        "augment-invalid-maze",
+        "bench-build-invalid-maze",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazekit import augment
-from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, generate_wrong_path, process_order1
+from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, process_order1, process_order2
 from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, simulate_moves
 from mazekit.generate import SolutionPath
 from mazekit.rng import SplitMix64
@@ -65,6 +65,29 @@ def reference_order1(m, path_cells, max_n_steps, rng):
     return walks
 
 
+def reference_order2(m, path_cells, max_n_steps, rng):
+    forbidden = path_cells - {m.origin}
+    for n_steps in range(max_n_steps, 0, -1):
+        moves, cells = reference_walk(m, m.origin, None, forbidden, n_steps, rng)
+        if moves and (len(moves) == n_steps or walls(m, cells[-1]).bit_count() == 3):
+            return moves, cells
+    return None
+
+
+def counted(process, m, path_cells, max_n_steps, seed):
+    """``process`` on a solution through ``path_cells``, and the draws of the one rng it made."""
+    made = []
+
+    def counting(s):
+        made.append(CountingRng(s))
+        return made[-1]
+
+    with mock.patch.object(augment, "SplitMix64", counting):
+        out = process(m, SolutionPath((), tuple(path_cells)), AugmentConfig(max_n_steps, seed))
+    assert len(made) == 1
+    return out, made[0].draws
+
+
 def reference_simulate(m, start, moves):
     pos = start
     for k, d in enumerate(moves):
@@ -91,14 +114,9 @@ def walk_case(draw):
 def test_wrong_path_walk_matches_reference(case):
     m, anchor, forbidden, n_steps, seed = case
     rng, ref_rng = CountingRng(seed), CountingRng(seed)
-    attempt = generate_wrong_path(m, anchor, forbidden, n_steps, rng)
-    moves, cells = reference_walk(m, anchor, None, forbidden, n_steps, ref_rng)
+    moves, cells = augment._walk(m, anchor, None, forbidden, n_steps, rng)
+    assert (tuple(moves), tuple(cells)) == reference_walk(m, anchor, None, forbidden, n_steps, ref_rng)
     assert rng.draws == ref_rng.draws
-    if not moves:
-        assert attempt is None
-        return
-    assert (attempt.moves, attempt.cells) == (moves, cells)
-    assert (attempt.terminal_kind is TerminalKind.DEAD_END) == (walls(m, cells[-1]).bit_count() == 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,17 +124,28 @@ def test_wrong_path_walk_matches_reference(case):
 def test_order1_walks_match_reference(case, max_n_steps):
     m, origin, path_cells, _, seed = case
     m = m.with_endpoints(origin, None)
-    made = []
-
-    def counting(s):
-        made.append(CountingRng(s))
-        return made[-1]
-
-    with mock.patch.object(augment, "SplitMix64", counting):
-        attempts = process_order1(m, SolutionPath((), tuple(path_cells)), AugmentConfig(max_n_steps, seed))
+    attempts, draws = counted(process_order1, m, path_cells, max_n_steps, seed)
     ref_rng = CountingRng(seed)
     assert [(a.moves, a.cells) for a in attempts] == reference_order1(m, path_cells, max_n_steps, ref_rng)
-    assert made[0].draws == ref_rng.draws
+    assert draws == ref_rng.draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_case(), st.integers(1, 4))
+def test_order2_walk_matches_reference(case, max_n_steps):
+    m, origin, path_cells, _, seed = case
+    m = m.with_endpoints(origin, None)
+    # a solution path starts at the origin, which the search must not forbid
+    path_cells |= {origin}
+    attempt, draws = counted(process_order2, m, path_cells, max_n_steps, seed)
+    ref_rng = CountingRng(seed)
+    expected = reference_order2(m, path_cells, max_n_steps, ref_rng)
+    assert draws == ref_rng.draws
+    if expected is None:
+        assert attempt is None
+        return
+    assert (attempt.moves, attempt.cells) == expected
+    assert (attempt.terminal_kind is TerminalKind.DEAD_END) == (walls(m, expected[1][-1]).bit_count() == 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,7 +189,7 @@ def test_off_grid_inputs_raise(case, side):
     off = (Position(-1, 0), Position(0, -1), Position(m.height, 0), Position(0, m.width))[side]
     up = DIRECTIONS[0]
     with pytest.raises(OutOfBoundsError):
-        generate_wrong_path(m, off, frozenset(), 2, SplitMix64(0))
+        augment._walk(m, off, None, frozenset(), 2, SplitMix64(0))
     with pytest.raises(OutOfBoundsError):
         augment._walk(m, inside, (up, off), frozenset(), 2, SplitMix64(0))
     with pytest.raises(OutOfBoundsError):
@@ -173,5 +202,5 @@ def test_off_grid_forbidden_position_blocks_nothing():
     m = room(5, 2)
     anchor = Position(0, 0)
     # (0, 5) is off the 5-wide grid; read as row*width+col it would be (1, 0)
-    attempt = generate_wrong_path(m, anchor, {Position(0, 1), Position(0, 5)}, 1, SplitMix64(0))
-    assert attempt is not None and attempt.cells == (anchor, Position(1, 0))
+    _, cells = augment._walk(m, anchor, None, {Position(0, 1), Position(0, 5)}, 1, SplitMix64(0))
+    assert cells == [anchor, Position(1, 0)]

@@ -45,7 +45,7 @@ def _line_tokens(line: str, row: int) -> list[str]:
 def reference_parse(text: str) -> Maze:
     lines = text.rstrip("\n").split("\n")
     lines = [line.rstrip("\r") for line in lines]
-    if lines == [""]:
+    if not any(lines):
         raise MazeParseError("empty maze text")
     height = len(lines)
 

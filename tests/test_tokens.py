@@ -119,6 +119,13 @@ def test_parse_empty():
         parse_maze_tokens("")
 
 
+@pytest.mark.parametrize("text", ["", "\r", "\n\n", "\r\n\r", "\r\n\r\n"])
+def test_parse_names_text_of_empty_rows(text):
+    # rows that are all empty once "\r" is stripped hold no maze at all
+    with pytest.raises(MazeParseError, match="^empty maze text$"):
+        parse_maze_tokens(text)
+
+
 def test_parse_tolerates_trailing_newline(golden_text):
     assert parse_maze_tokens(golden_text + "\n") == parse_maze_tokens(golden_text)
 
