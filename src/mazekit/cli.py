@@ -26,7 +26,6 @@ from .bench import (
     evaluate_suite,
     fit_trendline,
     hash16,
-    maze_id,
 )
 from .core import validate_maze
 from .dataset import (
@@ -80,8 +79,16 @@ def _load_mazes(path: str) -> list:
     return [_maze(where, row, audit=True) for where, row in iter_jsonl(path)]
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_maze(path: str):
+    """The maze in a token text file, parsed and audited once; either failure names the file."""
+    try:
+        m = parse_maze_tokens(Path(path).read_text(encoding="utf-8"))
+    except MazeParseError as exc:
+        raise MazeParseError(f"{path}: {exc}") from exc
+    problems = validate_maze(m)
+    if problems:
+        raise ValueError(f"{path}: invalid maze: " + "; ".join(problems))
+    return m
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -93,7 +100,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     rows = []
     for i, (seed, m, solution) in enumerate(solved_pool(cfg, args.count)):
-        tokens = render_maze_tokens(m)
+        tokens = render_maze_tokens(m, audit=False)
         rows.append(
             {"id": f"{i:06d}-{hash16(tokens)}", "seed": seed, "maze_tokens": tokens, "steps": solution.steps}
         )
@@ -125,14 +132,14 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    m = parse_maze_tokens(_read_text(args.infile))
+    m = _read_maze(args.infile)
     summary = {
         "width": m.width,
         "height": m.height,
         "origin": [m.origin.row, m.origin.col],
         "target": [m.target.row, m.target.col],
         "steps": solve_shortest_path(m).steps,
-        "id": maze_id(m),
+        "id": hash16(render_maze_tokens(m, audit=False)),
     }
     print(json.dumps(summary, sort_keys=True))
     if args.preview:
@@ -141,7 +148,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    m = parse_maze_tokens(_read_text(args.infile))
+    m = _read_maze(args.infile)
     print(render_move_tokens(solve_shortest_path(m).moves))
     return 0
 
@@ -155,7 +162,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
         trace = augment_trace(m, solution, cfg)
         kind = RecordKind.RETRY if trace.is_retry else RecordKind.STRAIGHT_SUCCESS
-        tokens = render_maze_tokens(m)
+        tokens = render_maze_tokens(m, audit=False)
         record = make_record(i, cfg.seed, tokens, hash16(tokens), solution, kind, trace.render())
         if args.strict:
             validate_record(record, where)
@@ -280,6 +287,8 @@ def cmd_bench_build(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
+    if args.scores_csv is not None and args.step is None:
+        raise ValueError("--scores-csv needs --step")
     report = evaluate_suite(_load_suite(args.suite), _load_outputs(args.outputs))
     doc = {
         "overall": report.overall,
@@ -299,8 +308,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"overall: {report.overall}", file=sys.stderr)
     if args.scores_csv is not None:
-        if args.step is None:
-            raise ValueError("--scores-csv needs --step")
         with open(_out(args.scores_csv), "a", encoding="utf-8") as fh:
             fh.write(f"{args.step},{report.overall}\n")
     return 0

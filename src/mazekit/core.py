@@ -6,7 +6,8 @@ left 4, right 8), and a maze stores them as ``Maze.masks``: one byte per
 cell on the flat index ``row * width + col``.  Walls are stored per cell,
 redundantly on both sides of each shared edge, and are expected to stay
 consistent by construction.  ``validate_maze`` audits that expectation
-instead of repairing breaches.
+instead of repairing breaches.  The rule: a maze is audited once where it
+is read; a maze the carve built is trusted.
 
 Searches and walks index those bytes with the per-shape ``links`` table,
 which holds every in-bounds edge of each cell.  ``_crosses`` is the one

@@ -175,8 +175,9 @@ def build_splits(
             seeds.append(seed)
             pool.append(m)
             solutions.append(solution)
-            # rendered once: ids and every record of this maze share the string
-            tokens.append(render_maze_tokens(m))
+            # rendered once, unaudited as the carve built it: ids and every
+            # record of this maze share the string
+            tokens.append(render_maze_tokens(m, audit=False))
             ids.append(hash16(tokens[-1]))
         return range(start, len(pool))
 

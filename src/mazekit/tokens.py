@@ -64,11 +64,16 @@ def _coord_names(width: int, height: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(f"{r}-{c}" for c in range(width)) for r in range(height))
 
 
-def render_maze_tokens(m: Maze) -> str:
-    """Serialize a valid maze with endpoints; rows joined by newline."""
+def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
+    """Serialize a valid maze with endpoints; rows joined by newline.
+
+    ``audit=False`` skips the ``validate_maze`` audit.  It is safe only for
+    a maze valid by construction (one ``generate_maze`` carved) or one the
+    caller has just audited; otherwise an invalid maze renders silently.
+    """
     if m.origin is None or m.target is None:
         raise ValueError("cannot render a maze without origin and target")
-    problems = validate_maze(m)
+    problems = validate_maze(m) if audit else ()
     if problems:
         raise ValueError("cannot render invalid maze: " + "; ".join(problems))
     w = m.width

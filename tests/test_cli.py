@@ -1,9 +1,10 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
-from mazekit import cli
+from mazekit import cli, core
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
@@ -113,6 +114,60 @@ def test_bench_run_scores_csv(capsys, tmp_path):
     run(capsys, "bench", "run", "--suite", str(suite), "--outputs", str(outputs),
         "--report", str(report), "--scores-csv", str(csv), "--step", "0")
     assert csv.read_text() == "0,0.0\n"
+
+
+def test_bench_run_scores_csv_without_step_writes_nothing(capsys, tmp_path):
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")
+    suite = _jsonl(tmp_path / "suite.jsonl", {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden})
+    report = tmp_path / "report.json"
+    csv = tmp_path / "scores.csv"
+    code, _, err = run(capsys, "bench", "run", "--suite", suite, "--outputs", _jsonl(tmp_path / "o.jsonl"),
+                       "--report", str(report), "--scores-csv", str(csv))
+    assert code == 1
+    assert "error: --scores-csv needs --step" in err
+    assert not report.exists() and not csv.exists()
+
+
+@pytest.fixture
+def audits(monkeypatch):
+    """Every ``validate_maze`` call, counted at each mazekit module that bound the name."""
+    original = core.validate_maze
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mazekit") and getattr(module, "validate_maze", None) is original:
+            monkeypatch.setattr(module, "validate_maze", counting)
+    return calls
+
+
+def test_validate_maze_runs_once_per_read_maze(capsys, tmp_path, audits):
+    pool = tmp_path / "pool.jsonl"
+    maze = tmp_path / "maze.txt"
+    expected = {
+        # carved mazes are trusted
+        ("generate", "--count", "50", "--seed", "11", "--out", str(pool)): 0,
+        ("build-dataset", "--seed", "6", "--pool", "60", "--test", "6", "--sft-straight", "20",
+         "--sft-retry", "20", "--grpo", "14", "--out", str(tmp_path / "ds")): 0,
+        ("tokenize", "--in", str(pool), "--index", "3", "--out", str(maze)): 0,
+        # read mazes are audited once
+        ("augment", "--in", str(pool), "--out", str(tmp_path / "aug.jsonl")): 50,
+        ("parse", "--in", str(maze)): 1,
+        ("solve", "--in", str(maze)): 1,
+        # the whole pool on read, then build_suite's render of each of the 10 chosen
+        ("bench", "build", "--pool", str(pool), "--easy", "3", "--medium", "4", "--hard", "3",
+         "--out", str(tmp_path / "suite.jsonl")): 60,
+    }
+    counts = {}
+    for argv in expected:
+        audits.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        counts[argv] = len(audits)
+    assert counts == expected
 
 
 def test_reward_batch(capsys, tmp_path):
@@ -297,6 +352,11 @@ def _jsonl(path, *rows):
     return str(path)
 
 
+def _text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def _bad_row_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
     entry = {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden}
@@ -384,6 +444,22 @@ def _bad_row_cases(tmp_path):
              "--out", out],
             "p3.jsonl: line 2: invalid maze: perimeter gap: (0,0) lacks an up wall",
         ),
+        "parse-invalid-maze": (
+            ["parse", "--in", _text(tmp_path / "gap1.txt", gap)],
+            "gap1.txt: invalid maze: perimeter gap: (0,0) lacks an up wall",
+        ),
+        "solve-invalid-maze": (
+            ["solve", "--in", _text(tmp_path / "gap2.txt", gap)],
+            "gap2.txt: invalid maze: perimeter gap: (0,0) lacks an up wall",
+        ),
+        "parse-bad-token": (
+            ["parse", "--in", _text(tmp_path / "bad1.txt", golden.replace("<|0-0|>", "<|0-9|>", 1))],
+            "bad1.txt: coordinate token '<|0-9|>' does not match grid position (0,0)",
+        ),
+        "solve-bad-token": (
+            ["solve", "--in", _text(tmp_path / "bad2.txt", golden.replace("<|0-0|>", "<|0-9|>", 1))],
+            "bad2.txt: coordinate token '<|0-9|>' does not match grid position (0,0)",
+        ),
     }
 
 
@@ -404,6 +480,10 @@ def _bad_row_cases(tmp_path):
         "suite-steps-outside-bands",
         "augment-invalid-maze",
         "bench-build-invalid-maze",
+        "parse-invalid-maze",
+        "solve-invalid-maze",
+        "parse-bad-token",
+        "solve-bad-token",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):

@@ -2,6 +2,8 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazekit import generate
 from mazekit.core import Position, SimStatus, simulate_moves, open_neighbors, validate_maze
@@ -55,6 +57,19 @@ def test_smallest_grid():
     m = generate_maze(GenConfig(width=2, height=2, seed=0))
     assert open_passage_count(m) == 3
     assert validate_maze(m) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(min_value=2, max_value=12),
+    height=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_every_carve_is_a_valid_spanning_tree(width, height, seed):
+    """The build renders carved mazes without auditing them, so every carve must pass the audit."""
+    m = generate_maze(GenConfig(width=width, height=height, seed=seed))
+    assert validate_maze(m) == []
+    assert open_passage_count(m) == width * height - 1
 
 
 def test_config_validation():

@@ -71,6 +71,17 @@ def test_render_requires_endpoints():
 
     with pytest.raises(ValueError):
         render_maze_tokens(generate_maze(GenConfig(seed=1)))
+    # the endpoint check holds even where the audit is skipped
+    with pytest.raises(ValueError, match="without origin and target"):
+        render_maze_tokens(generate_maze(GenConfig(seed=1)), audit=False)
+
+
+def test_render_audits_by_default(golden_text):
+    gap = parse_maze_tokens(golden_text.replace("<|up_left_wall|>", "<|left_wall|>", 1))
+    with pytest.raises(ValueError, match=re.escape("cannot render invalid maze: perimeter gap: (0,0) lacks an up wall")):
+        render_maze_tokens(gap)
+    # audit=False trusts the caller: the same maze renders, and parses back unchanged
+    assert parse_maze_tokens(render_maze_tokens(gap, audit=False)) == gap
 
 
 def test_parse_missing_origin(golden_text):
