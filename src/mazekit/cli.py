@@ -232,7 +232,8 @@ def _suite_to_rows(suite: BenchSuite) -> list[dict]:
 
 def _suite_entry(where: str, row: dict) -> BenchEntry:
     """One suite row, checked against its own maze: ``steps`` is the solved
-    length and ``difficulty`` the band of that length."""
+    length, ``difficulty`` the band of that length and ``id`` the hash of the
+    maze's rendered text (its ``maze_id``)."""
     entry_id = field(where, row, "id", str)
     m = _maze(where, row)
     difficulty = field(where, row, "difficulty", str)
@@ -246,6 +247,11 @@ def _suite_entry(where: str, row: dict) -> BenchEntry:
         raise DatasetError(f"{where}: steps {steps} does not match the maze's {solved}-step solution")
     if difficulty != band.value:
         raise DatasetError(f"{where}: difficulty {difficulty!r} does not match {solved} steps ({band.value!r})")
+    # maze_id without its audit: a suite may hold a damaged maze, whose
+    # outputs can then score out of bounds
+    expected_id = hash16(render_maze_tokens(m, audit=False))
+    if entry_id != expected_id:
+        raise DatasetError(f"{where}: field 'id' {entry_id!r} is not the maze's id {expected_id!r}")
     return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=row["maze_tokens"])
 
 

@@ -10,11 +10,14 @@ One maze row per line; each cell is three adjacent tokens with no separator:
 Movement tokens are ``<|up|>``, ``<|down|>``, ``<|left|>``, ``<|right|>``.
 Rendering and parsing are exact inverses on valid mazes.  The parser rejects
 malformed input instead of repairing it, so datasets stay trustworthy at
-rest.  It accepts a row with one ``str.split`` on the ``|><|`` seam and table
-lookups when the row is exactly its expected tokens back to back; any other
-row is walked token by token to name its first fault, in cell order, with
-the same message the walk alone gives.  ``extract_move_tokens`` is the one lenient entry point: it scans raw
-model output and keeps every movement token it finds, in order.
+rest.  It matches the whole grid in one pass: one ``str.replace`` moves each
+row's newline onto the next row's first coordinate, one ``str.split`` on the
+``|><|`` seam cuts the text into names, and the text is accepted when those
+names are exactly a rendering's.  Only other text (CRLF row endings, or text
+that will be rejected) is walked token by token, to read it or to name its
+first fault in cell order.  ``extract_move_tokens`` is the one lenient entry
+point: it scans raw model output and keeps every movement token it finds, in
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from functools import lru_cache
 
 from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, WallSet
-from .core import validate_maze, wall_mismatches
+from .core import _cells, validate_maze, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -48,9 +51,8 @@ _WALL_TOKENS = tuple(
     for w in WALL_SETS
 )
 _WALL_TABLE = dict(zip(_WALL_TOKENS, WALL_SETS))
-# the same table keyed by the name between the brackets, for the row fast path
-_WALL_NAMES = {token[2:-2]: w for token, w in _WALL_TABLE.items()}
-_STATE_NAMES = frozenset(token[2:-2] for token in (BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN))
+# the mask of each wall name (the token between its brackets), for the grid match
+_WALL_NAMES = {token[2:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -59,9 +61,10 @@ def _coord_tokens(width: int, height: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
-def _coord_names(width: int, height: int) -> tuple[tuple[str, ...], ...]:
-    """Per row, the coordinate names of its cells (``"r-c"``, no brackets)."""
-    return tuple(tuple(f"{r}-{c}" for c in range(width)) for r in range(height))
+def _coord_pieces(width: int, height: int) -> tuple[str, ...]:
+    """The coordinate names of a rendered grid as the match splits it:
+    ``"r-c"``, with the row's newline before each row's first cell but the first."""
+    return tuple(("\n" if r and not c else "") + f"{r}-{c}" for r in range(height) for c in range(width))
 
 
 def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
@@ -70,15 +73,19 @@ def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
     ``audit=False`` skips the ``validate_maze`` audit.  It is safe only for
     a maze valid by construction (one ``generate_maze`` carved) or one the
     caller has just audited; otherwise an invalid maze renders silently.
+    Missing or coinciding endpoints are rejected either way, since the text
+    could not name them.
     """
     if m.origin is None or m.target is None:
         raise ValueError("cannot render a maze without origin and target")
+    if m.origin == m.target:
+        raise ValueError(f"cannot render a maze whose origin and target coincide at ({m.origin.row},{m.origin.col})")
     problems = validate_maze(m) if audit else ()
     if problems:
         raise ValueError("cannot render invalid maze: " + "; ".join(problems))
     w = m.width
     coords = _coord_tokens(w, m.height)
-    # a valid maze has distinct endpoints, so neither state overwrites the other
+    # the endpoints are distinct, so neither state overwrites the other
     states = [BLANK_TOKEN] * len(coords)
     states[m.origin.row * w + m.origin.col] = ORIGIN_TOKEN
     states[m.target.row * w + m.target.col] = TARGET_TOKEN
@@ -162,48 +169,62 @@ def parse_maze_tokens(text: str) -> Maze:
     consistency between neighbors, and exactly one origin and one target.
     Perimeter closure and connectivity are not checked here; run
     ``validate_maze`` on the result when those matter.
+
+    Rendered text, with or without trailing newlines, is read by one match
+    over the whole grid.  Only other text goes to the token walk, which
+    reads CRLF row endings and names the first fault, in cell order, of text
+    it rejects: every text parses to the same maze, or fails with the same
+    message, as it would under the walk alone.
     """
-    lines = text.rstrip("\n").split("\n")
-    lines = [line.rstrip("\r") for line in lines]
-    if not any(lines):
-        raise MazeParseError("empty maze text")
-    height = len(lines)
-
-    grid = bytearray()
-    ends: list[Position | None] = [None, None]
-    width: int | None = None
-    for r, line in enumerate(lines):
-        # no known name holds "<", ">" or "|", so a row that passes every
-        # lookup below is exactly "<|" + the names joined by "|><|" + "|>"
-        toks = line[2:-2].split("|><|")
-        w = len(toks) // 3 if width is None else width
-        states = toks[2::3]
-        row_walls = tuple(map(_WALL_NAMES.get, toks[1::3]))
-        if (
-            len(toks) == 3 * w
-            and line.startswith("<|")
-            and line.endswith("|>")
-            and None not in row_walls
-            and _STATE_NAMES.issuperset(states)
-            and tuple(toks[0::3]) == _coord_names(w, height)[r]
-        ):
-            if "origin" in states or "target" in states:
-                for c, name in enumerate(states):
-                    if name != "blank":
-                        _mark(ends, name, r, c)
-        else:
+    body = text.rstrip("\n")
+    # height counts the "|>\n<|" row seams, not newlines: any other newline,
+    # such as one in "|><|\n", then leaves some name unmatched
+    height = body.count("|>\n<|") + 1
+    names = body[2:-2].replace("|>\n<|", "|><|\n").split("|><|")
+    width = len(names) // (3 * height)
+    cells = width * height
+    states = names[2::3]
+    masks = None
+    # no known name holds "<", ">" or "|", so names that all match are exactly
+    # "<|" + the rendering's names joined by "|><|" + "|>"
+    if (
+        cells
+        and len(names) == 3 * cells
+        and body.startswith("<|")
+        and body.endswith("|>")
+        and states.count("blank") == cells - 2
+        and states.count("origin") == 1 == states.count("target")
+        and tuple(names[0::3]) == _coord_pieces(width, height)
+    ):
+        try:
+            masks = bytes(map(_WALL_NAMES.__getitem__, names[1::3]))
+        except KeyError:  # an unknown wall name, which the walk names
+            pass
+    if masks is None:
+        lines = [line.rstrip("\r") for line in body.split("\n")]
+        if not any(lines):
+            raise MazeParseError("empty maze text")
+        height = len(lines)
+        grid = bytearray()
+        ends: list[Position | None] = [None, None]
+        width = None
+        for r, line in enumerate(lines):
             row_walls = _walk_row(line, r, width, ends)
-        width = len(row_walls)
-        grid.extend(row_walls)
+            width = len(row_walls)
+            grid.extend(row_walls)
+        masks = bytes(grid)
+    else:
+        positions = _cells(width, height)
+        ends = [positions[states.index("origin")], positions[states.index("target")]]
 
-    for r, c, r2, c2, _ in wall_mismatches(grid, width):
+    for r, c, r2, c2, _ in wall_mismatches(masks, width):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
     origin, target = ends
     if origin is None:
         raise MazeParseError("missing origin token")
     if target is None:
         raise MazeParseError("missing target token")
-    return Maze(width=width, height=height, masks=bytes(grid), origin=origin, target=target)
+    return Maze(width=width, height=height, masks=masks, origin=origin, target=target)
 
 
 def ascii_preview(m: Maze) -> str:

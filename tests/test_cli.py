@@ -5,12 +5,14 @@ import sys
 import pytest
 
 from mazekit import cli, core
+from mazekit.bench import maze_id
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
+GOLDEN_ID = maze_id(parse_maze_tokens(GOLDEN_PATH.read_text(encoding="utf-8")))
 
 
 def run(capsys, *argv):
@@ -118,7 +120,7 @@ def test_bench_run_scores_csv(capsys, tmp_path):
 
 def test_bench_run_scores_csv_without_step_writes_nothing(capsys, tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
-    suite = _jsonl(tmp_path / "suite.jsonl", {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden})
+    suite = _jsonl(tmp_path / "suite.jsonl", {"id": GOLDEN_ID, "difficulty": "medium", "steps": 5, "maze_tokens": golden})
     report = tmp_path / "report.json"
     csv = tmp_path / "scores.csv"
     code, _, err = run(capsys, "bench", "run", "--suite", suite, "--outputs", _jsonl(tmp_path / "o.jsonl"),
@@ -359,7 +361,7 @@ def _text(path, text):
 
 def _bad_row_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
-    entry = {"id": "a", "difficulty": "medium", "steps": 5, "maze_tokens": golden}
+    entry = {"id": GOLDEN_ID, "difficulty": "medium", "steps": 5, "maze_tokens": golden}
     solution = "<|left|><|down|><|right|><|down|><|right|>"
     walled_in = "<|0-0|><|up_down_left_right_wall|><|origin|><|0-1|><|up_down_left_right_wall|><|target|>"
     corridor = "".join(  # 1x15, origin and target at its two ends: 14 steps
@@ -394,7 +396,7 @@ def _bad_row_cases(tmp_path):
         ),
         "outputs-after-blank-lines": (
             ["bench", "run", "--suite", suite, "--outputs",
-             _jsonl(tmp_path / "o2.jsonl", {"id": "a", "output": ""}, None, None, {"id": "b"}),
+             _jsonl(tmp_path / "o2.jsonl", {"id": GOLDEN_ID, "output": ""}, None, None, {"id": "b"}),
              "--report", report],
             "o2.jsonl: line 4: missing field 'output'",
         ),
@@ -405,9 +407,10 @@ def _bad_row_cases(tmp_path):
         ),
         "outputs-repeated-id": (
             ["bench", "run", "--suite", suite, "--outputs",
-             _jsonl(tmp_path / "o3.jsonl", {"id": "a", "output": solution}, None, {"id": "a", "output": ""}),
+             _jsonl(tmp_path / "o3.jsonl", {"id": GOLDEN_ID, "output": solution}, None,
+                    {"id": GOLDEN_ID, "output": ""}),
              "--report", report],
-            "o3.jsonl: line 3: id 'a' repeats line 1",
+            f"o3.jsonl: line 3: id '{GOLDEN_ID}' repeats line 1",
         ),
         "suite-unknown-difficulty": (
             ["bench", "run", "--suite", _jsonl(tmp_path / "s2.jsonl", {**entry, "difficulty": "extreme"}),
@@ -423,6 +426,11 @@ def _bad_row_cases(tmp_path):
             ["bench", "run", "--suite", _jsonl(tmp_path / "s4.jsonl", {**entry, "difficulty": "hard"}),
              "--outputs", _jsonl(tmp_path / "o6.jsonl"), "--report", report],
             "s4.jsonl: line 1: difficulty 'hard' does not match 5 steps ('medium')",
+        ),
+        "suite-id-not-maze_id": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s7.jsonl", entry, {**entry, "id": "a"}),
+             "--outputs", _jsonl(tmp_path / "o9.jsonl"), "--report", report],
+            f"s7.jsonl: line 2: field 'id' 'a' is not the maze's id '{GOLDEN_ID}'",
         ),
         "suite-unreachable-target": (
             ["bench", "run", "--suite", _jsonl(tmp_path / "s5.jsonl", {**entry, "maze_tokens": walled_in}),
@@ -476,6 +484,7 @@ def _bad_row_cases(tmp_path):
         "suite-unknown-difficulty",
         "suite-steps-not-solved-length",
         "suite-difficulty-not-band",
+        "suite-id-not-maze_id",
         "suite-unreachable-target",
         "suite-steps-outside-bands",
         "augment-invalid-maze",

@@ -12,10 +12,11 @@ import pathlib
 
 import pytest
 
+from mazekit.bench import hash16
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
-from mazekit.tokens import parse_maze_tokens, render_move_tokens
+from mazekit.tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 POOL_DIGEST = "15bd6c5a18f8a3021b591e092127fc13ef1b5c3663754ec343845ca04ecc680a"
 AUGMENT_DIGEST = "f352d97133787b3f150b04a180bb3d04606f3d8e07442bf8c4117f22e7902736"
@@ -61,7 +62,7 @@ TOPPED_UP_BUILD_DIGESTS = {
     "manifest.json": "eb731ac7d63ef4933e436c64e754354d6c5fa80287e7bdc8c8d534b69368bc9e",
 }
 SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
-BENCH_REPORT_DIGEST = "227cd19c9bc798c59864529ccd859e581d4ff240a901d260499e236fe92c1e2e"
+BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515bcd7881"
 REWARD_DIGEST = "73c318e4ff726c7d1186ccf4f727d8da3e10a89801975a27bed3c9024752660f"
 TREND_DIGEST = "fc277633d5fbbd4e1ee88df01c1db6993e18e2513657def3a4440accba4162d9"
 
@@ -69,6 +70,8 @@ GOLDEN = (pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt").re
 # the worked example with the left wall of (2,0) removed: a perimeter gap
 # two moves left of the origin, so a walk can leave the grid
 GAP_MAZE = GOLDEN.replace("<|2-0|><|up_left_wall|>", "<|2-0|><|up_wall|>")
+# a suite row's id must be the hash of its maze's text
+GAP_ID = hash16(render_maze_tokens(parse_maze_tokens(GAP_MAZE), audit=False))
 
 
 def sha256(path) -> str:
@@ -131,10 +134,10 @@ def test_bench_build_and_run_digests(tmp_path, capsys):
     assert sha256(suite) == SUITE_DIGEST
 
     rows = [json.loads(line) for line in suite.read_text().splitlines()]
-    gap = {"id": "gap", "difficulty": "medium", "steps": 5, "maze_tokens": GAP_MAZE}
+    gap = {"id": GAP_ID, "difficulty": "medium", "steps": 5, "maze_tokens": GAP_MAZE}
     with suite.open("a") as fh:
         fh.write(json.dumps(gap) + "\n")
-    answers = [{"id": "gap", "output": "<think>west</think><|left|><|left|>"}]
+    answers = [{"id": GAP_ID, "output": "<think>west</think><|left|><|left|>"}]
     for i, row in enumerate(rows):
         m = parse_maze_tokens(row["maze_tokens"])
         kind = i % 4  # 0 solves, 1 has no output, 2 stops short, 3 hits a wall

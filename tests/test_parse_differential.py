@@ -3,10 +3,12 @@ mutated renderings of valid 1x1..7x7 mazes: both must return equal mazes or
 raise ``MazeParseError`` with the same message."""
 
 import re
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazekit import tokens
 from mazekit.core import WALL_SETS, Maze, Position, wall_mismatches
 from mazekit.generate import GenConfig, solved_pool
 from mazekit.tokens import (
@@ -24,8 +26,8 @@ _TOKEN_RE = re.compile(r"<\|([^<>|]*)\|>")
 _COORD_RE = re.compile(r"^(\d+)-(\d+)$")
 
 
-# The reference: the token-by-token parser, kept as it was before the row
-# fast path, except that a coordinate must be spelt exactly as it is rendered
+# The reference: the token-by-token parser, kept as it was before the grid
+# match, except that a coordinate must be spelt exactly as it is rendered
 # ("1-0", not "01-0") and the grid is kept as row-major mask bytes.
 
 
@@ -148,8 +150,27 @@ STRAY = ["<", ">", "|", "\r", " ", "\n", "<|", "|>", "|><|", "\r\n"]
 
 @st.composite
 def mutation(draw, text):
-    tokens = [m.span() for m in _TOKEN_RE.finditer(text)]
-    kind = draw(st.sampled_from(["insert_token", "insert_stray", "delete", "state", "wall", "coord"]))
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    kind = draw(st.sampled_from([
+        "insert_token", "insert_stray", "delete", "state", "wall", "coord",
+        "move_newline", "crlf", "trailing_newline",
+    ]))
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "trailing_newline":
+        return text + draw(st.sampled_from(["\n", "\n\n", "\r\n"]))
+    if kind == "move_newline":
+        # drop one row boundary (if any) and break a row at another cell boundary
+        newlines = [i for i, ch in enumerate(text) if ch == "\n"]
+        dropped = draw(st.sampled_from(newlines)) if newlines else None
+        if dropped is not None:
+            text = text[:dropped] + text[dropped + 1 :]
+        starts = [m.start() for m in _TOKEN_RE.finditer(text)][3::3]
+        starts = [i for i in starts if i != dropped]
+        if not starts:
+            return text
+        at = draw(st.sampled_from(starts))
+        return text[:at] + "\n" + text[at:]
     if kind in ("insert_token", "insert_stray"):
         at = draw(st.integers(0, len(text)))
         if kind == "insert_token":
@@ -163,7 +184,7 @@ def mutation(draw, text):
         return text[:i] + text[j:]
     # the remaining kinds rewrite one token of a cell triplet in place
     slot = {"coord": 0, "wall": 1, "state": 2}[kind]
-    spans = tokens[slot::3]
+    spans = spans[slot::3]
     if not spans:
         return text
     i, j = draw(st.sampled_from(spans))
@@ -222,3 +243,75 @@ def test_zero_padded_coordinate_is_rejected():
         text = ROW0 + "\n" + row1.replace("<|1-0|>", f"<|{coord}|>")
         message = f"coordinate token '<|{coord}|>' does not match grid position (1,0)"
         assert outcome(reference_parse, text) == outcome(parse_maze_tokens, text) == f"MazeParseError: {message}"
+
+
+def _rendered_3x3():
+    _, m, _ = next(solved_pool(GenConfig(3, 3, 5), 1))
+    return render_maze_tokens(m)
+
+
+def _cells_of(line):
+    """The line's cells, each its three tokens as one string."""
+    found = _TOKEN_RE.findall(line)
+    return ["".join(f"<|{name}|>" for name in found[i : i + 3]) for i in range(0, len(found), 3)]
+
+
+def test_row_boundary_one_cell_off_keeps_the_walk_message():
+    rows = [_cells_of(line) for line in _rendered_3x3().split("\n")]
+    early = ["".join(rows[0]), "".join(rows[1][:2]), "".join(rows[1][2:] + rows[2])]
+    late = ["".join(rows[0]), "".join(rows[1] + rows[2][:1]), "".join(rows[2][1:])]
+    for lines, cells in ((early, 2), (late, 4)):
+        text = "\n".join(lines)
+        message = f"MazeParseError: row 1 has {cells} cells, expected 3"
+        assert outcome(reference_parse, text) == outcome(parse_maze_tokens, text) == message
+
+
+def test_newline_inside_the_brackets_is_not_a_row_boundary():
+    # "|><|\n" splits into the same names as a rendered "|>\n<|" seam, but the
+    # newline leaves "<|" at the end of row 0
+    text = _rendered_3x3().replace("|>\n<|", "|><|\n", 1)
+    message = "MazeParseError: row 0: unexpected trailing text '<|'"
+    assert outcome(reference_parse, text) == outcome(parse_maze_tokens, text) == message
+
+
+def test_first_and_last_brackets_are_checked():
+    # the split drops the text's first and last two characters unread
+    text = _rendered_3x3()
+    for bad in ("|>" + text[2:], "xx" + text[2:], text[:-2] + "<|", text[:-2] + "xx"):
+        assert outcome(reference_parse, bad) == outcome(parse_maze_tokens, bad)
+        assert outcome(parse_maze_tokens, bad).startswith("MazeParseError: row ")
+
+
+def test_crlf_and_trailing_newlines_parse_as_the_rendering():
+    for _, m, _ in solved_pool(GenConfig(4, 3, 11), 5):
+        text = render_maze_tokens(m)
+        for variant in (text + "\n", text + "\n\n", text.replace("\n", "\r\n"), text.replace("\n", "\r\n") + "\r\n"):
+            assert parse_maze_tokens(variant) == m
+
+
+def _one_row_or_column(text):
+    cells = len(_TOKEN_RE.findall(text)) // 3
+    rows = text.count("\n") + 1
+    return cells > 1 and (rows == 1 or rows == cells)
+
+
+@st.composite
+def rendered_maze(draw):
+    """A carved 2x2..12x12 maze, or the maze of a 1-row or 1-column rendering."""
+    if draw(st.booleans()):
+        width, height = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+        _, m, _ = next(solved_pool(GenConfig(width, height, draw(st.integers(0, 2**64 - 1))), 1))
+        return m
+    return reference_parse(draw(valid_text().filter(_one_row_or_column)))
+
+
+def _no_walk(line, *args):
+    raise AssertionError(f"rendered text reached the token walk at {line!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_maze())
+def test_rendered_text_takes_the_grid_match(m):
+    # audit=False: a drawn 1-row or 1-column wall grid need not be connected
+    with mock.patch.object(tokens, "_walk_row", _no_walk):
+        assert parse_maze_tokens(render_maze_tokens(m, audit=False)) == m

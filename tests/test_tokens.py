@@ -74,6 +74,11 @@ def test_render_requires_endpoints():
     # the endpoint check holds even where the audit is skipped
     with pytest.raises(ValueError, match="without origin and target"):
         render_maze_tokens(generate_maze(GenConfig(seed=1)), audit=False)
+    # so does the distinct-endpoints check: a shared cell would render only the target
+    m = generate_solved_maze(GenConfig(seed=7))
+    for audit in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"origin and target coincide at ({m.origin.row},{m.origin.col})")):
+            render_maze_tokens(m.with_endpoints(m.origin, m.origin), audit=audit)
 
 
 def test_render_audits_by_default(golden_text):
