@@ -5,8 +5,8 @@ revisits a cell, and never touches the correct solution path (the origin
 itself excepted, since every attempt starts there).  One budgeted search
 makes every attempt: it walks with budgets descending from ``max_n_steps``
 and keeps the first walk that uses its whole budget or ends at a dead end
-(a cell with three walls).  Which origins get attempts depends on the
-origin's wall count:
+(a cell with three walls).  ``build_attempts`` is the one entry point; it
+reads the origin's wall count and dispatches on it:
 
     1 wall  -> one attempt per open neighbor that is off the solution path,
                its first move committed into that neighbor
@@ -22,7 +22,8 @@ answer moves from inside the reasoning.
 A ``ReasoningTrace`` holds its maze, attempts and solution path and renders
 that text on first use, caching each piece, so a caller that only needs
 ``is_retry`` renders nothing.  Walks and step text run on the flat cell
-index of ``core``.
+index of ``core``; an attempt turns its walk into ``Position`` cells once,
+when it is kept.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _crosses, _index, _open, links
-from .core import open_neighbors, wall_count
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -42,15 +42,6 @@ DEAD_END_MESSAGE = "Hit a dead end"
 RESET_MARKER = "RESET"
 
 DEAD_END_WALLS = 3
-
-
-class OriginClass(Enum):
-    ORDER1 = "order1"
-    ORDER2 = "order2"
-    SKIP = "skip"
-
-
-_ORIGIN_CLASSES = {1: OriginClass.ORDER1, 2: OriginClass.ORDER2}
 
 
 class TerminalKind(Enum):
@@ -118,31 +109,17 @@ class ReasoningTrace:
         return "\n".join([*parts, self.solution_text])
 
 
-def classify_origin(m: Maze) -> OriginClass:
-    """Dispatch on the origin's wall count: 1 and 2 get attempts, the rest skip."""
-    if m.origin is None:
-        raise ValueError("classify_origin requires a maze with an origin")
-    return _ORIGIN_CLASSES.get(wall_count(m, m.origin), OriginClass.SKIP)
-
-
 def _walk(
-    m: Maze,
-    start: Position,
-    first: Optional[tuple[MoveDirection, Position]],
-    forbidden: frozenset[Position] | set[Position],
-    max_moves: int,
-    rng: SplitMix64,
-) -> tuple[list[MoveDirection], list[Position]]:
-    """Random walk helper; stops at the budget or when boxed in, as at a dead end."""
+    m: Maze, start: int, first: Optional[tuple[MoveDirection, int]], blocked: set[int], max_moves: int, rng: SplitMix64
+) -> tuple[list[MoveDirection], list[int]]:
+    """Random walk on flat indices; stops at the budget or when boxed in, as at a dead end."""
     masks, table = m.masks, links(m.width, m.height)
-    path = [_index(m, start)]
+    path = [start]
     moves: list[MoveDirection] = []
     if first is not None:
-        d, nxt = first
+        d, j = first
         moves.append(d)
-        path.append(_index(m, nxt))
-    # off-grid forbidden positions name no cell, so they block nothing
-    blocked = {_index(m, p) for p in forbidden if m.in_bounds(p)}
+        path.append(j)
     visited = set(path)
     while len(moves) < max_moves:
         # every step, first included, crosses an open edge, so a 3-walled
@@ -155,11 +132,12 @@ def _walk(
         moves.append(d)
         path.append(j)
         visited.add(j)
-    cells = _cells(m.width, m.height)
-    return moves, [cells[j] for j in path]
+    return moves, path
 
 
-def _attempt(m: Maze, first, forbidden, max_n_steps: int, rng: SplitMix64) -> Optional[WrongAttempt]:
+def _attempt(
+    m: Maze, origin: int, first, blocked: set[int], max_n_steps: int, rng: SplitMix64
+) -> Optional[WrongAttempt]:
     """The one budgeted search: a wrong attempt from the origin, or None.
 
     Walks at budgets descending from max_n_steps (a committed first move
@@ -168,45 +146,38 @@ def _attempt(m: Maze, first, forbidden, max_n_steps: int, rng: SplitMix64) -> Op
     when no budget gives such a walk, as when no first move is legal.
     """
     for n_steps in range(max_n_steps, 0, -1):
-        moves, cells = _walk(m, m.origin, first, forbidden, n_steps, rng)
-        dead = wall_count(m, cells[-1]) == DEAD_END_WALLS
+        moves, path = _walk(m, origin, first, blocked, n_steps, rng)
+        dead = m.masks[path[-1]].bit_count() == DEAD_END_WALLS
         if moves and (dead or len(moves) == n_steps):
             kind = TerminalKind.DEAD_END if dead else TerminalKind.WRONG_DIRECTION
-            return WrongAttempt(tuple(moves), tuple(cells), kind)
+            cells = _cells(m.width, m.height)
+            return WrongAttempt(tuple(moves), tuple(cells[i] for i in path), kind)
     return None
 
 
-def process_order1(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[WrongAttempt]:
-    """Attempts for a 1-wall origin: one per open neighbor off the solution path.
-
-    Each attempt commits its first move into the neighbor, which budgets
-    count.  The one-move attempt into the neighbor itself always satisfies
-    budget 1, so every off-path neighbor yields exactly one attempt.
-    """
-    rng = SplitMix64(cfg.seed)
-    path_cells = frozenset(solution.cells)
-    return [
-        _attempt(m, (d, neighbor), path_cells, cfg.max_n_steps, rng)
-        for d, neighbor in open_neighbors(m, _require_origin(m))
-        if neighbor not in path_cells
-    ]
-
-
-def process_order2(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> Optional[WrongAttempt]:
-    """Single attempt for a 2-wall origin, or None when every first move is on the path."""
-    forbidden = frozenset(solution.cells) - {_require_origin(m)}
-    return _attempt(m, None, forbidden, cfg.max_n_steps, SplitMix64(cfg.seed))
-
-
 def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[WrongAttempt]:
-    """Dispatch on the origin class and collect this maze's wrong attempts."""
-    kind = classify_origin(m)
-    if kind is OriginClass.ORDER1:
-        return process_order1(m, solution, cfg)
-    if kind is OriginClass.ORDER2:
-        attempt = process_order2(m, solution, cfg)
-        return [attempt] if attempt is not None else []
-    return []
+    """This maze's wrong attempts, chosen by the origin's wall count (see the module table).
+
+    A 1-wall origin starts one search per open neighbor off the path, its
+    first move committed; that one-move walk always fills budget 1, so every
+    such neighbor yields an attempt.  A 2-wall origin starts one uncommitted
+    search, which may find nothing.  The searches draw from one
+    ``SplitMix64(cfg.seed)`` and block the whole solution path: the origin
+    too, which no walk re-enters anyway.
+    """
+    if m.origin is None:
+        raise ValueError("maze has no origin")
+    origin = _index(m, m.origin)
+    # off-grid cells name no cell, so they block nothing
+    blocked = {_index(m, p) for p in solution.cells if m.in_bounds(p)}
+    rng = SplitMix64(cfg.seed)
+    walls = m.masks[origin].bit_count()
+    if walls == 1:
+        firsts = [(d, j) for d, j in _open(m.masks, links(m.width, m.height), origin) if j not in blocked]
+    else:
+        firsts = [None] if walls == 2 else []
+    attempts = [_attempt(m, origin, first, blocked, cfg.max_n_steps, rng) for first in firsts]
+    return [a for a in attempts if a is not None]
 
 
 _NAMES = {d: d.value for d in DIRECTIONS}
@@ -241,9 +212,3 @@ def _steps_text(m: Maze, cells, moves) -> str:
 def augment_trace(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> ReasoningTrace:
     """Full per-maze augmentation: the attempts and the trace that renders them on first use."""
     return ReasoningTrace(m, tuple(build_attempts(m, solution, cfg)), solution)
-
-
-def _require_origin(m: Maze) -> Position:
-    if m.origin is None:
-        raise ValueError("maze has no origin")
-    return m.origin

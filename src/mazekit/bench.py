@@ -169,20 +169,13 @@ def _rate(solved: int, total: int) -> float:
     return round(100.0 * solved / total, 1)
 
 
-def evaluate_suite(suite: BenchSuite, outputs: Mapping[str, str] | Sequence[str]) -> BenchReport:
+def evaluate_suite(suite: BenchSuite, outputs: Mapping[str, str]) -> BenchReport:
     """Score one output per suite entry and aggregate success rates.
 
-    ``outputs`` is either a mapping from entry id to raw output text or a
-    sequence aligned with the suite order.  A missing output scores the
-    entry unsolved with reason "no output".
+    ``outputs`` maps entry id to raw output text.  A missing output scores
+    the entry unsolved with reason "no output".
     """
-    verdicts: list[MazeVerdict] = []
-    for i, entry in enumerate(suite.entries):
-        if isinstance(outputs, Mapping):
-            text = outputs.get(entry.id)
-        else:
-            text = outputs[i] if i < len(outputs) else None
-        verdicts.append(_verdict(entry, text))
+    verdicts = [_verdict(entry, outputs.get(entry.id)) for entry in suite.entries]
     total = len(verdicts)
     if total == 0:
         raise ValueError("cannot evaluate an empty suite")

@@ -118,7 +118,10 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.infile}: no rows to tokenize")
     if not 0 <= args.index < len(rows):
         raise ValueError(f"index {args.index} outside 0..{len(rows) - 1}")
-    text = field(*rows[args.index], "maze_tokens", str)
+    where, row = rows[args.index]
+    text = field(where, row, "maze_tokens", str)
+    # a row that does not parse fails before anything is printed or written
+    preview = ascii_preview(_maze(where, row)) if args.preview else None
     if args.out:
         out = _out(args.out)
         with atomic_write(out) as fh:
@@ -126,8 +129,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
         print(f"wrote maze {args.index} to {out}", file=sys.stderr)
     else:
         print(text)
-    if args.preview:
-        print(ascii_preview(parse_maze_tokens(text)), file=sys.stderr)
+    if preview is not None:
+        print(preview, file=sys.stderr)
     return 0
 
 
@@ -335,6 +338,8 @@ def cmd_reward(args: argparse.Namespace) -> int:
             out = {"id": row["id"], **out}
         rows_out.append(out)
     if args.advantages:
+        if not rewards:
+            raise ValueError(f"{args.pairs}: no rows to score")
         adv = group_advantages(rewards).advantages
         for out, a in zip(rows_out, adv):
             out["advantage"] = a

@@ -246,11 +246,6 @@ def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]
     return [(d, cells[j]) for d, j in _open(m.masks, links(m.width, m.height), _index(m, p))]
 
 
-def wall_count(m: Maze, p: Position) -> int:
-    """Number of present walls at p (0..4)."""
-    return m.masks[_index(m, p)].bit_count()
-
-
 def validate_maze(m: Maze) -> list[str]:
     """Audit structural invariants; returns one message per violation.
 

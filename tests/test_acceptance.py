@@ -19,7 +19,7 @@ from mazekit.augment import (
     build_attempts,
 )
 from mazekit.bench import Difficulty, build_suite, evaluate_suite, fit_trendline
-from mazekit.core import MoveDirection, Position, SimStatus, simulate_moves, validate_maze, wall_count
+from mazekit.core import MoveDirection, Position, SimStatus, simulate_moves, validate_maze
 from mazekit.dataset import RecordKind, SplitPlan, build_splits, validate_record, write_records
 from mazekit.generate import (
     GenConfig,
@@ -119,7 +119,7 @@ def test_criterion_5_reset_constraints():
                 violations.append((i, "revisited cell"))
             if any(c in path for c in a.cells[1:]):
                 violations.append((i, "correct-path cell beyond anchor"))
-            dead = wall_count(m, a.cells[-1]) == 3
+            dead = m.wall_at(a.cells[-1]).bit_count() == 3
             if (a.terminal_kind is TerminalKind.DEAD_END) != dead:
                 violations.append((i, "terminal kind vs wall count"))
         trace = augment_trace(m, sol, cfg)

@@ -6,38 +6,49 @@ from mazekit.augment import (
     RESET_MARKER,
     WRONG_DIRECTION_MESSAGE,
     AugmentConfig,
-    OriginClass,
     ReasoningTrace,
     TerminalKind,
     augment_trace,
     build_attempts,
-    classify_origin,
-    process_order1,
-    process_order2,
 )
-from mazekit.core import SimStatus, open_neighbors, simulate_moves, wall_count
+from mazekit.core import Maze, SimStatus, _index, open_neighbors, simulate_moves
+from mazekit.generate import SolutionPath, solve_shortest_path
 from mazekit.rng import SplitMix64
 
+# attempts per origin wall count; any other count gets none
+ATTEMPTS_BY_WALLS = {1: 2, 2: 1}
 
-def _corpus_by_class(maze_corpus, kind):
-    return [(m, sol) for m, sol in maze_corpus if classify_origin(m) is kind]
+
+def _origin_walls(m):
+    return m.wall_at(m.origin).bit_count()
+
+
+def _corpus_by_walls(maze_corpus, walls):
+    return [(m, sol) for m, sol in maze_corpus if _origin_walls(m) == walls]
 
 
 def test_classify_example_is_skip(example_maze):
     # the worked example's origin has three walls, which no branch handles
-    assert classify_origin(example_maze) is OriginClass.SKIP
+    assert _origin_walls(example_maze) == 3
+    assert build_attempts(example_maze, solve_shortest_path(example_maze), AugmentConfig()) == []
 
 
 def test_classify_by_wall_count(maze_corpus):
-    for m, _ in maze_corpus:
-        w = wall_count(m, m.origin)
-        expected = {1: OriginClass.ORDER1, 2: OriginClass.ORDER2}.get(w, OriginClass.SKIP)
-        assert classify_origin(m) is expected
+    cfg = AugmentConfig(seed=3)
+    for m, sol in maze_corpus:
+        assert len(build_attempts(m, sol, cfg)) == ATTEMPTS_BY_WALLS.get(_origin_walls(m), 0)
 
 
 def test_corpus_has_all_classes(maze_corpus):
-    kinds = {classify_origin(m) for m, _ in maze_corpus}
-    assert kinds == {OriginClass.ORDER1, OriginClass.ORDER2, OriginClass.SKIP}
+    walls = {_origin_walls(m) for m, _ in maze_corpus}
+    # 1-wall and 2-wall origins, and at least one that gets no attempts
+    assert set(ATTEMPTS_BY_WALLS) <= walls and walls - set(ATTEMPTS_BY_WALLS)
+
+
+def test_build_attempts_requires_an_origin(example_maze):
+    no_origin = Maze(example_maze.width, example_maze.height, example_maze.masks, None, example_maze.target)
+    with pytest.raises(ValueError, match="maze has no origin"):
+        build_attempts(no_origin, SolutionPath((), ()), AugmentConfig())
 
 
 def audit_attempt(m, solution, attempt, max_n_steps):
@@ -50,7 +61,7 @@ def audit_attempt(m, solution, attempt, max_n_steps):
     path = set(solution.cells)
     assert not any(c in path for c in attempt.cells[1:])
     # terminal kind matches the final cell's wall count
-    dead = wall_count(m, attempt.cells[-1]) == 3
+    dead = m.wall_at(attempt.cells[-1]).bit_count() == 3
     assert (attempt.terminal_kind is TerminalKind.DEAD_END) == dead
     # every move is legal: walking the attempt never hits a wall
     out = simulate_moves(m, attempt.cells[0], attempt.moves)
@@ -69,19 +80,20 @@ def test_attempt_invariants(maze_corpus):
 
 def test_order1_attempt_count(maze_corpus):
     # a 1-wall origin has 3 open neighbors, one of them on the path: 2 attempts
-    cases = _corpus_by_class(maze_corpus, OriginClass.ORDER1)
+    cases = _corpus_by_walls(maze_corpus, 1)
     assert cases
     for m, sol in cases:
-        attempts = process_order1(m, sol, AugmentConfig(seed=1))
+        attempts = build_attempts(m, sol, AugmentConfig(seed=1))
         assert len(attempts) == 2
+        # each commits its first move into a different off-path neighbor
+        assert len({a.cells[1] for a in attempts}) == 2
 
 
 def test_order2_yields_single_attempt(maze_corpus):
-    cases = _corpus_by_class(maze_corpus, OriginClass.ORDER2)
+    cases = _corpus_by_walls(maze_corpus, 2)
     assert cases
     for m, sol in cases[:40]:
-        attempt = process_order2(m, sol, AugmentConfig(seed=2))
-        assert attempt is not None
+        (attempt,) = build_attempts(m, sol, AugmentConfig(seed=2))
         audit_attempt(m, sol, attempt, 3)
 
 
@@ -114,20 +126,18 @@ def test_trace_text_renders_once_on_first_use(maze_corpus, monkeypatch):
 
 def test_walk_infeasible_when_ringed(maze_corpus):
     m, sol = maze_corpus[0]
-    anchor = m.origin
-    forbidden = {q for _, q in open_neighbors(m, anchor)}
-    rng = SplitMix64(7)
-    assert augment._walk(m, anchor, None, forbidden, 3, rng) == ([], [anchor])
+    origin = _index(m, m.origin)
+    blocked = {_index(m, q) for _, q in open_neighbors(m, m.origin)}
+    assert augment._walk(m, origin, None, blocked, 3, SplitMix64(7)) == ([], [origin])
 
 
 def test_walk_single_step(maze_corpus):
     for m, sol in maze_corpus[:20]:
-        neighbors = open_neighbors(m, m.origin)
-        allowed = [q for _, q in neighbors][:1]
-        forbidden = {q for _, q in neighbors if q not in allowed}
-        moves, cells = augment._walk(m, m.origin, None, forbidden, 1, SplitMix64(3))
+        origin = _index(m, m.origin)
+        neighbors = [_index(m, q) for _, q in open_neighbors(m, m.origin)]
+        moves, path = augment._walk(m, origin, None, set(neighbors[1:]), 1, SplitMix64(3))
         assert len(moves) == 1
-        assert cells == [m.origin, allowed[0]]
+        assert path == [origin, neighbors[0]]
 
 
 def test_trace_straight_success(maze_corpus):

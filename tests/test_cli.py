@@ -299,6 +299,29 @@ def test_tokenize_names_an_empty_file(capsys, tmp_path):
     assert err == f"error: {empty}: no rows to tokenize\n"
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_tokenize_preview_rejects_a_bad_row_before_any_output(capsys, tmp_path, to_file):
+    rows = _jsonl(tmp_path / "bad.jsonl", {"maze_tokens": "<|0-0|>junk"})
+    maze = tmp_path / "maze.txt"
+    argv = ["tokenize", "--in", rows, "--index", "0", "--preview"] + (["--out", str(maze)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {rows}: line 1: maze_tokens do not parse: ")
+    assert not maze.exists()
+
+
+def test_reward_advantages_names_an_empty_file(capsys, tmp_path):
+    empty = _text(tmp_path / "empty.jsonl", "")
+    out = tmp_path / "rewards.jsonl"
+    code, stdout, err = run(capsys, "reward", "--pairs", empty, "--advantages", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {empty}: no rows to score\n"
+    assert not out.exists()
+    # without --advantages an empty file still scores to an empty output
+    assert run(capsys, "reward", "--pairs", empty, "--out", str(out))[0] == 0
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize("flag", ["--pool", "--test", "--sft-straight", "--sft-retry", "--grpo"])
 def test_build_dataset_rejects_scale_with_explicit_counts(capsys, tmp_path, flag):
     out = tmp_path / "ds"

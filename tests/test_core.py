@@ -14,7 +14,6 @@ from mazekit.core import (
     open_neighbors,
     simulate_moves,
     validate_maze,
-    wall_count,
     wall_mismatches,
 )
 from reference import BITS, OPPOSITE, apply_move, bfs, is_open
@@ -59,9 +58,9 @@ def test_is_open_on_example(example_maze):
 
 
 def test_wall_count_on_example(example_maze):
-    assert wall_count(example_maze, Position(2, 1)) == 3
-    assert wall_count(example_maze, Position(1, 4)) == 1
-    assert wall_count(example_maze, Position(4, 0)) == 3
+    assert example_maze.wall_at(Position(2, 1)).bit_count() == 3
+    assert example_maze.wall_at(Position(1, 4)).bit_count() == 1
+    assert example_maze.wall_at(Position(4, 0)).bit_count() == 3
 
 
 def test_validate_example_is_clean(example_maze):

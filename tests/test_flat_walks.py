@@ -1,7 +1,7 @@
-"""The walks that run on the flat cell index (wrong-path walks, move
-simulation and step text) against Position-based references written from
-``EDGES``, on arbitrary masks: walls may disagree across an edge and the
-perimeter may be open."""
+"""The walks that run on the flat cell index (wrong-path walks and the
+attempts ``build_attempts`` makes of them, move simulation and step text)
+against Position-based references written from ``EDGES``, on arbitrary
+masks: walls may disagree across an edge and the perimeter may be open."""
 
 from unittest import mock
 
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazekit import augment
-from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, process_order1, process_order2
-from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, simulate_moves
+from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, build_attempts
+from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, _cells, simulate_moves
 from mazekit.generate import SolutionPath
 from mazekit.rng import SplitMix64
 from test_bfs import any_grid, reference_neighbors, room
@@ -74,8 +74,20 @@ def reference_order2(m, path_cells, max_n_steps, rng):
     return None
 
 
-def counted(process, m, path_cells, max_n_steps, seed):
-    """``process`` on a solution through ``path_cells``, and the draws of the one rng it made."""
+def reference_attempts(m, path_cells, max_n_steps, rng):
+    """The walks of each origin class, chosen by the origin's own wall count."""
+    origin_walls = walls(m, m.origin).bit_count()
+    if origin_walls == 1:
+        return reference_order1(m, path_cells, max_n_steps, rng)
+    if origin_walls == 2:
+        walk = reference_order2(m, path_cells, max_n_steps, rng)
+        return [walk] if walk is not None else []
+    return []
+
+
+def check_attempts(m, path_cells, max_n_steps, seed):
+    """``build_attempts`` on a solution through ``path_cells`` against the reference,
+    with the draws of the one rng it made."""
     made = []
 
     def counting(s):
@@ -83,9 +95,13 @@ def counted(process, m, path_cells, max_n_steps, seed):
         return made[-1]
 
     with mock.patch.object(augment, "SplitMix64", counting):
-        out = process(m, SolutionPath((), tuple(path_cells)), AugmentConfig(max_n_steps, seed))
+        attempts = build_attempts(m, SolutionPath((), tuple(path_cells)), AugmentConfig(max_n_steps, seed))
     assert len(made) == 1
-    return out, made[0].draws
+    ref_rng = CountingRng(seed)
+    assert [(a.moves, a.cells) for a in attempts] == reference_attempts(m, path_cells, max_n_steps, ref_rng)
+    assert made[0].draws == ref_rng.draws
+    for a in attempts:
+        assert (a.terminal_kind is TerminalKind.DEAD_END) == (walls(m, a.cells[-1]).bit_count() == 3)
 
 
 def reference_simulate(m, start, moves):
@@ -114,8 +130,10 @@ def walk_case(draw):
 def test_wrong_path_walk_matches_reference(case):
     m, anchor, forbidden, n_steps, seed = case
     rng, ref_rng = CountingRng(seed), CountingRng(seed)
-    moves, cells = augment._walk(m, anchor, None, forbidden, n_steps, rng)
-    assert (tuple(moves), tuple(cells)) == reference_walk(m, anchor, None, forbidden, n_steps, ref_rng)
+    blocked = {p.row * m.width + p.col for p in forbidden if m.in_bounds(p)}
+    moves, path = augment._walk(m, anchor.row * m.width + anchor.col, None, blocked, n_steps, rng)
+    cells = tuple(_cells(m.width, m.height)[i] for i in path)
+    assert (tuple(moves), cells) == reference_walk(m, anchor, None, forbidden, n_steps, ref_rng)
     assert rng.draws == ref_rng.draws
 
 
@@ -123,29 +141,17 @@ def test_wrong_path_walk_matches_reference(case):
 @given(walk_case(), st.integers(1, 4))
 def test_order1_walks_match_reference(case, max_n_steps):
     m, origin, path_cells, _, seed = case
-    m = m.with_endpoints(origin, None)
-    attempts, draws = counted(process_order1, m, path_cells, max_n_steps, seed)
-    ref_rng = CountingRng(seed)
-    assert [(a.moves, a.cells) for a in attempts] == reference_order1(m, path_cells, max_n_steps, ref_rng)
-    assert draws == ref_rng.draws
+    # the origin is off the path cells; both sides dispatch on its wall count, whatever it is
+    check_attempts(m.with_endpoints(origin, None), path_cells, max_n_steps, seed)
 
 
 @settings(max_examples=300, deadline=None)
 @given(walk_case(), st.integers(1, 4))
 def test_order2_walk_matches_reference(case, max_n_steps):
     m, origin, path_cells, _, seed = case
-    m = m.with_endpoints(origin, None)
-    # a solution path starts at the origin, which the search must not forbid
-    path_cells |= {origin}
-    attempt, draws = counted(process_order2, m, path_cells, max_n_steps, seed)
-    ref_rng = CountingRng(seed)
-    expected = reference_order2(m, path_cells, max_n_steps, ref_rng)
-    assert draws == ref_rng.draws
-    if expected is None:
-        assert attempt is None
-        return
-    assert (attempt.moves, attempt.cells) == expected
-    assert (attempt.terminal_kind is TerminalKind.DEAD_END) == (walls(m, expected[1][-1]).bit_count() == 3)
+    # a solution path starts at the origin, which build_attempts blocks and
+    # reference_order2 does not: no walk re-enters its start
+    check_attempts(m.with_endpoints(origin, None), path_cells | {origin}, max_n_steps, seed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,18 +195,15 @@ def test_off_grid_inputs_raise(case, side):
     off = (Position(-1, 0), Position(0, -1), Position(m.height, 0), Position(0, m.width))[side]
     up = DIRECTIONS[0]
     with pytest.raises(OutOfBoundsError):
-        augment._walk(m, off, None, frozenset(), 2, SplitMix64(0))
-    with pytest.raises(OutOfBoundsError):
-        augment._walk(m, inside, (up, off), frozenset(), 2, SplitMix64(0))
-    with pytest.raises(OutOfBoundsError):
         simulate_moves(m.with_endpoints(inside, inside), off, [up])
     with pytest.raises(OutOfBoundsError):
         ReasoningTrace(m, (), SolutionPath((up,), (off, inside))).solution_text
 
 
 def test_off_grid_forbidden_position_blocks_nothing():
-    m = room(5, 2)
-    anchor = Position(0, 0)
+    origin = Position(0, 0)
+    m = room(5, 2).with_endpoints(origin, None)
     # (0, 5) is off the 5-wide grid; read as row*width+col it would be (1, 0)
-    _, cells = augment._walk(m, anchor, None, {Position(0, 1), Position(0, 5)}, 1, SplitMix64(0))
-    assert cells == [anchor, Position(1, 0)]
+    solution = SolutionPath((), (origin, Position(0, 1), Position(0, 5)))
+    (attempt,) = build_attempts(m, solution, AugmentConfig(max_n_steps=1))
+    assert attempt.cells == (origin, Position(1, 0))
