@@ -33,7 +33,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _crosses, _index, _open, links
+from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _open, links
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -201,10 +201,11 @@ def _steps_text(m: Maze, cells, moves) -> str:
     at = [_index(m, p) for p in cells]
     lines = []
     for d, i, j in zip(moves, at, at[1:]):
-        bits = 0
-        for _, edge in table[i]:
-            if _crosses(masks, i, edge):
-                bits |= edge[0]
+        here, bits = masks[i], 0
+        for _, (bit, back, n) in table[i]:
+            # the ``_crosses`` rule, inlined as in ``core._search``
+            if not here & bit and not masks[n] & back:
+                bits |= bit
         lines.append(f"At {names[i]}, open: {_OPEN_TEXT[bits]}. Move {_NAMES[d]} to {names[j]}.")
     return "\n".join(lines)
 

@@ -119,9 +119,9 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     if not 0 <= args.index < len(rows):
         raise ValueError(f"index {args.index} outside 0..{len(rows) - 1}")
     where, row = rows[args.index]
-    text = field(where, row, "maze_tokens", str)
     # a row that does not parse fails before anything is printed or written
-    preview = ascii_preview(_maze(where, row)) if args.preview else None
+    m = _maze(where, row)
+    text = row["maze_tokens"]
     if args.out:
         out = _out(args.out)
         with atomic_write(out) as fh:
@@ -129,8 +129,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
         print(f"wrote maze {args.index} to {out}", file=sys.stderr)
     else:
         print(text)
-    if preview is not None:
-        print(preview, file=sys.stderr)
+    if args.preview:
+        print(ascii_preview(m), file=sys.stderr)
     return 0
 
 

@@ -15,10 +15,11 @@ open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
 and the trace walks in ``augment``, and ``simulate_moves`` applies it to the
 one edge each move names, found in ``_steps``, the same edges keyed by
 direction.  The one integer BFS, ``_search``, inlines the same rule in its
-hot loop and serves connectivity, endpoint placement and the solver.  The
-wall audits first test the whole grid as one integer against the per-shape
-bit masks of ``_grid_bits``; only a grid that fails is walked cell by cell,
-to name each fault.
+hot loop and serves connectivity, endpoint placement and the solver; the
+trace step text of ``augment`` inlines it too.  The wall audits first test
+the whole grid as one integer against the per-shape bit masks of
+``_grid_bits``; only a grid that fails is walked cell by cell, to name each
+fault.
 """
 
 from __future__ import annotations

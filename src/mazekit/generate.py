@@ -6,14 +6,20 @@ every generated maze is a spanning tree of the cell grid: connected, with
 exactly width*height - 1 open passages and a unique simple path between any
 two cells.  All randomness comes from SplitMix64 streams, so a config fully
 determines the output.
+
+The carve finds each step's candidate edges in a per-shape table: for each
+cell and each set of directions whose neighbour is still uncarved, the
+edges to those neighbours in ``EDGES`` order.  Entering a cell clears the
+bit facing it in each neighbour's set, so no step rescans a neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
-from .core import Maze, MoveDirection, Position, _cells, _index, _search, links
+from .core import SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _search, links
 from .rng import SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
@@ -72,30 +78,46 @@ class SolutionPath:
         return len(self.moves)
 
 
+@lru_cache(maxsize=SHAPE_CACHE)
+def _carve_table(width: int, height: int):
+    """The carve's per-shape table, per flat index: the cell's edges (see
+    ``links``); for each 4-bit set of directions, those of its edges in
+    ``EDGES`` order; and its in-bounds directions, the set a carve starts from."""
+    edges = tuple(tuple(edge for _, edge in row) for row in links(width, height))
+    choices = tuple(tuple(tuple(e for e in row if dirs & e[0]) for dirs in range(16)) for row in edges)
+    return edges, choices, tuple(sum(bit for bit, _, _ in row) for row in edges)
+
+
 def generate_maze(cfg: GenConfig) -> Maze:
     """Carve a perfect maze from the config's seed; endpoints stay unset."""
     rng = SplitMix64(cfg.seed)
     w, h = cfg.width, cfg.height
-    table = links(w, h)
+    edges, choices, uncarved = _carve_table(w, h)
     # every cell starts with all four walls; carving an edge clears one bit
-    # on each side, so a cell is unvisited while its mask is still 15 (the
-    # start cell loses a bit on the first step)
-    masks = bytearray(b"\x0f" * (w * h))
+    # on each side.  uncarved[i] holds the directions from cell i whose
+    # neighbour is not carved yet, so choices[i][uncarved[i]] are its
+    # candidate edges.  Both are lists: their items read and write faster
+    # than a bytearray's
+    masks = [15] * (w * h)
+    uncarved = list(uncarved)
     randbelow = rng.randbelow
-    stack = [randbelow(h) * w + randbelow(w)]
+    start = randbelow(h) * w + randbelow(w)
+    for _, back, n in edges[start]:
+        uncarved[n] &= ~back
+    stack = [start]
     while stack:
         i = stack[-1]
-        # a plain loop: a comprehension is a function call of its own on every step
-        candidates = []
-        for _, edge in table[i]:
-            if masks[edge[2]] == 15:
-                candidates.append(edge)
+        candidates = choices[i][uncarved[i]]
         if not candidates:
             stack.pop()
             continue
         bit, back, j = candidates[randbelow(len(candidates))]
-        masks[i] &= ~bit
-        masks[j] &= ~back
+        # each edge is carved once, so its wall bits are still set
+        masks[i] ^= bit
+        masks[j] ^= back
+        # entering j clears, in each neighbour, the bit that faces j
+        for _, facing, n in edges[j]:
+            uncarved[n] &= ~facing
         stack.append(j)
     return Maze(width=w, height=h, masks=bytes(masks))
 

@@ -3,8 +3,12 @@
 All randomness flows through SplitMix64, a 64-bit mixing generator small
 enough to restate in a few lines in any language.  Given the same seed the
 stream is identical everywhere, which is what makes generated corpora and
-dataset splits byte-reproducible.  ``randbelow`` reads the rejection limit
-of a small ``n`` (the carve, endpoint and trace draws) from ``_LIMITS``.
+dataset splits byte-reproducible.  A draw adds ``GOLDEN_GAMMA`` to the
+64-bit state and returns ``mix64`` of the new state; ``next_u64`` is one
+draw.  ``randbelow`` takes its draws itself, in one call, and reads the
+rejection limit of a small ``n`` (the carve, endpoint and trace draws) from
+``_LIMITS``.  ``randbelow(1)`` still takes one draw, so the stream moves as
+it always has, but skips the mix, whose value it would not use.
 
 Reference sequence (seed 0): the first three draws are
 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
@@ -50,13 +54,24 @@ class SplitMix64:
         return mix64(self._state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n). Rejection sampling kills modulo bias."""
-        if n <= 0:
-            raise ValueError("randbelow() requires n >= 1")
+        """Uniform integer in [0, n). Rejection sampling kills modulo bias.
+
+        Draws the way ``next_u64`` does, without the call.  ``n == 1`` takes
+        one draw unmixed: its limit is 2**64, so no draw is rejected, and
+        every draw is 0 mod 1.
+        """
+        if n < 2:
+            if n < 1:
+                raise ValueError("randbelow() requires n >= 1")
+            self._state = (self._state + GOLDEN_GAMMA) & MASK64
+            return 0
         limit = _LIMITS[n] if n < _SMALL_N else MASK64 + 1 - ((MASK64 + 1) % n)
+        state = self._state
         while True:
-            x = self.next_u64()
+            state = (state + GOLDEN_GAMMA) & MASK64
+            x = mix64(state)
             if x < limit:
+                self._state = state
                 return x % n
 
     def choice(self, seq):

@@ -8,16 +8,19 @@ One maze row per line; each cell is three adjacent tokens with no separator:
     state        ``<|origin|>``, ``<|target|>`` or ``<|blank|>``
 
 Movement tokens are ``<|up|>``, ``<|down|>``, ``<|left|>``, ``<|right|>``.
-Rendering and parsing are exact inverses on valid mazes.  The parser rejects
-malformed input instead of repairing it, so datasets stay trustworthy at
-rest.  It matches the whole grid in one pass: one ``str.replace`` moves each
-row's newline onto the next row's first coordinate, one ``str.split`` on the
-``|><|`` seam cuts the text into names, and the text is accepted when those
-names are exactly a rendering's.  Only other text (CRLF row endings, or text
-that will be rejected) is walked token by token, to read it or to name its
-first fault in cell order.  ``extract_move_tokens`` is the one lenient entry
-point: it scans raw model output and keeps every movement token it finds, in
-order.
+Rendering and parsing are exact inverses on valid mazes.  A rendering
+copies the per-shape pieces of a blank grid (per cell: its coordinate token,
+after the row's newline, then a wall slot and a state slot), fills in the
+walls and the two endpoint states, and joins the pieces once.  The parser
+rejects malformed input instead of repairing it, so datasets stay
+trustworthy at rest.  It matches the whole grid in one pass: one
+``str.replace`` moves each row's newline onto the next row's first
+coordinate, one ``str.split`` on the ``|><|`` seam cuts the text into names,
+and the text is accepted when those names are exactly a rendering's.  Only
+other text (CRLF row endings, or text that will be rejected) is walked token
+by token, to read it or to name its first fault in cell order.
+``extract_move_tokens`` is the one lenient entry point: it scans raw model
+output and keeps every movement token it finds, in order.
 """
 
 from __future__ import annotations
@@ -56,15 +59,23 @@ _WALL_NAMES = {token[2:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
-def _coord_tokens(width: int, height: int) -> tuple[str, ...]:
-    return tuple(f"<|{r}-{c}|>" for r in range(height) for c in range(width))
-
-
-@lru_cache(maxsize=SHAPE_CACHE)
 def _coord_pieces(width: int, height: int) -> tuple[str, ...]:
     """The coordinate names of a rendered grid as the match splits it:
     ``"r-c"``, with the row's newline before each row's first cell but the first."""
     return tuple(("\n" if r and not c else "") + f"{r}-{c}" for r in range(height) for c in range(width))
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _render_pieces(width: int, height: int) -> tuple[str, ...]:
+    """A blank rendering of the grid as three pieces per cell: its coordinate
+    token (after the row's newline, on each row's first cell but the first),
+    a wall slot (``<|no_wall|>``) and a state slot (``<|blank|>``)."""
+    return tuple(
+        piece
+        for r in range(height)
+        for c in range(width)
+        for piece in (("\n" if r and not c else "") + f"<|{r}-{c}|>", NO_WALL_TOKEN, BLANK_TOKEN)
+    )
 
 
 def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
@@ -84,13 +95,12 @@ def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
     if problems:
         raise ValueError("cannot render invalid maze: " + "; ".join(problems))
     w = m.width
-    coords = _coord_tokens(w, m.height)
+    pieces = list(_render_pieces(w, m.height))
+    pieces[1::3] = map(_WALL_TOKENS.__getitem__, m.masks)
     # the endpoints are distinct, so neither state overwrites the other
-    states = [BLANK_TOKEN] * len(coords)
-    states[m.origin.row * w + m.origin.col] = ORIGIN_TOKEN
-    states[m.target.row * w + m.target.col] = TARGET_TOKEN
-    cells = [coord + _WALL_TOKENS[mask] + state for coord, mask, state in zip(coords, m.masks, states)]
-    return "\n".join("".join(cells[i : i + w]) for i in range(0, len(cells), w))
+    pieces[3 * (m.origin.row * w + m.origin.col) + 2] = ORIGIN_TOKEN
+    pieces[3 * (m.target.row * w + m.target.col) + 2] = TARGET_TOKEN
+    return "".join(pieces)
 
 
 def render_move_tokens(moves) -> str:

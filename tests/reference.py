@@ -1,9 +1,16 @@
 """Reference helpers for the tests: Position-based restatements of rules the
 package itself applies on the flat cell index, a Position-keyed view of its
-integer BFS, wall masks built from directions, and the per-cell wall token."""
+integer BFS, wall masks built from directions, and the per-cell wall token.
 
-from mazekit.core import EDGES, MoveDirection, OutOfBoundsError, Position, _cells, _index, _search, open_neighbors
-from mazekit.tokens import _WALL_TOKENS
+It also keeps the plain forms of the table-driven kernels, for the
+differential tests: ``randbelow`` as a loop over ``next_u64``, the carve
+that scans each cell's neighbours on every step, and the rendering joined
+cell by cell; plus ``CountingRng``, which counts draws by stream position,
+and ``unmix64``, the inverse of the SplitMix64 finalizer."""
+
+from mazekit.core import EDGES, Maze, MoveDirection, OutOfBoundsError, Position, _cells, _index, _search, links, open_neighbors
+from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64
+from mazekit.tokens import _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
 BITS = {d: bit for d, bit, _, _, _ in EDGES}
@@ -55,3 +62,81 @@ def open_passage_count(m):
 def wall_token(w):
     """Wall token for one cell, e.g. ``<|up_down_right_wall|>``."""
     return _WALL_TOKENS[w]
+
+
+_GAMMA_INVERSE = pow(GOLDEN_GAMMA, -1, MASK64 + 1)
+
+
+class CountingRng(SplitMix64):
+    """A stream that reports how many draws it has taken.
+
+    Every draw, through ``next_u64`` or ``randbelow``, advances the state by
+    one ``GOLDEN_GAMMA`` step, and the gamma is odd, so the count is
+    ``(state - seed) * GOLDEN_GAMMA**-1 mod 2**64``.
+    """
+
+    __slots__ = ("_seed",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self._seed = seed & MASK64
+
+    @property
+    def draws(self) -> int:
+        return (self._state - self._seed) * _GAMMA_INVERSE & MASK64
+
+
+def _unshift(y: int, shift: int) -> int:
+    """The x with ``x ^ (x >> shift) == y``: each round fixes ``shift`` more top bits."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The inverse of ``mix64`` on 64-bit values, step by step in reverse."""
+    x = _unshift(z, 31)
+    x = _unshift(x * pow(0x94D049BB133111EB, -1, MASK64 + 1) & MASK64, 27)
+    return _unshift(x * pow(0xBF58476D1CE4E5B9, -1, MASK64 + 1) & MASK64, 30)
+
+
+def reference_randbelow(rng, n):
+    """``randbelow`` as a loop over ``next_u64``: reject draws at or above the largest multiple of n."""
+    limit = _LIMITS[n] if n < _SMALL_N else MASK64 + 1 - ((MASK64 + 1) % n)
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % n
+
+
+def reference_carve(width, height, rng):
+    """The carve's masks, its candidates found by scanning each cell's
+    neighbours for one still walled on all four sides on every step."""
+    table = links(width, height)
+    masks = bytearray(b"\x0f" * (width * height))
+    stack = [reference_randbelow(rng, height) * width + reference_randbelow(rng, width)]
+    while stack:
+        i = stack[-1]
+        candidates = [edge for _, edge in table[i] if masks[edge[2]] == 15]
+        if not candidates:
+            stack.pop()
+            continue
+        bit, back, j = candidates[reference_randbelow(rng, len(candidates))]
+        masks[i] &= ~bit
+        masks[j] &= ~back
+        stack.append(j)
+    return bytes(masks)
+
+
+def reference_render(m: Maze) -> str:
+    """Token text joined cell by cell and row by row."""
+    rows = []
+    for r in range(m.height):
+        cells = []
+        for c in range(m.width):
+            p = Position(r, c)
+            state = ORIGIN_TOKEN if p == m.origin else TARGET_TOKEN if p == m.target else BLANK_TOKEN
+            cells.append(f"<|{r}-{c}|>" + _WALL_TOKENS[m.masks[r * m.width + c]] + state)
+        rows.append("".join(cells))
+    return "\n".join(rows)

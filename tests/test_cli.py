@@ -299,11 +299,21 @@ def test_tokenize_names_an_empty_file(capsys, tmp_path):
     assert err == f"error: {empty}: no rows to tokenize\n"
 
 
-@pytest.mark.parametrize("to_file", [False, True])
-def test_tokenize_preview_rejects_a_bad_row_before_any_output(capsys, tmp_path, to_file):
+# (to_file, preview); the ids of the --preview cases are their to_file values
+@pytest.mark.parametrize(
+    "to_file, preview",
+    [
+        pytest.param(False, True, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="False-no-preview"),
+        pytest.param(True, False, id="True-no-preview"),
+    ],
+)
+def test_tokenize_preview_rejects_a_bad_row_before_any_output(capsys, tmp_path, to_file, preview):
+    """With or without --preview, tokenize parses the row before it copies it."""
     rows = _jsonl(tmp_path / "bad.jsonl", {"maze_tokens": "<|0-0|>junk"})
     maze = tmp_path / "maze.txt"
-    argv = ["tokenize", "--in", rows, "--index", "0", "--preview"] + (["--out", str(maze)] if to_file else [])
+    argv = ["tokenize", "--in", rows, "--index", "0"] + ["--preview"] * preview + ["--out", str(maze)] * to_file
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {rows}: line 1: maze_tokens do not parse: ")

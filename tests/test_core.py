@@ -1,9 +1,15 @@
+import importlib
 import itertools
+import pathlib
+import pkgutil
+import re
 
 import pytest
 
+import mazekit
 from mazekit.core import (
     DIRECTIONS,
+    SHAPE_CACHE,
     WALL_SETS,
     Maze,
     MoveDirection,
@@ -19,6 +25,22 @@ from mazekit.core import (
 from reference import BITS, OPPOSITE, apply_move, bfs, is_open
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
+
+
+def test_every_cache_holds_at_most_shape_cache_shapes():
+    """Each ``lru_cache`` in the package is a per-shape table bounded by
+    ``SHAPE_CACHE``, so no cache grows with the number of shapes seen."""
+    caches = {}
+    for info in pkgutil.iter_modules(mazekit.__path__):
+        module = importlib.import_module(f"mazekit.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    # every cache decorator in the source is one of the module-level caches above
+    source = "".join(path.read_text(encoding="utf-8") for path in pathlib.Path(mazekit.__file__).parent.glob("*.py"))
+    assert len(re.findall(r"@(?:functools\.)?(?:lru_cache|cache)\b", source)) == len(caches)
+    assert {"generate._carve_table", "tokens._render_pieces"} <= caches.keys()
+    assert set(caches.values()) == {SHAPE_CACHE}
 
 
 def test_apply_move_basic():

@@ -13,22 +13,10 @@ from mazekit import augment
 from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, build_attempts
 from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, _cells, simulate_moves
 from mazekit.generate import SolutionPath
-from mazekit.rng import SplitMix64
+from reference import CountingRng
 from test_bfs import any_grid, reference_neighbors, room
 
 STEPS = {d: (bit, dr, dc) for d, bit, _, dr, dc in EDGES}
-
-
-class CountingRng(SplitMix64):
-    __slots__ = ("draws",)
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.draws = 0
-
-    def next_u64(self) -> int:
-        self.draws += 1
-        return super().next_u64()
 
 
 def walls(m, p: Position) -> int:

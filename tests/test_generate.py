@@ -17,8 +17,7 @@ from mazekit.generate import (
     solved_pool,
 )
 from mazekit.rng import derive_seed
-from reference import apply_move, is_open, open_passage_count
-from test_flat_walks import CountingRng
+from reference import CountingRng, apply_move, is_open, open_passage_count, reference_carve
 
 
 def enumerate_simple_paths(m, start, goal):
@@ -216,10 +215,8 @@ CARVES = [
 ]
 
 
-@pytest.mark.parametrize("width, height, seed, draws, masks", CARVES, ids=["5x5", "5x5-big-seed", "8x3", "3x8", "9x9"])
-def test_carve_draws_and_masks_are_pinned(width, height, seed, draws, masks):
-    """The carve takes one draw per start coordinate and one per carved edge, and
-    its walls are pinned byte for byte, so a faster carve cannot change the stream."""
+def counted_carve(cfg):
+    """generate_maze's masks and the draws of the one rng it made."""
     made = []
 
     def counting(s):
@@ -227,6 +224,22 @@ def test_carve_draws_and_masks_are_pinned(width, height, seed, draws, masks):
         return made[-1]
 
     with mock.patch.object(generate, "SplitMix64", counting):
-        m = generate_maze(GenConfig(width, height, seed))
-    assert [rng.draws for rng in made] == [draws]
-    assert m.masks.hex() == masks
+        m = generate_maze(cfg)
+    assert len(made) == 1
+    return m.masks, made[0].draws
+
+
+@pytest.mark.parametrize("width, height, seed, draws, masks", CARVES, ids=["5x5", "5x5-big-seed", "8x3", "3x8", "9x9"])
+def test_carve_draws_and_masks_are_pinned(width, height, seed, draws, masks):
+    """The carve takes one draw per start coordinate and one per carved edge, and
+    its walls are pinned byte for byte, so a faster carve cannot change the stream."""
+    assert counted_carve(GenConfig(width, height, seed)) == (bytes.fromhex(masks), draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**64 - 1))
+def test_carve_matches_the_neighbour_scan(width, height, seed):
+    """The table-driven carve against the scan that rebuilds each cell's
+    candidates on every step: the same masks from the same number of draws."""
+    ref_rng = CountingRng(seed)
+    assert counted_carve(GenConfig(width, height, seed)) == (reference_carve(width, height, ref_rng), ref_rng.draws)

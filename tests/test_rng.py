@@ -1,11 +1,15 @@
 """SplitMix64's reference points: the seed-0 draws the module docstring and
 the README cite, ``derive_seed`` as a draw of the master stream, and
-``randbelow``'s rejection on both sides of its precomputed limit table."""
+``randbelow``'s rejection on both sides of its precomputed limit table, on
+real streams whose first draw is placed through ``unmix64``."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazekit import rng
-from mazekit.rng import SplitMix64, derive_seed
+from mazekit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
+from reference import CountingRng, reference_randbelow, unmix64
 
 
 def test_seed_zero_reference_draws():
@@ -24,27 +28,50 @@ def test_limit_table_is_the_largest_multiple_of_n():
         assert rng._LIMITS[n] == 2**64 - 2**64 % n
 
 
-class StubRng(SplitMix64):
-    """Hands out fixed draws and counts them."""
+@given(st.integers(0, MASK64))
+def test_unmix64_inverts_mix64(x):
+    assert unmix64(mix64(x)) == x
+    assert mix64(unmix64(x)) == x
 
-    __slots__ = ("draws", "values")
 
-    def __init__(self, values) -> None:
-        super().__init__(0)
-        self.values, self.draws = list(values), 0
+def seed_whose_first_draw_is(value: int) -> int:
+    return (unmix64(value) - GOLDEN_GAMMA) & MASK64
 
-    def next_u64(self) -> int:
-        self.draws += 1
-        return self.values.pop(0)
+
+@given(st.integers(0, MASK64), st.lists(st.sampled_from(["next_u64", "randbelow"]), max_size=20))
+def test_counting_rng_counts_every_draw(seed, calls):
+    stream = CountingRng(seed)
+    for call in calls:
+        stream.next_u64() if call == "next_u64" else stream.randbelow(1)
+    assert stream.draws == len(calls)
 
 
 # (n, its rejection limit): one n from the table, one past it
 @pytest.mark.parametrize("n, limit", [(3, 2**64 - 1), (2**63 + 1, 2**63 + 1)])
 def test_randbelow_rejects_draws_at_or_above_the_limit(n, limit):
-    second = limit - 1  # the largest accepted draw
-    stub = StubRng([limit, second, 0])
-    assert stub.randbelow(n) == second % n
-    assert stub.draws == 2
+    # a first draw at the limit is rejected: the result is the first accepted
+    # draw of the reference stream, and the stream stops where it does
+    seed = seed_whose_first_draw_is(limit)
+    ref = SplitMix64(seed)
+    assert ref.next_u64() == limit
+    accepted = next(x for x in iter(ref.next_u64, None) if x < limit)
+    stream = CountingRng(seed)
+    assert stream.randbelow(n) == accepted % n
+    assert stream._state == ref._state
+    assert stream.draws >= 2
+    # a first draw just below the limit is taken at once
+    below = CountingRng(seed_whose_first_draw_is(limit - 1))
+    assert below.randbelow(n) == (limit - 1) % n
+    assert below.draws == 1
+
+
+@settings(max_examples=300)
+@given(st.integers(0, MASK64), st.integers(1, 300) | st.integers(2**32, 2**64))
+def test_randbelow_matches_the_next_u64_loop(seed, n):
+    """One draw is one ``GOLDEN_GAMMA`` step and one mix, ``n == 1`` included."""
+    stream, ref = SplitMix64(seed), SplitMix64(seed)
+    assert stream.randbelow(n) == reference_randbelow(ref, n)
+    assert stream._state == ref._state
 
 
 @pytest.mark.parametrize("n", [0, -1])

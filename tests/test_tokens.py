@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import MoveDirection, Position
+from mazekit.core import Maze, MoveDirection, Position
 from mazekit.generate import GenConfig, generate_solved_maze
 from mazekit.tokens import (
     MazeParseError,
@@ -14,7 +14,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
-from reference import mask, wall_token
+from reference import mask, reference_render, wall_token
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -87,6 +87,24 @@ def test_render_audits_by_default(golden_text):
         render_maze_tokens(gap)
     # audit=False trusts the caller: the same maze renders, and parses back unchanged
     assert parse_maze_tokens(render_maze_tokens(gap, audit=False)) == gap
+
+
+@st.composite
+def any_render_case(draw):
+    """Any masks on a 1-row, 1-column or 12x12 grid, with distinct endpoints."""
+    n = draw(st.integers(2, 12))
+    width, height = draw(st.sampled_from([(n, 1), (1, n), (12, 12)]))
+    masks = bytes(draw(st.lists(st.integers(0, 15), min_size=width * height, max_size=width * height)))
+    origin, target = draw(st.lists(st.integers(0, width * height - 1), min_size=2, max_size=2, unique=True))
+    return Maze(width, height, masks, Position(*divmod(origin, width)), Position(*divmod(target, width)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_render_case())
+def test_render_matches_the_per_cell_join(m):
+    """The render fills a per-shape tuple of pieces; the unaudited text equals
+    the one joined cell by cell, whatever the masks."""
+    assert render_maze_tokens(m, audit=False) == reference_render(m)
 
 
 def test_parse_missing_origin(golden_text):
