@@ -21,9 +21,10 @@ answer moves from inside the reasoning.
 
 A ``ReasoningTrace`` holds its maze, attempts and solution path and renders
 that text on first use, caching each piece, so a caller that only needs
-``is_retry`` renders nothing.  Walks and step text run on the flat cell
-index of ``core``; an attempt turns its walk into ``Position`` cells once,
-when it is kept.
+``is_retry`` renders nothing.  Every walk starts at the origin, so its step
+text follows its moves alone from there.  Walks and step text run on the
+flat cell index of ``core``; an attempt turns its walk into ``Position``
+cells once, when it is kept.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _open, links
+from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _open, links
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -75,14 +76,8 @@ class WrongAttempt:
 
 
 @dataclass(frozen=True)
-class TraceSegment:
-    steps_text: str
-    message: str
-
-
-@dataclass(frozen=True)
 class ReasoningTrace:
-    """Wrong segments (each closed by its message and RESET), then the solution.
+    """Wrong attempts (each closed by its message and RESET), then the solution.
 
     Holds the maze, its attempts and the solution path; each text piece is
     rendered on first use and cached.
@@ -97,15 +92,15 @@ class ReasoningTrace:
         return bool(self.attempts)
 
     @cached_property
-    def wrong_segments(self) -> tuple[TraceSegment, ...]:
-        return tuple(TraceSegment(_steps_text(self.maze, a.cells, a.moves), a.message) for a in self.attempts)
+    def wrong_segments(self) -> tuple[str, ...]:
+        return tuple(_steps_text(self.maze, a.moves) for a in self.attempts)
 
     @cached_property
     def solution_text(self) -> str:
-        return _steps_text(self.maze, self.solution.cells, self.solution.moves)
+        return _steps_text(self.maze, self.solution.moves)
 
     def render(self) -> str:
-        parts = [f"{seg.steps_text}\n{seg.message}\n{RESET_MARKER}" for seg in self.wrong_segments]
+        parts = [f"{text}\n{a.message}\n{RESET_MARKER}" for text, a in zip(self.wrong_segments, self.attempts)]
         return "\n".join([*parts, self.solution_text])
 
 
@@ -167,9 +162,9 @@ def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[
     """
     if m.origin is None:
         raise ValueError("maze has no origin")
-    origin = _index(m, m.origin)
+    origin = m.origin.row * m.width + m.origin.col
     # off-grid cells name no cell, so they block nothing
-    blocked = {_index(m, p) for p in solution.cells if m.in_bounds(p)}
+    blocked = {p.row * m.width + p.col for p in solution.cells if m.in_bounds(p)}
     rng = SplitMix64(cfg.seed)
     walls = m.masks[origin].bit_count()
     if walls == 1:
@@ -191,22 +186,29 @@ def _cell_names(width: int, height: int) -> tuple[str, ...]:
     return tuple(f"({r},{c})" for r in range(height) for c in range(width))
 
 
-def _steps_text(m: Maze, cells, moves) -> str:
+def _steps_text(m: Maze, moves) -> str:
     """One template line per move, from the ``_OPEN_TEXT`` and ``_cell_names`` tables.
 
-    Every cell is looked up through ``_index``, so an off-grid cell raises
-    ``OutOfBoundsError``.
+    The walk starts at the origin and each move takes its open edge to the
+    next cell; a maze without an origin, or a move with no open edge, raises.
     """
+    if m.origin is None:
+        raise ValueError("maze has no origin")
     masks, table, names = m.masks, links(m.width, m.height), _cell_names(m.width, m.height)
-    at = [_index(m, p) for p in cells]
+    i = m.origin.row * m.width + m.origin.col
     lines = []
-    for d, i, j in zip(moves, at, at[1:]):
-        here, bits = masks[i], 0
-        for _, (bit, back, n) in table[i]:
+    for d in moves:
+        here, bits, j = masks[i], 0, None
+        for e, (bit, back, n) in table[i]:
             # the ``_crosses`` rule, inlined as in ``core._search``
             if not here & bit and not masks[n] & back:
                 bits |= bit
+                if e is d:
+                    j = n
+        if j is None:
+            raise ValueError(f"no open edge {d.value} from {names[i]}")
         lines.append(f"At {names[i]}, open: {_OPEN_TEXT[bits]}. Move {_NAMES[d]} to {names[j]}.")
+        i = j
     return "\n".join(lines)
 
 

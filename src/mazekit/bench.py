@@ -11,6 +11,7 @@ the target and legally onward counts as unsolved.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -195,14 +196,15 @@ def fit_trendline(points: Sequence[tuple[float, float]]) -> TrendFit:
     """Ordinary least squares line through (x, y) points.
 
     residual_std is the population standard deviation of the fit residuals.
-    Requires at least two points with non-constant x.
+    Requires at least two points with non-constant x, and a finite fit.
     """
     n = len(points)
     if n < 2:
         raise ValueError("fit_trendline requires at least two points")
     mean_x = sum(x for x, _ in points) / n
     mean_y = sum(y for _, y in points) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in points)
+    # squared by multiplying: an overflow is an infinity, not an OverflowError
+    sxx = sum((x - mean_x) * (x - mean_x) for x, _ in points)
     if sxx == 0.0:
         raise ValueError("fit_trendline requires non-constant x values")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
@@ -210,4 +212,6 @@ def fit_trendline(points: Sequence[tuple[float, float]]) -> TrendFit:
     intercept = mean_y - slope * mean_x
     residuals = [y - (intercept + slope * x) for x, y in points]
     residual_std = (sum(e * e for e in residuals) / n) ** 0.5
+    if not all(map(math.isfinite, (slope, intercept, residual_std))):
+        raise ValueError("fit_trendline requires a finite fit")
     return TrendFit(slope=slope, intercept=intercept, residual_std=residual_std)

@@ -19,6 +19,7 @@ from .augment import AugmentConfig, augment_trace
 from .bench import (
     DEFAULT_COMPOSITION,
     Difficulty,
+    StratumShortfallError,
     BenchEntry,
     BenchSuite,
     build_suite,
@@ -74,11 +75,6 @@ def _maze(where: str, row: dict, audit: bool = False):
     return m
 
 
-def _load_mazes(path: str) -> list:
-    """Read valid mazes from any JSONL whose rows carry a maze_tokens field."""
-    return [_maze(where, row, audit=True) for where, row in iter_jsonl(path)]
-
-
 def _read_maze(path: str):
     """The maze in a token text file, parsed and audited once; either failure names the file."""
     try:
@@ -117,7 +113,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     if not rows:
         raise ValueError(f"{args.infile}: no rows to tokenize")
     if not 0 <= args.index < len(rows):
-        raise ValueError(f"index {args.index} outside 0..{len(rows) - 1}")
+        raise ValueError(f"{args.infile}: index {args.index} outside 0..{len(rows) - 1}")
     where, row = rows[args.index]
     # a row that does not parse fails before anything is printed or written
     m = _maze(where, row)
@@ -221,18 +217,6 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_to_rows(suite: BenchSuite) -> list[dict]:
-    return [
-        {
-            "id": e.id,
-            "difficulty": e.difficulty.value,
-            "steps": e.steps,
-            "maze_tokens": e.maze_tokens,
-        }
-        for e in suite.entries
-    ]
-
-
 def _suite_entry(where: str, row: dict) -> BenchEntry:
     """One suite row, checked against its own maze: ``steps`` is the solved
     length, ``difficulty`` the band of that length and ``id`` the hash of the
@@ -258,10 +242,6 @@ def _suite_entry(where: str, row: dict) -> BenchEntry:
     return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=row["maze_tokens"])
 
 
-def _load_suite(path: str) -> BenchSuite:
-    return BenchSuite(entries=tuple(_suite_entry(where, row) for where, row in iter_jsonl(path)))
-
-
 def _load_outputs(path: str) -> dict[str, str]:
     """Model outputs by id; an id given twice is an error naming both lines."""
     outputs: dict[str, str] = {}
@@ -277,15 +257,20 @@ def _load_outputs(path: str) -> dict[str, str]:
 
 def cmd_bench_build(args: argparse.Namespace) -> int:
     _echo_seed(args.seed)
-    pool = _load_mazes(args.pool)
+    pool = [_maze(where, row, audit=True) for where, row in iter_jsonl(args.pool)]
     composition = {
         Difficulty.EASY: args.easy,
         Difficulty.MEDIUM: args.medium,
         Difficulty.HARD: args.hard,
     }
-    suite = build_suite(pool, args.seed, composition)
+    try:
+        suite = build_suite(pool, args.seed, composition)
+    except StratumShortfallError as exc:
+        raise StratumShortfallError(f"{args.pool}: {exc}") from None
     out = _out(args.out)
-    write_jsonl(out, _suite_to_rows(suite))
+    rows = ({"id": e.id, "difficulty": e.difficulty.value, "steps": e.steps, "maze_tokens": e.maze_tokens}
+            for e in suite.entries)
+    write_jsonl(out, rows)
     counts = suite.counts()
     print(
         f"suite: {counts[Difficulty.EASY]} easy / {counts[Difficulty.MEDIUM]} medium / "
@@ -298,7 +283,12 @@ def cmd_bench_build(args: argparse.Namespace) -> int:
 def cmd_bench_run(args: argparse.Namespace) -> int:
     if args.scores_csv is not None and args.step is None:
         raise ValueError("--scores-csv needs --step")
-    report = evaluate_suite(_load_suite(args.suite), _load_outputs(args.outputs))
+    suite = BenchSuite(entries=tuple(_suite_entry(where, row) for where, row in iter_jsonl(args.suite)))
+    outputs = _load_outputs(args.outputs)
+    try:
+        report = evaluate_suite(suite, outputs)
+    except ValueError as exc:  # the suite is empty
+        raise ValueError(f"{args.suite}: {exc}") from None
     doc = {
         "overall": report.overall,
         "by_difficulty": {d.value: rate for d, rate in report.by_difficulty.items()},
@@ -369,7 +359,11 @@ def _read_points(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    fit = fit_trendline(_read_points(args.points))
+    points = _read_points(args.points)
+    try:
+        fit = fit_trendline(points)
+    except ValueError as exc:
+        raise ValueError(f"{args.points}: {exc}") from None
     print(
         json.dumps(
             {

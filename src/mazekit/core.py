@@ -313,11 +313,9 @@ def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     """
     if m.target is None:
         raise ValueError("simulate_moves requires a maze with a target set")
-    if not m.in_bounds(start):
-        raise OutOfBoundsError(f"start {start} outside the grid")
+    i = _index(m, start)  # an off-grid start raises OutOfBoundsError here
     seq = tuple(moves)
     masks, steps, cells = m.masks, _steps(m.width, m.height), _cells(m.width, m.height)
-    i = _index(m, start)
     for k, d in enumerate(seq):
         edge = steps[i].get(d)
         if edge is None or not _crosses(masks, i, edge):

@@ -239,7 +239,7 @@ def build_splits(
 
     def straight_record(i: int) -> DatasetRecord:
         # a spilled retry maze's trace already holds its solution text (sft renders first)
-        text = traces[i].solution_text if i in traces else _steps_text(pool[i], solutions[i].cells, solutions[i].moves)
+        text = traces[i].solution_text if i in traces else _steps_text(pool[i], solutions[i].moves)
         return make_record(i, seeds[i], tokens[i], ids[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
 
     def retry_record(i: int) -> DatasetRecord:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, WallSet
+from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position
 from .core import _cells, validate_maze, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
@@ -53,8 +53,7 @@ _WALL_TOKENS = tuple(
     "<|" + "_".join(d.value for d in w.directions()) + "_wall|>" if w else NO_WALL_TOKEN
     for w in WALL_SETS
 )
-_WALL_TABLE = dict(zip(_WALL_TOKENS, WALL_SETS))
-# the mask of each wall name (the token between its brackets), for the grid match
+# the mask of each wall name (the token between its brackets), for the grid match and the walk
 _WALL_NAMES = {token[2:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
 
 
@@ -145,7 +144,7 @@ def _mark(ends: list[Position | None], name: str, r: int, c: int) -> None:
     ends[k] = Position(r, c)
 
 
-def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None]) -> tuple[WallSet, ...]:
+def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None]) -> list[int]:
     """Token-by-token parse of one row, naming the first fault in cell order."""
     tokens = _line_tokens(line, r)
     if len(tokens) % 3 != 0:
@@ -153,7 +152,7 @@ def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None])
     row_width = len(tokens) // 3
     if width is not None and row_width != width:
         raise MazeParseError(f"row {r} has {row_width} cells, expected {width}")
-    row_walls: list[WallSet] = []
+    row_walls: list[int] = []
     for c in range(row_width):
         coord, wall, state = tokens[3 * c : 3 * c + 3]
         if not _COORD_RE.match(coord[2:-2]):
@@ -161,15 +160,15 @@ def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None])
         # the text, not its value: "01-0" names (1,0) but is not how it is written
         if coord[2:-2] != f"{r}-{c}":
             raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
-        ws = _WALL_TABLE.get(wall)
-        if ws is None:
+        mask = _WALL_NAMES.get(wall[2:-2])
+        if mask is None:
             raise MazeParseError(f"row {r}, cell {c}: unknown wall token {wall!r}")
-        row_walls.append(ws)
+        row_walls.append(mask)
         if state in (ORIGIN_TOKEN, TARGET_TOKEN):
             _mark(ends, state[2:-2], r, c)
         elif state != BLANK_TOKEN:
             raise MazeParseError(f"row {r}, cell {c}: unknown state token {state!r}")
-    return tuple(row_walls)
+    return row_walls
 
 
 def parse_maze_tokens(text: str) -> Maze:

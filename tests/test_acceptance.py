@@ -126,9 +126,9 @@ def test_criterion_5_reset_constraints():
         if trace.is_retry:
             augmented += 1
             lines = trace.render().split("\n")
-            for seg in trace.wrong_segments:
-                if seg.message not in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE):
-                    violations.append((i, f"unexpected message {seg.message!r}"))
+            for a in trace.attempts:
+                if a.message not in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE):
+                    violations.append((i, f"unexpected message {a.message!r}"))
             for k, line in enumerate(lines):
                 if line in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE):
                     if k + 1 >= len(lines) or lines[k + 1] != RESET_MARKER:

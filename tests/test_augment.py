@@ -119,7 +119,7 @@ def test_trace_text_renders_once_on_first_use(maze_corpus, monkeypatch):
     first = (trace.render(), trace.solution_text, trace.wrong_segments)
     for _ in range(3):
         assert (trace.render(), trace.solution_text, trace.wrong_segments) == first
-    assert len(rendered) == 3  # two wrong segments and the solution
+    assert len(rendered) == 3  # two wrong attempts and the solution
     # equality compares the maze, attempts and path, not what was rendered
     assert trace == augment_trace(m, sol, cfg)
 
@@ -157,14 +157,14 @@ def test_trace_messages_and_reset(maze_corpus):
         if not trace.is_retry:
             continue
         lines = trace.render().split("\n")
-        for seg in trace.wrong_segments:
-            assert seg.message in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE)
-            seen.add(seg.message)
+        for a in trace.attempts:
+            assert a.message in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE)
+            seen.add(a.message)
         # each message line is immediately followed by the RESET marker line
         for i, line in enumerate(lines):
             if line in (DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE):
                 assert lines[i + 1] == RESET_MARKER
-        assert lines.count(RESET_MARKER) == len(trace.wrong_segments)
+        assert lines.count(RESET_MARKER) == len(trace.attempts)
     assert seen == {DEAD_END_MESSAGE, WRONG_DIRECTION_MESSAGE}
 
 

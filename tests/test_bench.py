@@ -188,6 +188,19 @@ def test_trendline_degenerate():
         fit_trendline([(3, 1), (3, 5)])
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1e308, 1e308), (-1e308, -1e308)],  # sums overflow: (x - mean) ** 2 would raise OverflowError
+        [(0, float("nan")), (1, 1)],
+        [(0, float("inf")), (1, 1)],
+    ],
+)
+def test_trendline_rejects_a_non_finite_fit(points):
+    with pytest.raises(ValueError, match="fit_trendline requires a finite fit"):
+        fit_trendline(points)
+
+
 def test_negative_quota_rejected(bench_pool):
     with pytest.raises(ValueError, match="non-negative"):
         build_suite(bench_pool, seed=7, composition={Difficulty.EASY: -1, Difficulty.MEDIUM: 0, Difficulty.HARD: 0})

@@ -172,6 +172,41 @@ def test_validate_maze_runs_once_per_read_maze(capsys, tmp_path, audits):
     assert counts == expected
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """Calls of ``core._index``, counted at each mazekit module that bound the name, and of ``Maze.in_bounds``."""
+    index, in_bounds = core._index, core.Maze.in_bounds
+    calls = {"_index": 0, "in_bounds": 0}
+
+    def counting_index(m, p):
+        calls["_index"] += 1
+        return index(m, p)
+
+    def counting_in_bounds(self, p):
+        calls["in_bounds"] += 1
+        return in_bounds(self, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mazekit") and getattr(module, "_index", None) is index:
+            monkeypatch.setattr(module, "_index", counting_index)
+    monkeypatch.setattr(core.Maze, "in_bounds", counting_in_bounds)
+    return calls
+
+
+def test_build_walks_step_text_without_looking_cells_up(capsys, tmp_path, lookups):
+    """Step text follows each walk's moves from the origin, and the attempts
+    index the solution's cells by arithmetic, so no cell of a walk goes back
+    through a bounds-checked lookup."""
+    out = tmp_path / "ds"
+    code, _, err = run(capsys, "build-dataset", "--scale", "400", "--seed", "0", "--out", str(out))
+    assert code == 0, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    pool = manifest["plan"]["total_pool"] + manifest.get("top_up", 0)
+    # 15.79 and 22.77 per pool maze when the step text looked up each walk's cells
+    assert lookups["_index"] / pool <= 2.2
+    assert lookups["in_bounds"] / pool <= 9.0
+
+
 def test_reward_batch(capsys, tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     out = tmp_path / "rewards.jsonl"
@@ -533,6 +568,48 @@ def test_bad_row_names_file_line(capsys, tmp_path, case):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert f"error: {tmp_path}/{message}" in err
+
+
+def _whole_file_cases(tmp_path):
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")  # a 5-step, medium maze
+    return {
+        "tokenize-index-past-the-rows": (
+            ["tokenize", "--in", _jsonl(tmp_path / "one.jsonl", {"maze_tokens": golden}), "--index", "3"],
+            "one.jsonl: index 3 outside 0..0",
+        ),
+        "bench-run-blank-suite": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "blank.jsonl", None, None),
+             "--outputs", _jsonl(tmp_path / "o.jsonl"), "--report", str(tmp_path / "report.json")],
+            "blank.jsonl: cannot evaluate an empty suite",
+        ),
+        "trend-one-point": (
+            ["trend", "--points", _text(tmp_path / "one.csv", "step,score\n1,2\n")],
+            "one.csv: fit_trendline requires at least two points",
+        ),
+        "trend-constant-x": (
+            ["trend", "--points", _text(tmp_path / "flat.csv", "1,2\n1,3\n")],
+            "flat.csv: fit_trendline requires non-constant x values",
+        ),
+        "bench-build-pool-short": (
+            ["bench", "build", "--pool", _jsonl(tmp_path / "small.jsonl", {"maze_tokens": golden}),
+             "--easy", "4", "--medium", "0", "--hard", "0", "--out", str(tmp_path / "suite.jsonl")],
+            "small.jsonl: pool cannot fill the suite: easy short by 4",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["tokenize-index-past-the-rows", "bench-run-blank-suite", "trend-one-point", "trend-constant-x",
+     "bench-build-pool-short"],
+)
+def test_whole_file_error_names_the_file(capsys, tmp_path, case):
+    argv, message = _whole_file_cases(tmp_path)[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    # bench build echoes its seed first; the error is the last line
+    assert err.splitlines()[-1] == f"error: {tmp_path}/{message}"
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "suite.jsonl").exists()
 
 
 def test_bench_build_rejects_negative_quota(capsys, tmp_path):

@@ -163,16 +163,24 @@ def reference_steps_text(m, cells, moves):
 @settings(max_examples=300, deadline=None)
 @given(any_grid(), st.data())
 def test_steps_text_matches_reference(case, data):
-    m = case[0]
-    cell = st.builds(Position, st.integers(0, m.height - 1), st.integers(0, m.width - 1))
-    moves = data.draw(st.lists(st.sampled_from(DIRECTIONS), max_size=8))
-    # any cells in any order: the text names what it is given, adjacent or not
-    cells = data.draw(st.lists(cell, min_size=len(moves) + 1, max_size=len(moves) + 1))
-    assert augment._steps_text(m, cells, moves) == reference_steps_text(m, cells, moves)
-    off = data.draw(st.sampled_from([Position(-1, 0), Position(0, -1), Position(m.height, 0), Position(0, m.width)]))
-    k = data.draw(st.integers(0, len(cells) - 1))
-    with pytest.raises(OutOfBoundsError):
-        augment._steps_text(m, cells[:k] + [off] + cells[k + 1 :], moves)
+    m, origin, _ = case
+    m = m.with_endpoints(origin, None)
+    # a legal walk from the origin: every move crosses an open edge, revisits allowed
+    cells, moves = [origin], []
+    for _ in range(data.draw(st.integers(0, 8))):
+        options = reference_neighbors(m, cells[-1])
+        if not options:
+            break
+        d, q = data.draw(st.sampled_from(options))
+        moves.append(d)
+        cells.append(q)
+    assert augment._steps_text(m, moves) == reference_steps_text(m, cells, moves)
+    # a move with no open edge at any step of the walk, into a wall or off the grid, raises
+    k = data.draw(st.integers(0, len(moves)))
+    closed = [d for d in DIRECTIONS if d not in dict(reference_neighbors(m, cells[k]))]
+    if closed:
+        with pytest.raises(ValueError, match="no open edge"):
+            augment._steps_text(m, moves[:k] + [data.draw(st.sampled_from(closed))])
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,8 +192,9 @@ def test_off_grid_inputs_raise(case, side):
     up = DIRECTIONS[0]
     with pytest.raises(OutOfBoundsError):
         simulate_moves(m.with_endpoints(inside, inside), off, [up])
-    with pytest.raises(OutOfBoundsError):
-        ReasoningTrace(m, (), SolutionPath((up,), (off, inside))).solution_text
+    # step text walks from the origin, so a maze without one cannot name its cells
+    with pytest.raises(ValueError, match="no origin"):
+        ReasoningTrace(m, (), SolutionPath((up,), (inside, inside))).solution_text
 
 
 def test_off_grid_forbidden_position_blocks_nothing():

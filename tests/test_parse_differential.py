@@ -15,7 +15,8 @@ from mazekit.tokens import (
     BLANK_TOKEN,
     ORIGIN_TOKEN,
     TARGET_TOKEN,
-    _WALL_TABLE,
+    _WALL_NAMES,
+    _WALL_TOKENS,
     MazeParseError,
     parse_maze_tokens,
     render_maze_tokens,
@@ -73,10 +74,9 @@ def reference_parse(text: str) -> Maze:
                 raise MazeParseError(f"row {r}, cell {c}: expected coordinate token, got {coord!r}")
             if inner != f"{r}-{c}":
                 raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
-            ws = _WALL_TABLE.get(wall)
-            if ws is None:
+            if wall not in _WALL_TOKENS:
                 raise MazeParseError(f"row {r}, cell {c}: unknown wall token {wall!r}")
-            row_walls.append(ws)
+            row_walls.append(_WALL_TOKENS.index(wall))
             if state == ORIGIN_TOKEN:
                 if origin is not None:
                     raise MazeParseError(
@@ -144,7 +144,7 @@ def valid_text(draw):
     return render(width, height, masks, origin, target)
 
 
-TOKEN_NAMES = sorted(name[2:-2] for name in _WALL_TABLE) + ["blank", "origin", "target", "up", "0-0", "1-0", "left_up_wall", ""]
+TOKEN_NAMES = sorted(_WALL_NAMES) + ["blank", "origin", "target", "up", "0-0", "1-0", "left_up_wall", ""]
 STRAY = ["<", ">", "|", "\r", " ", "\n", "<|", "|>", "|><|", "\r\n"]
 
 
@@ -191,7 +191,7 @@ def mutation(draw, text):
     if kind == "state":
         new = draw(st.sampled_from([BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, "<|blank |>"]))
     elif kind == "wall":
-        new = draw(st.sampled_from(sorted(_WALL_TABLE) + ["<|left_up_wall|>", "<|wall|>"]))
+        new = draw(st.sampled_from(sorted(_WALL_TOKENS) + ["<|left_up_wall|>", "<|wall|>"]))
     else:
         cm = _COORD_RE.match(text[i + 2 : j - 2])
         r, c = cm.groups() if cm else ("0", "0")
