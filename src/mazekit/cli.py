@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 OUT_DIR_ENV = "MAZEKIT_OUT_DIR"
@@ -36,6 +37,7 @@ from .dataset import (
     SplitPlan,
     atomic_write,
     build_splits,
+    decode_errors_named,
     field,
     iter_jsonl,
     make_record,
@@ -76,9 +78,11 @@ def _maze(where: str, row: dict, audit: bool = False):
 
 
 def _read_maze(path: str):
-    """The maze in a token text file, parsed and audited once; either failure names the file."""
+    """The maze in a token text file, decoded, parsed and audited once; each failure names the file."""
+    with open(path, encoding="utf-8") as fh, decode_errors_named(path, fh):
+        text = fh.read()
     try:
-        m = parse_maze_tokens(Path(path).read_text(encoding="utf-8"))
+        m = parse_maze_tokens(text)
     except MazeParseError as exc:
         raise MazeParseError(f"{path}: {exc}") from exc
     problems = validate_maze(m)
@@ -157,12 +161,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     records = []
     for i, (where, row) in enumerate(iter_jsonl(args.infile)):
         m = _maze(where, row, audit=True)
-        solution = solve_shortest_path(m)
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
-        trace = augment_trace(m, solution, cfg)
-        kind = RecordKind.RETRY if trace.is_retry else RecordKind.STRAIGHT_SUCCESS
+        trace = augment_trace(m, solve_shortest_path(m), cfg)
         tokens = render_maze_tokens(m, audit=False)
-        record = make_record(i, cfg.seed, tokens, hash16(tokens), solution, kind, trace.render())
+        record = make_record(i, cfg.seed, tokens, hash16(tokens), trace, trace.is_retry)
         if args.strict:
             validate_record(record, where)
         records.append(record)
@@ -292,16 +294,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     doc = {
         "overall": report.overall,
         "by_difficulty": {d.value: rate for d, rate in report.by_difficulty.items()},
-        "verdicts": [
-            {
-                "id": v.id,
-                "difficulty": v.difficulty.value,
-                "steps": v.steps,
-                "solved": v.solved,
-                "reason": v.reason,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [{**asdict(v), "difficulty": v.difficulty.value} for v in report.verdicts],
     }
     with atomic_write(_out(args.report)) as fh:
         fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
@@ -314,23 +307,20 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 def cmd_reward(args: argparse.Namespace) -> int:
     rows_out = []
-    rewards = []
     for where, row in iter_jsonl(args.pairs):
         breakdown = total_reward(_maze(where, row), field(where, row, "output", str))
-        rewards.append(breakdown.total)
-        out = {
-            "correctness": breakdown.correctness,
-            "integrity": breakdown.integrity,
-            "thinking": breakdown.thinking,
-            "total": breakdown.total,
-        }
+        out = {**asdict(breakdown), "total": breakdown.total}
         if "id" in row:
+            try:  # json.loads accepts a lone surrogate escape, which the UTF-8 write would reject
+                json.dumps(row["id"], ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"{where}: field 'id' is not UTF-8 text: {exc.reason}") from None
             out = {"id": row["id"], **out}
         rows_out.append(out)
     if args.advantages:
-        if not rewards:
+        if not rows_out:
             raise ValueError(f"{args.pairs}: no rows to score")
-        adv = group_advantages(rewards).advantages
+        adv = group_advantages([out["total"] for out in rows_out]).advantages
         for out, a in zip(rows_out, adv):
             out["advantage"] = a
     out = _out(args.out)
@@ -341,7 +331,7 @@ def cmd_reward(args: argparse.Namespace) -> int:
 
 def _read_points(path: str) -> list[tuple[float, float]]:
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_named(path, fh):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -364,16 +354,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         fit = fit_trendline(points)
     except ValueError as exc:
         raise ValueError(f"{args.points}: {exc}") from None
-    print(
-        json.dumps(
-            {
-                "slope": round(fit.slope, 6),
-                "intercept": round(fit.intercept, 6),
-                "residual_std": round(fit.residual_std, 6),
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({name: round(value, 6) for name, value in asdict(fit).items()}, sort_keys=True))
     return 0
 
 

@@ -27,12 +27,12 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _json_str  # json.dumps' string encoder when ensure_ascii=False
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .augment import RESET_MARKER, AugmentConfig, _steps_text, augment_trace
+from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
 from .bench import hash16
 from .core import Maze, simulate_moves
 from .generate import GenConfig, SolutionPath, solved_pool
@@ -80,9 +80,7 @@ class DatasetRecord:
     completion: str
 
     def to_dict(self) -> dict:
-        row = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        row["kind"] = self.kind.value
-        return row
+        return {**asdict(self), "kind": self.kind.value}
 
 
 _RECORD_FIELDS = {
@@ -128,23 +126,20 @@ class DatasetSplits:
 
 
 def make_record(
-    index: int,
-    seed: int,
-    maze_tokens: str,
-    maze_hash: str,
-    solution: SolutionPath,
-    kind: RecordKind,
-    trace_text: str,
+    index: int, seed: int, maze_tokens: str, maze_hash: str, trace: ReasoningTrace, retry: bool
 ) -> DatasetRecord:
-    """Assemble one record; ``maze_hash`` is ``hash16(maze_tokens)``, the completion a think block, then the moves."""
+    """Assemble one record; ``maze_hash`` is ``hash16(maze_tokens)``, the completion a think block (the
+    whole trace for a retry record, its solution text for a straight one), then the solution's moves."""
+    kind = RecordKind.RETRY if retry else RecordKind.STRAIGHT_SUCCESS
+    text = trace.render() if retry else trace.solution_text
     return DatasetRecord(
         id=f"{index:06d}-{maze_hash}-{_ID_SUFFIX[kind]}",
         seed=seed,
         maze_tokens=maze_tokens,
-        steps=solution.steps,
+        steps=trace.solution.steps,
         kind=kind,
         prompt=maze_tokens,
-        completion=f"<think>\n{trace_text}\n</think>\n{render_move_tokens(solution.moves)}",
+        completion=f"<think>\n{text}\n</think>\n{render_move_tokens(trace.solution.moves)}",
     )
 
 
@@ -237,20 +232,14 @@ def build_splits(
             shortfalls[0] += f"; left out as repeats of a test maze id ({len(repeated)}): {shown}"
         raise SplitShortfallError(shortfalls[0])
 
-    def straight_record(i: int) -> DatasetRecord:
+    def record(i: int, retry: bool = False) -> DatasetRecord:
         # a spilled retry maze's trace already holds its solution text (sft renders first)
-        text = traces[i].solution_text if i in traces else _steps_text(pool[i], solutions[i].moves)
-        return make_record(i, seeds[i], tokens[i], ids[i], solutions[i], RecordKind.STRAIGHT_SUCCESS, text)
+        trace = traces.get(i) or ReasoningTrace(pool[i], (), solutions[i])
+        return make_record(i, seeds[i], tokens[i], ids[i], trace, retry)
 
-    def retry_record(i: int) -> DatasetRecord:
-        return make_record(i, seeds[i], tokens[i], ids[i], solutions[i], RecordKind.RETRY, traces[i].render())
-
-    test_records = tuple(straight_record(i) for i in sorted(test_indices))
-    sft_records = tuple(
-        retry_record(i) if i in traces else straight_record(i)
-        for i in sorted(retry_sel + straight_sel)
-    )
-    grpo_records = tuple(straight_record(i) for i in sorted(grpo_sel))
+    test_records = tuple(record(i) for i in sorted(test_indices))
+    sft_records = tuple(record(i, i in traces) for i in sorted(retry_sel + straight_sel))
+    grpo_records = tuple(record(i) for i in sorted(grpo_sel))
     return DatasetSplits(test=test_records, sft=sft_records, grpo=grpo_records, top_up=top_up)
 
 
@@ -294,9 +283,21 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     return _write_lines(path, (json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows))
 
 
+@contextmanager
+def decode_errors_named(path: str, fh) -> Iterator[None]:
+    """Re-raise a decode error from reading text file fh as ``<path>: line N: ...``, N found by re-reading its bytes."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        fh.buffer.seek(0)  # split as text mode splits lines: at \r\n, \n or \r
+        lines = fh.buffer.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        lineno = next(n for n, line in enumerate(lines, start=1) if line.decode("utf-8", "ignore").encode() != line)
+        raise DatasetError(f"{path}: line {lineno}: not UTF-8: {exc.reason}") from None
+
+
 def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
     """Yield each non-blank row with its location, ``"<path>: line N"``."""
-    with _open_for_read(path) as fh:
+    with _open_for_read(path) as fh, decode_errors_named(path, fh):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

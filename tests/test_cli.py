@@ -1,14 +1,18 @@
+import gzip
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import pytest
 
 from mazekit import cli, core
+from mazekit.augment import RESET_MARKER
 from mazekit.bench import maze_id
 from mazekit.cli import main
-from mazekit.dataset import read_records
+from mazekit.dataset import RecordKind, read_records
 from mazekit.generate import solve_shortest_path
+from mazekit.rng import derive_seed
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
@@ -269,6 +273,33 @@ def test_build_dataset_explicit_counts(capsys, tmp_path):
     assert len(read_records(str(outdir / "sft.jsonl"), strict=True)) == 50
 
 
+def test_build_and_augment_make_one_record_per_maze(capsys, tmp_path):
+    """A built record is the augment record of its pool maze, seed aside, or
+    for a retry maze built straight, that record with the solution text alone."""
+    pool, augmented, built = tmp_path / "pool.jsonl", tmp_path / "augmented.jsonl", tmp_path / "built"
+    assert run(capsys, "generate", "--seed", "21", "--count", "60", "--out", str(pool))[0] == 0
+    assert run(capsys, "augment", "--in", str(pool), "--seed", "5", "--out", str(augmented))[0] == 0
+    assert run(capsys, "build-dataset", "--seed", "21", "--aug-seed", "5", "--pool", "60", "--test", "10",
+               "--sft-straight", "15", "--sft-retry", "15", "--grpo", "15", "--out", str(built))[0] == 0
+    by_index = {int(r.id[:6]): r for r in read_records(str(augmented))}
+    same_kind = straight_of_retry = 0
+    for name in ("test", "sft", "grpo"):
+        for r in read_records(str(built / f"{name}.jsonl")):
+            i = int(r.id[:6])
+            a = by_index[i]
+            assert (r.seed, a.seed) == (derive_seed(21, i), derive_seed(5, i))
+            if r.kind is a.kind:
+                assert replace(r, seed=a.seed) == a
+                same_kind += 1
+                continue
+            assert (r.kind, a.kind) == (RecordKind.STRAIGHT_SUCCESS, RecordKind.RETRY)
+            solution_only = "<think>\n" + a.completion.rsplit(f"{RESET_MARKER}\n", 1)[1]
+            straight = replace(a, id=a.id.replace("-retry", "-straight"), kind=r.kind, completion=solution_only)
+            assert replace(r, seed=a.seed) == straight
+            straight_of_retry += 1
+    assert (same_kind, straight_of_retry) == (25, 30)
+
+
 def test_build_dataset_byte_identical(capsys, tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     args = ["build-dataset", "--seed", "6", "--pool", "60", "--test", "6",
@@ -427,6 +458,11 @@ def _text(path, text):
     return str(path)
 
 
+def _bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 def _bad_row_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
     entry = {"id": GOLDEN_ID, "difficulty": "medium", "steps": 5, "maze_tokens": golden}
@@ -536,6 +572,30 @@ def _bad_row_cases(tmp_path):
             ["solve", "--in", _text(tmp_path / "bad2.txt", golden.replace("<|0-0|>", "<|0-9|>", 1))],
             "bad2.txt: coordinate token '<|0-9|>' does not match grid position (0,0)",
         ),
+        # text mode ends a line at \r\n, \n or a lone \r, and the line named counts them so
+        "tokenize-not-utf8": (
+            ["tokenize", "--in", _bytes(tmp_path / "u1.jsonl", json.dumps({"maze_tokens": golden}).encode()
+                                        + b"\r\n\xff\n")],
+            "u1.jsonl: line 2: not UTF-8: invalid start byte",
+        ),
+        "augment-gzip-not-utf8": (
+            ["augment", "--in", _bytes(tmp_path / "u2.jsonl.gz", gzip.compress(b"\n\n{\"id\": \"\xe2\x82\"}\n")),
+             "--out", out],
+            "u2.jsonl.gz: line 3: not UTF-8: invalid continuation byte",
+        ),
+        "trend-not-utf8": (
+            ["trend", "--points", _bytes(tmp_path / "u3.csv", b"step,score\r1,2\n3,\xe2\x82")],
+            "u3.csv: line 3: not UTF-8: unexpected end of data",
+        ),
+        "parse-not-utf8": (
+            ["parse", "--in", _bytes(tmp_path / "u4.txt", golden.encode().replace(b"<|1-0|>", b"<|1-0\xff|>"))],
+            "u4.txt: line 2: not UTF-8: invalid start byte",
+        ),
+        "reward-lone-surrogate-id": (
+            ["reward", "--pairs", _jsonl(tmp_path / "r3.jsonl", {"id": "a", "maze_tokens": golden, "output": ""},
+                                         {"id": "\ud800", "maze_tokens": golden, "output": ""}), "--out", out],
+            "r3.jsonl: line 2: field 'id' is not UTF-8 text: surrogates not allowed",
+        ),
     }
 
 
@@ -561,6 +621,11 @@ def _bad_row_cases(tmp_path):
         "solve-invalid-maze",
         "parse-bad-token",
         "solve-bad-token",
+        "tokenize-not-utf8",
+        "augment-gzip-not-utf8",
+        "trend-not-utf8",
+        "parse-not-utf8",
+        "reward-lone-surrogate-id",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):

@@ -4,7 +4,8 @@
 
 A mutation replaces a short span of the file, or of one row's text field,
 with JSON punctuation, token pieces or a copy of nearby text (for the
-points CSV: number pieces).  Whatever it does, each run exits 0 with output
+points CSV: number pieces), with bytes that are not UTF-8, or with the JSON
+escape of a lone surrogate.  Whatever it does, each run exits 0 with output
 that reads back, or exits 1 with ``error: <path>: line N: ...`` for a row
 fault or ``error: <path>: ...`` for a fault of the whole file; it never
 raises."""
@@ -38,12 +39,16 @@ PAIRS = [
 ]
 POINTS = "step,score\n0,86\n1,86.5\n2,91\n3,-4e1\n"
 
+# raw bytes ride in the text as surrogate escapes (see ``write``): 0xff is never
+# UTF-8, and 0xe2 0x82 is the first two of the three bytes of "\u20ac"
+RAW_FF, TRUNCATED = "\udcff", "\udce2\udc82"
 # JSON structure and escapes, token punctuation, digits and the letters of every token name
-ALPHABET = '{}[]":,\\ \n\r<|>-_0123456789abdefghiglnortuw'
-PIECES = ["<|origin|>", "<|target|>", "<|blank|>", "<|no_wall|>", "<|up_wall|>", "<|0-0|>", "|><|", "\\n", "\n"]
+ALPHABET = '{}[]":,\\ \n\r<|>-_0123456789abdefghiglnortuw' + RAW_FF
+PIECES = ["<|origin|>", "<|target|>", "<|blank|>", "<|no_wall|>", "<|up_wall|>", "<|0-0|>", "|><|", "\\n", "\n",
+          TRUNCATED, "\\ud800"]
 # the points CSV: number spellings that float() reads or rejects, separators and header text
-CSV_ALPHABET = "0123456789.,-+eE_ \t\n\rnaifstp"
-CSV_PIECES = ["nan", "inf", "-inf", "1e308", "-1e308", "e200", "1e999", "1e-320", "0x1", ",", "\n"]
+CSV_ALPHABET = "0123456789.,-+eE_ \t\n\rnaifstp" + RAW_FF
+CSV_PIECES = ["nan", "inf", "-inf", "1e308", "-1e308", "e200", "1e999", "1e-320", "0x1", ",", "\n", TRUNCATED]
 
 
 @st.composite
@@ -70,6 +75,11 @@ def mutated_file(draw, rows=ROWS, key="maze_tokens"):
         row[key] = draw(mutated(row[key]))
         return _lines(rows)
     return draw(mutated(_lines(rows)))
+
+
+def write(path, text):
+    """Write text as UTF-8, each surrogate escape as the raw byte it stands for."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +109,7 @@ def assert_named_failure(path, code, err, whole_file=()):
 @given(mutated_file())
 def test_tokenize_exits_0_or_names_the_line(workdir, text):
     path = workdir / "rows.jsonl"
-    path.write_text(text, encoding="utf-8")
+    write(path, text)
     code, out, err = run("tokenize", "--in", str(path), "--preview")
     if code == 0:
         assert parse_maze_tokens(out.removesuffix("\n"))
@@ -112,7 +122,7 @@ def test_tokenize_exits_0_or_names_the_line(workdir, text):
 @given(mutated_file())
 def test_augment_exits_0_or_names_the_line(workdir, text):
     path, records = workdir / "rows.jsonl", workdir / "records.jsonl"
-    path.write_text(text, encoding="utf-8")
+    write(path, text)
     records.unlink(missing_ok=True)
     code, _, err = run("augment", "--in", str(path), "--strict", "--out", str(records))
     if code == 0:
@@ -126,7 +136,7 @@ def test_augment_exits_0_or_names_the_line(workdir, text):
 @given(mutated_file())
 def test_bench_build_pool_exits_0_or_names_the_file(workdir, text):
     path, suite = workdir / "pool.jsonl", workdir / "suite.jsonl"
-    path.write_text(text, encoding="utf-8")
+    write(path, text)
     suite.unlink(missing_ok=True)
     code, _, err = run("bench", "build", "--pool", str(path), "--easy", "2", "--medium", "0", "--hard", "0",
                        "--out", str(suite))
@@ -139,8 +149,8 @@ def test_bench_build_pool_exits_0_or_names_the_file(workdir, text):
 
 def bench_run(workdir, suite_text, outputs_text):
     suite, outputs, report = workdir / "suite.jsonl", workdir / "outputs.jsonl", workdir / "report.json"
-    suite.write_text(suite_text, encoding="utf-8")
-    outputs.write_text(outputs_text, encoding="utf-8")
+    write(suite, suite_text)
+    write(outputs, outputs_text)
     report.unlink(missing_ok=True)
     code, _, err = run("bench", "run", "--suite", str(suite), "--outputs", str(outputs), "--report", str(report))
     if code == 0:
@@ -167,10 +177,10 @@ def test_bench_run_outputs_exits_0_or_names_the_line(workdir, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["maze_tokens", "output"]).flatmap(lambda key: mutated_file(PAIRS, key)))
+@given(st.sampled_from(["id", "maze_tokens", "output"]).flatmap(lambda key: mutated_file(PAIRS, key)))
 def test_reward_pairs_exits_0_or_names_the_file(workdir, text):
     path, out = workdir / "pairs.jsonl", workdir / "rewards.jsonl"
-    path.write_text(text, encoding="utf-8")
+    write(path, text)
     out.unlink(missing_ok=True)
     code, _, err = run("reward", "--pairs", str(path), "--advantages", "--out", str(out))
     if code == 0:
@@ -185,7 +195,7 @@ def test_reward_pairs_exits_0_or_names_the_file(workdir, text):
 @given(mutated(POINTS, CSV_ALPHABET, CSV_PIECES))
 def test_trend_points_exits_0_or_names_the_file(workdir, text):
     path = workdir / "points.csv"
-    path.write_text(text, encoding="utf-8")
+    write(path, text)
     code, out, err = run("trend", "--points", str(path))
     if code == 0:
         assert set(json.loads(out)) == {"slope", "intercept", "residual_std"}

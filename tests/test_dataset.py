@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazekit import dataset
-from mazekit.augment import RESET_MARKER, AugmentConfig
+from mazekit.augment import RESET_MARKER, AugmentConfig, ReasoningTrace
 from mazekit.bench import hash16
 from mazekit.dataset import (
     DatasetError,
@@ -332,7 +332,7 @@ def test_strict_mode_requires_a_pool_index_in_the_id(tmp_path, index):
     # pool item 6 of a seed-0 2x2 pool is the maze c7c661f0d63d96dd
     seed, m, solution = list(solved_pool(GenConfig(width=2, height=2, seed=0), 7))[6]
     text = render_maze_tokens(m)
-    record = make_record(6, seed, text, hash16(text), solution, RecordKind.STRAIGHT_SUCCESS, "")
+    record = make_record(6, seed, text, hash16(text), ReasoningTrace(m, (), solution), retry=False)
     assert record.id == "000006-c7c661f0d63d96dd-straight"
     validate_record(record)
     forged = f"{index}-c7c661f0d63d96dd-straight"
