@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _open, links
@@ -75,6 +75,17 @@ class WrongAttempt:
         return WRONG_DIRECTION_MESSAGE
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11 takes on each first
+    read: the value is stored on the instance, where later reads find it before this descriptor."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.fn.__name__, self.fn(obj))
+
+
 @dataclass(frozen=True)
 class ReasoningTrace:
     """Wrong attempts (each closed by its message and RESET), then the solution.
@@ -91,11 +102,11 @@ class ReasoningTrace:
     def is_retry(self) -> bool:
         return bool(self.attempts)
 
-    @cached_property
+    @_cached
     def wrong_segments(self) -> tuple[str, ...]:
         return tuple(_steps_text(self.maze, a.moves) for a in self.attempts)
 
-    @cached_property
+    @_cached
     def solution_text(self) -> str:
         return _steps_text(self.maze, self.solution.moves)
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .core import Maze, SimStatus, simulate_moves
+from .core import Maze, SimStatus, _walk_moves
 from .generate import solve_shortest_path
 from .rng import SplitMix64
-from .tokens import extract_move_tokens, render_maze_tokens
+from .tokens import _MOVE_TOKEN_RE, render_maze_tokens
 
 
 class Difficulty(Enum):
@@ -153,14 +153,14 @@ def build_suite(
 def _verdict(entry: BenchEntry, output: Optional[str]) -> MazeVerdict:
     if output is None:
         return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, NO_OUTPUT_REASON)
-    moves = extract_move_tokens(output)
-    outcome = simulate_moves(entry.maze, entry.maze.origin, moves)
-    if outcome.solved:
+    m, o = entry.maze, entry.maze.origin
+    _, steps_taken, status = _walk_moves(m, o.row * m.width + o.col, _MOVE_TOKEN_RE.findall(output))
+    if status is SimStatus.REACHED_TARGET:
         return MazeVerdict(entry.id, entry.difficulty, entry.steps, True, None)
-    if outcome.status is SimStatus.WALL_HIT:
-        reason = f"wall hit at step {outcome.steps_taken}"
-    elif outcome.status is SimStatus.OUT_OF_BOUNDS:
-        reason = f"out of bounds at step {outcome.steps_taken}"
+    if status is SimStatus.WALL_HIT:
+        reason = f"wall hit at step {steps_taken}"
+    elif status is SimStatus.OUT_OF_BOUNDS:
+        reason = f"out of bounds at step {steps_taken}"
     else:
         reason = "stopped short of target"
     return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, reason)

@@ -12,14 +12,15 @@ is read; a maze the carve built is trusted.
 Searches and walks index those bytes with the per-shape ``links`` table,
 which holds every in-bounds edge of each cell.  ``_crosses`` is the one
 open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
-and the trace walks in ``augment``, and ``simulate_moves`` applies it to the
-one edge each move names, found in ``_steps``, the same edges keyed by
-direction.  The one integer BFS, ``_search``, inlines the same rule in its
-hot loop and serves connectivity, endpoint placement and the solver; the
-trace step text of ``augment`` inlines it too.  The wall audits first test
-the whole grid as one integer against the per-shape bit masks of
-``_grid_bits``; only a grid that fails is walked cell by cell, to name each
-fault.
+and the trace walks in ``augment``.  ``_walk_moves``, the one move walk,
+takes each move's edge from ``_steps``, keyed by direction or by its name
+(``"up"``): the reward, bench verdict and strict record check walk the
+move-token regex's names, with no direction tuple or ``SimOutcome``.  It,
+the one integer BFS ``_search`` (connectivity, endpoint placement, the
+solver) and the trace step text of ``augment`` inline the rule.  The wall
+audits first test the whole grid as one integer against the per-shape bit
+masks of ``_grid_bits``; only a grid that fails is walked cell by cell, to
+name each fault.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 
 class OutOfBoundsError(ValueError):
@@ -54,7 +55,6 @@ EDGES = (
     (MoveDirection.LEFT, 4, 8, 0, -1),
     (MoveDirection.RIGHT, 8, 4, 0, 1),
 )
-_BITS = {d: bit for d, bit, _, _, _ in EDGES}
 
 # Canonical direction order used everywhere: neighbor expansion, wall-token
 # naming, trace text. Pinned so results do not depend on enum iteration.
@@ -104,12 +104,14 @@ def links(width: int, height: int) -> tuple[tuple[tuple[MoveDirection, tuple[int
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
-def _steps(width: int, height: int) -> tuple[dict[MoveDirection, tuple[int, int, int]], ...]:
-    """The edges of ``links`` keyed by direction, for a move to look its edge up.
+def _steps(width: int, height: int) -> tuple[dict, ...]:
+    """Per flat index, each direction's edge as in ``links`` (flat index -1 off the grid), keyed
+    by the direction and by its name, ``"up"`` as a move token's regex match reads it.
 
     Searches iterate ``links`` itself: its tuples iterate faster than dicts.
     """
-    return tuple(map(dict, links(width, height)))
+    rows = map(dict, links(width, height))
+    return tuple({key: row.get(d, (bit, back, -1)) for d, bit, back, _, _ in EDGES for key in (d, d.value)} for row in rows)
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -304,6 +306,25 @@ def wall_mismatches(masks, width: int) -> Iterator[tuple[int, int, int, int, str
             yield r, c, r, c + 1, "right/left"
 
 
+def _walk_moves(m: Maze, i: int, moves: Sequence[MoveDirection | str]) -> tuple[int, int, SimStatus]:
+    """The one move walk: (final flat index, steps taken, status) of walking
+    moves, directions or their names, from flat index i; see ``simulate_moves``."""
+    t = m.target
+    if t is None:
+        raise ValueError("a move walk requires a maze with a target set")
+    masks, steps = m.masks, _steps(m.width, m.height)
+    for k, d in enumerate(moves):
+        bit, back, j = steps[i][d]
+        # the ``_crosses`` rule, inlined: this loop is the hot path of every reward
+        if masks[i] & bit or j < 0 or masks[j] & back:
+            # a present wall blocks the move before the boundary does, so leaving
+            # the grid is only reportable through a perimeter gap
+            return i, k, SimStatus.OUT_OF_BOUNDS if j < 0 and not masks[i] & bit else SimStatus.WALL_HIT
+        i = j
+    # the maze checked its endpoints against the grid when it was built
+    return i, len(moves), SimStatus.REACHED_TARGET if i == t.row * m.width + t.col else SimStatus.STOPPED_SHORT
+
+
 def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     """Walk moves from start, halting at the first illegal move.
 
@@ -311,19 +332,5 @@ def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     A fully legal walk ends REACHED_TARGET iff the final position equals
     the maze target, else STOPPED_SHORT.
     """
-    if m.target is None:
-        raise ValueError("simulate_moves requires a maze with a target set")
-    i = _index(m, start)  # an off-grid start raises OutOfBoundsError here
-    seq = tuple(moves)
-    masks, steps, cells = m.masks, _steps(m.width, m.height), _cells(m.width, m.height)
-    for k, d in enumerate(seq):
-        edge = steps[i].get(d)
-        if edge is None or not _crosses(masks, i, edge):
-            # a present wall blocks the move before the boundary does, so leaving
-            # the grid is only reportable through a perimeter gap
-            off_grid = edge is None and not masks[i] & _BITS[d]
-            status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
-            return SimOutcome(final=cells[i], steps_taken=k, status=status)
-        i = edge[2]
-    status = SimStatus.REACHED_TARGET if i == _index(m, m.target) else SimStatus.STOPPED_SHORT
-    return SimOutcome(final=cells[i], steps_taken=len(seq), status=status)
+    i, steps_taken, status = _walk_moves(m, _index(m, start), tuple(moves))  # an off-grid start raises here
+    return SimOutcome(final=_cells(m.width, m.height)[i], steps_taken=steps_taken, status=status)

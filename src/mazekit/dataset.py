@@ -34,10 +34,10 @@ from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
 from .bench import hash16
-from .core import Maze, simulate_moves
+from .core import Maze, SimStatus, _walk_moves
 from .generate import GenConfig, SolutionPath, solved_pool
 from .rng import SplitMix64, derive_seed, mix64
-from .tokens import extract_move_tokens, parse_maze_tokens, render_maze_tokens, render_move_tokens
+from .tokens import _MOVE_TOKEN_RE, parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 _SHUFFLE_SALT = 0x0DD5_F00D_CAFE_1234
 
@@ -377,20 +377,18 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     index = id_parts[0]
     if len(index) < 6 or not (index.isascii() and index.isdigit()):
         raise DatasetError(f"{where}: field 'id' {record.id!r} does not start with a pool index of 6 or more digits")
-    moves = extract_move_tokens(record.completion)
-    outcome = simulate_moves(m, m.origin, moves)
-    if not outcome.solved:
-        raise DatasetError(
-            f"{where}: completion does not solve the maze ({outcome.status.value})"
-        )
+    names, o = _MOVE_TOKEN_RE.findall(record.completion), m.origin
+    status = _walk_moves(m, o.row * m.width + o.col, names)[2]
+    if status is not SimStatus.REACHED_TARGET:
+        raise DatasetError(f"{where}: completion does not solve the maze ({status.value})")
     has_reset = RESET_MARKER in record.completion
     if has_reset != (record.kind is RecordKind.RETRY):
         raise DatasetError(f"{where}: kind '{record.kind.value}' disagrees with RESET content")
     suffix = _ID_SUFFIX[record.kind]
     if id_parts[2] != suffix:
         raise DatasetError(f"{where}: field 'id' {record.id!r} does not end in '-{suffix}' for kind '{record.kind.value}'")
-    if record.steps != len(moves):
-        raise DatasetError(f"{where}: field 'steps' is {record.steps}, the answer has {len(moves)} moves")
+    if record.steps != len(names):
+        raise DatasetError(f"{where}: field 'steps' is {record.steps}, the answer has {len(names)} moves")
 
 
 def read_records(path: str, strict: bool = False) -> list[DatasetRecord]:

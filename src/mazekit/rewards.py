@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Maze, MoveDirection, simulate_moves
-from .tokens import extract_move_tokens, first_move_token_index
+from .core import Maze, SimStatus, _walk_moves
+from .tokens import _MOVE_TOKEN_RE, first_move_token_index
 
 CORRECTNESS_PER_STEP = 0.2
 INTEGRITY_PER_TOKEN = 0.5
@@ -45,26 +45,27 @@ class GroupAdvantages:
     epsilon: float
 
 
-def _correctness(m: Maze, moves: tuple[MoveDirection, ...]) -> float:
-    if m.origin is None:
+def _correctness(m: Maze, names: Sequence[str]) -> float:
+    o = m.origin
+    if o is None:
         raise ValueError("correctness_reward requires a maze with endpoints")
-    if simulate_moves(m, m.origin, moves).solved:
-        return CORRECTNESS_PER_STEP * len(moves)
+    if _walk_moves(m, o.row * m.width + o.col, names)[2] is SimStatus.REACHED_TARGET:
+        return CORRECTNESS_PER_STEP * len(names)
     return 0.0
 
 
-def _integrity(moves: tuple[MoveDirection, ...]) -> float:
-    return INTEGRITY_PER_TOKEN * len(moves)
+def _integrity(names: Sequence[str]) -> float:
+    return INTEGRITY_PER_TOKEN * len(names)
 
 
 def correctness_reward(m: Maze, output: str) -> float:
     """0.2 per step when the extracted moves reach the target, else 0."""
-    return _correctness(m, extract_move_tokens(output))
+    return _correctness(m, _MOVE_TOKEN_RE.findall(output))
 
 
 def integrity_reward(output: str) -> float:
     """0.5 per movement token anywhere in the output."""
-    return _integrity(extract_move_tokens(output))
+    return _integrity(_MOVE_TOKEN_RE.findall(output))
 
 
 def thinking_reward(output: str) -> float:
@@ -83,12 +84,12 @@ def thinking_reward(output: str) -> float:
 def total_reward(m: Maze, output: str) -> RewardBreakdown:
     """All three components for one output; total is their plain sum.
 
-    The moves are extracted once and shared by correctness and integrity.
+    The move names are found once and shared by correctness and integrity.
     """
-    moves = extract_move_tokens(output)
+    names = _MOVE_TOKEN_RE.findall(output)
     return RewardBreakdown(
-        correctness=_correctness(m, moves),
-        integrity=_integrity(moves),
+        correctness=_correctness(m, names),
+        integrity=_integrity(names),
         thinking=thinking_reward(output),
     )
 

@@ -6,11 +6,30 @@ It also keeps the plain forms of the table-driven kernels, for the
 differential tests: ``randbelow`` as a loop over ``next_u64``, the carve
 that scans each cell's neighbours on every step, and the rendering joined
 cell by cell; plus ``CountingRng``, which counts draws by stream position,
-and ``unmix64``, the inverse of the SplitMix64 finalizer."""
+and ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
+their form from before the one move walk: ``simulate_moves`` stepping edge
+by edge through ``_crosses``, and ``total_reward`` and the bench verdict on
+the ``MoveDirection`` tuple of ``extract_move_tokens`` and a ``SimOutcome``."""
 
-from mazekit.core import EDGES, Maze, MoveDirection, OutOfBoundsError, Position, _cells, _index, _search, links, open_neighbors
+from mazekit.bench import NO_OUTPUT_REASON, MazeVerdict
+from mazekit.core import (
+    EDGES,
+    Maze,
+    MoveDirection,
+    OutOfBoundsError,
+    Position,
+    SimOutcome,
+    SimStatus,
+    _cells,
+    _crosses,
+    _index,
+    _search,
+    links,
+    open_neighbors,
+)
+from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, RewardBreakdown, thinking_reward
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64
-from mazekit.tokens import _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN
+from mazekit.tokens import _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, extract_move_tokens
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
 BITS = {d: bit for d, bit, _, _, _ in EDGES}
@@ -140,3 +159,50 @@ def reference_render(m: Maze) -> str:
             cells.append(f"<|{r}-{c}|>" + _WALL_TOKENS[m.masks[r * m.width + c]] + state)
         rows.append("".join(cells))
     return "\n".join(rows)
+
+
+def reference_simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
+    """``simulate_moves`` looking each move's edge up in a dict of ``links`` keyed by direction."""
+    if m.target is None:
+        raise ValueError("simulate_moves requires a maze with a target set")
+    i = _index(m, start)
+    seq = tuple(moves)
+    masks, table, cells = m.masks, links(m.width, m.height), _cells(m.width, m.height)
+    for k, d in enumerate(seq):
+        edge = dict(table[i]).get(d)
+        if edge is None or not _crosses(masks, i, edge):
+            off_grid = edge is None and not masks[i] & BITS[d]
+            status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
+            return SimOutcome(final=cells[i], steps_taken=k, status=status)
+        i = edge[2]
+    status = SimStatus.REACHED_TARGET if i == _index(m, m.target) else SimStatus.STOPPED_SHORT
+    return SimOutcome(final=cells[i], steps_taken=len(seq), status=status)
+
+
+def reference_total_reward(m: Maze, output: str) -> RewardBreakdown:
+    """``total_reward`` on the extracted directions and a simulated outcome."""
+    moves = extract_move_tokens(output)
+    if m.origin is None:
+        raise ValueError("correctness_reward requires a maze with endpoints")
+    solved = reference_simulate_moves(m, m.origin, moves).solved
+    return RewardBreakdown(
+        correctness=CORRECTNESS_PER_STEP * len(moves) if solved else 0.0,
+        integrity=INTEGRITY_PER_TOKEN * len(moves),
+        thinking=thinking_reward(output),
+    )
+
+
+def reference_verdict(entry, output) -> MazeVerdict:
+    """The bench verdict of one suite entry, from a simulated outcome."""
+    if output is None:
+        return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, NO_OUTPUT_REASON)
+    outcome = reference_simulate_moves(entry.maze, entry.maze.origin, extract_move_tokens(output))
+    if outcome.solved:
+        return MazeVerdict(entry.id, entry.difficulty, entry.steps, True, None)
+    if outcome.status is SimStatus.WALL_HIT:
+        reason = f"wall hit at step {outcome.steps_taken}"
+    elif outcome.status is SimStatus.OUT_OF_BOUNDS:
+        reason = f"out of bounds at step {outcome.steps_taken}"
+    else:
+        reason = "stopped short of target"
+    return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, reason)

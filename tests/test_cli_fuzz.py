@@ -16,7 +16,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mazekit.bench import classify_difficulty, hash16
@@ -178,6 +178,8 @@ def test_bench_run_outputs_exits_0_or_names_the_line(workdir, text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["id", "maze_tokens", "output"]).flatmap(lambda key: mutated_file(PAIRS, key)))
+# a lone surrogate id reads as JSON and fails only at the UTF-8 write: run it every time, not by chance
+@example(text=_lines([{**PAIRS[0], "id": "\ud800"}, PAIRS[1]]))
 def test_reward_pairs_exits_0_or_names_the_file(workdir, text):
     path, out = workdir / "pairs.jsonl", workdir / "rewards.jsonl"
     write(path, text)
