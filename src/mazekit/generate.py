@@ -11,6 +11,11 @@ The carve finds each step's candidate edges in a per-shape table: for each
 cell and each set of directions whose neighbour is still uncarved, the
 edges to those neighbours in ``EDGES`` order.  Entering a cell clears the
 bit facing it in each neighbour's set, so no step rescans a neighbour.
+
+A carve draws its start row and column with ``randbelow``, then one block of
+``take(w*h - 1)``: one draw per carved edge, mod the step's candidate count.  A
+draw ``randbelow`` would reject moves the carve on by one, and the stream's
+next draw joins the block.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .core import SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _search, links
-from .rng import SplitMix64, derive_seed, mix64
+from .rng import _LIMITS, SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
 # wall-carving draws of the same seed.
@@ -80,19 +85,21 @@ class SolutionPath:
 
 @lru_cache(maxsize=SHAPE_CACHE)
 def _carve_table(width: int, height: int):
-    """The carve's per-shape table, per flat index: the cell's edges (see
-    ``links``); for each 4-bit set of directions, those of its edges in
-    ``EDGES`` order; and its in-bounds directions, the set a carve starts from."""
+    """The carve's per-shape table, per flat index: each neighbour's flat index and
+    the mask that clears its bit facing the cell; for each 4-bit set of directions,
+    those of its edges (see ``links``) in ``EDGES`` order; and its in-bounds
+    directions, the set a carve starts from."""
     edges = tuple(tuple(edge for _, edge in row) for row in links(width, height))
     choices = tuple(tuple(tuple(e for e in row if dirs & e[0]) for dirs in range(16)) for row in edges)
-    return edges, choices, tuple(sum(bit for bit, _, _ in row) for row in edges)
+    clears = tuple(tuple((n, ~back) for _, back, n in row) for row in edges)
+    return clears, choices, tuple(sum(bit for bit, _, _ in row) for row in edges)
 
 
 def generate_maze(cfg: GenConfig) -> Maze:
     """Carve a perfect maze from the config's seed; endpoints stay unset."""
     rng = SplitMix64(cfg.seed)
     w, h = cfg.width, cfg.height
-    edges, choices, uncarved = _carve_table(w, h)
+    clears, choices, uncarved = _carve_table(w, h)
     # every cell starts with all four walls; carving an edge clears one bit
     # on each side.  uncarved[i] holds the directions from cell i whose
     # neighbour is not carved yet, so choices[i][uncarved[i]] are its
@@ -100,10 +107,11 @@ def generate_maze(cfg: GenConfig) -> Maze:
     # than a bytearray's
     masks = [15] * (w * h)
     uncarved = list(uncarved)
-    randbelow = rng.randbelow
-    start = randbelow(h) * w + randbelow(w)
-    for _, back, n in edges[start]:
-        uncarved[n] &= ~back
+    start = rng.randbelow(h) * w + rng.randbelow(w)
+    for n, clear in clears[start]:
+        uncarved[n] &= clear
+    draws = rng.take(w * h - 1)
+    draw = iter(draws).__next__  # a list iterator also reads items appended later
     stack = [start]
     while stack:
         i = stack[-1]
@@ -111,13 +119,18 @@ def generate_maze(cfg: GenConfig) -> Maze:
         if not candidates:
             stack.pop()
             continue
-        bit, back, j = candidates[randbelow(len(candidates))]
+        k = len(candidates)
+        x = draw()
+        while x >= _LIMITS[k]:
+            draws.append(rng.next_u64())
+            x = draw()
+        bit, back, j = candidates[x % k]
         # each edge is carved once, so its wall bits are still set
         masks[i] ^= bit
         masks[j] ^= back
         # entering j clears, in each neighbour, the bit that faces j
-        for _, facing, n in edges[j]:
-            uncarved[n] &= ~facing
+        for n, clear in clears[j]:
+            uncarved[n] &= clear
         stack.append(j)
     return Maze(width=w, height=h, masks=bytes(masks))
 

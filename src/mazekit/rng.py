@@ -10,25 +10,44 @@ rejection limit of a small ``n`` (the carve, endpoint and trace draws) from
 ``_LIMITS``.  ``randbelow(1)`` still takes one draw, so the stream moves as
 it always has, but skips the mix, whose value it would not use.
 
+``take(n)`` makes n draws at once: draw k of seed s is ``mix64(s + k *
+GOLDEN_GAMMA)``, so the n states fill the 128-bit lanes of one int and one
+``mix64`` mixes them all.  No lane carries into the next: each is masked to
+64 bits before each multiply, and a 64x64-bit product is below 2**128.
+
 Reference sequence (seed 0): the first three draws are
 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
+
+from .core import SHAPE_CACHE
+
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _SMALL_N = 256
 _LIMITS = (0,) + tuple(MASK64 + 1 - ((MASK64 + 1) % n) for n in range(1, _SMALL_N))  # indexed by n
+_LANES = 1024  # ``take`` works in blocks of at most this many lanes: 48 KB of constants
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)  # of a lane int's native bytes
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit value."""
-    x &= MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+def mix64(x: int, mask: int = MASK64) -> int:
+    """SplitMix64 finalizer: avalanche a 64-bit value, or each 64-bit lane ``mask`` sets."""
+    x &= mask
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
     return x ^ (x >> 31)
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """n 128-bit lanes holding, in lane k: 1, (k+1) * GOLDEN_GAMMA, and 2**64 - 1."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    return ones, sum((k + 1) * GOLDEN_GAMMA << 128 * k for k in range(n)), ones * MASK64
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -52,6 +71,17 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN_GAMMA) & MASK64
         return mix64(self._state)
+
+    def take(self, n: int) -> list[int]:
+        """The next n draws, as n ``next_u64`` calls would return them."""
+        draws = []
+        for start in range(0, n, _LANES):
+            size = min(_LANES, n - start)
+            ones, ramp, masks = _lanes(size)
+            lanes = mix64((self._state + start * GOLDEN_GAMMA) * ones + ramp, masks)
+            draws += memoryview(lanes.to_bytes(16 * size, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+        self._state = (self._state + n * GOLDEN_GAMMA) & MASK64
+        return draws
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n). Rejection sampling kills modulo bias.

@@ -39,7 +39,7 @@ def test_every_cache_holds_at_most_shape_cache_shapes():
     # every cache decorator in the source is one of the module-level caches above
     source = "".join(path.read_text(encoding="utf-8") for path in pathlib.Path(mazekit.__file__).parent.glob("*.py"))
     assert len(re.findall(r"@(?:functools\.)?(?:lru_cache|cache)\b", source)) == len(caches)
-    assert {"generate._carve_table", "tokens._render_pieces"} <= caches.keys()
+    assert {"generate._carve_table", "tokens._render_pieces", "rng._lanes"} <= caches.keys()
     assert set(caches.values()) == {SHAPE_CACHE}
 
 

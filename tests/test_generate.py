@@ -16,8 +16,8 @@ from mazekit.generate import (
     solve_shortest_path,
     solved_pool,
 )
-from mazekit.rng import derive_seed
-from reference import CountingRng, apply_move, is_open, open_passage_count, reference_carve
+from mazekit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed
+from reference import CountingRng, apply_move, is_open, open_passage_count, reference_carve, unmix64
 
 
 def enumerate_simple_paths(m, start, goal):
@@ -243,3 +243,37 @@ def test_carve_matches_the_neighbour_scan(width, height, seed):
     candidates on every step: the same masks from the same number of draws."""
     ref_rng = CountingRng(seed)
     assert counted_carve(GenConfig(width, height, seed)) == (reference_carve(width, height, ref_rng), ref_rng.draws)
+
+
+# (width, height, carves that draw 2**64 - 1 at a step it rejects)
+@pytest.mark.parametrize("width, height, rejecting", [(5, 5, 6), (3, 7, 3), (9, 9, 17)])
+def test_carve_replaces_a_rejected_draw(width, height, rejecting):
+    """No random seed reaches a rejection (about 2**-64 per draw), so each carve
+    here draws 2**64 - 1, which ``randbelow`` rejects at 3 candidates, at one of
+    its draw positions: its masks and draws follow the neighbour scan's."""
+    extra = 0
+    for d in range(1, width * height + 2):
+        seed = (unmix64(MASK64) - d * GOLDEN_GAMMA) & MASK64
+        ref_rng = CountingRng(seed)
+        masks, draws = counted_carve(GenConfig(width, height, seed))
+        assert (masks, draws) == (reference_carve(width, height, ref_rng), ref_rng.draws)
+        extra += draws - (width * height + 1)
+    assert extra == rejecting
+
+
+def test_carve_takes_its_steps_in_one_block(monkeypatch):
+    """A 5x5 carve that rejects no draw draws its start with two ``randbelow``
+    calls and its 24 steps with one ``take``, and no draw one at a time."""
+    calls = {"randbelow": 0, "take": 0, "next_u64": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SplitMix64, name, counting(name, getattr(SplitMix64, name)))
+    width, height, seed, _, masks = CARVES[0]
+    assert generate_maze(GenConfig(width, height, seed)).masks == bytes.fromhex(masks)
+    assert calls == {"randbelow": 2, "take": 1, "next_u64": 0}

@@ -1,10 +1,11 @@
 """SplitMix64's reference points: the seed-0 draws the module docstring and
-the README cite, ``derive_seed`` as a draw of the master stream, and
+the README cite, ``derive_seed`` as a draw of the master stream,
 ``randbelow``'s rejection on both sides of its precomputed limit table, on
-real streams whose first draw is placed through ``unmix64``."""
+real streams whose first draw is placed through ``unmix64``, and ``take``
+as that many ``next_u64`` calls."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mazekit import rng
@@ -78,3 +79,22 @@ def test_randbelow_matches_the_next_u64_loop(seed, n):
 def test_randbelow_rejects_an_empty_range(n):
     with pytest.raises(ValueError, match="requires n >= 1"):
         SplitMix64(0).randbelow(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MASK64), st.integers(0, 2100))
+@example(MASK64, 0)
+@example(MASK64, 2100)
+@example(0, rng._LANES)
+def test_take_matches_next_u64_calls(seed, n):
+    """A block of lanes is the next n draws, across block edges too, and moves the state n draws."""
+    stream, ref = SplitMix64(seed), SplitMix64(seed)
+    assert stream.take(n) == [ref.next_u64() for _ in range(n)]
+    assert stream._state == ref._state
+
+
+def test_take_caches_constants_per_block():
+    """A long take is built in blocks of at most ``_LANES`` lanes, so its cached constants never outgrow one block."""
+    rng._lanes.cache_clear()
+    SplitMix64(0).take(2 * rng._LANES + 52)
+    assert rng._lanes.cache_info().currsize == 2
