@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .core import Maze, SimStatus, _walk_moves
+from .core import Maze, SimStatus
 from .generate import solve_shortest_path
 from .rng import SplitMix64
-from .tokens import _MOVE_TOKEN_RE, render_maze_tokens
+from .tokens import render_maze_tokens, walk_answer
 
 
 class Difficulty(Enum):
@@ -153,8 +153,7 @@ def build_suite(
 def _verdict(entry: BenchEntry, output: Optional[str]) -> MazeVerdict:
     if output is None:
         return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, NO_OUTPUT_REASON)
-    m, o = entry.maze, entry.maze.origin
-    _, steps_taken, status = _walk_moves(m, o.row * m.width + o.col, _MOVE_TOKEN_RE.findall(output))
+    _, steps_taken, status = walk_answer(entry.maze, output)
     if status is SimStatus.REACHED_TARGET:
         return MazeVerdict(entry.id, entry.difficulty, entry.steps, True, None)
     if status is SimStatus.WALL_HIT:

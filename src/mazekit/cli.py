@@ -306,7 +306,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
-    rows_out = []
+    rows_out, groups = [], {}
     for where, row in iter_jsonl(args.pairs):
         breakdown = total_reward(_maze(where, row), field(where, row, "output", str))
         out = {**asdict(breakdown), "total": breakdown.total}
@@ -317,12 +317,14 @@ def cmd_reward(args: argparse.Namespace) -> int:
                 raise DatasetError(f"{where}: field 'id' is not UTF-8 text: {exc.reason}") from None
             out = {"id": row["id"], **out}
         rows_out.append(out)
+        groups.setdefault(row["maze_tokens"], []).append(out)
     if args.advantages:
         if not rows_out:
             raise ValueError(f"{args.pairs}: no rows to score")
-        adv = group_advantages([out["total"] for out in rows_out]).advantages
-        for out, a in zip(rows_out, adv):
-            out["advantage"] = a
+        # GRPO's group: the outputs sampled for one prompt, which is the maze text
+        for group in groups.values():
+            for out, a in zip(group, group_advantages([o["total"] for o in group]).advantages):
+                out["advantage"] = a
     out = _out(args.out)
     write_jsonl(out, rows_out)
     print(f"scored {len(rows_out)} outputs -> {out}", file=sys.stderr)

@@ -14,8 +14,9 @@ which holds every in-bounds edge of each cell.  ``_crosses`` is the one
 open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
 and the trace walks in ``augment``.  ``_walk_moves``, the one move walk,
 takes each move's edge from ``_steps``, keyed by direction or by its name
-(``"up"``): the reward, bench verdict and strict record check walk the
-move-token regex's names, with no direction tuple or ``SimOutcome``.  It,
+(``"up"``): ``tokens.walk_answer``, the one answer reader behind the reward,
+bench verdict and strict record check, walks the move-token regex's names
+from the origin, with no direction tuple or ``SimOutcome``.  It,
 the one integer BFS ``_search`` (connectivity, endpoint placement, the
 solver) and the trace step text of ``augment`` inline the rule.  The wall
 audits first test the whole grid as one integer against the per-shape bit

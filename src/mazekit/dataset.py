@@ -34,10 +34,10 @@ from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
 from .bench import hash16
-from .core import Maze, SimStatus, _walk_moves
+from .core import Maze, SimStatus
 from .generate import GenConfig, SolutionPath, solved_pool
 from .rng import SplitMix64, derive_seed, mix64
-from .tokens import _MOVE_TOKEN_RE, parse_maze_tokens, render_maze_tokens, render_move_tokens
+from .tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens, walk_answer
 
 _SHUFFLE_SALT = 0x0DD5_F00D_CAFE_1234
 
@@ -377,8 +377,7 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     index = id_parts[0]
     if len(index) < 6 or not (index.isascii() and index.isdigit()):
         raise DatasetError(f"{where}: field 'id' {record.id!r} does not start with a pool index of 6 or more digits")
-    names, o = _MOVE_TOKEN_RE.findall(record.completion), m.origin
-    status = _walk_moves(m, o.row * m.width + o.col, names)[2]
+    moves, _, status = walk_answer(m, record.completion)
     if status is not SimStatus.REACHED_TARGET:
         raise DatasetError(f"{where}: completion does not solve the maze ({status.value})")
     has_reset = RESET_MARKER in record.completion
@@ -387,8 +386,8 @@ def validate_record(record: DatasetRecord, where: str = "record") -> None:
     suffix = _ID_SUFFIX[record.kind]
     if id_parts[2] != suffix:
         raise DatasetError(f"{where}: field 'id' {record.id!r} does not end in '-{suffix}' for kind '{record.kind.value}'")
-    if record.steps != len(names):
-        raise DatasetError(f"{where}: field 'steps' is {record.steps}, the answer has {len(names)} moves")
+    if record.steps != moves:
+        raise DatasetError(f"{where}: field 'steps' is {record.steps}, the answer has {moves} moves")
 
 
 def read_records(path: str, strict: bool = False) -> list[DatasetRecord]:

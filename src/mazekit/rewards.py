@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Maze, SimStatus, _walk_moves
-from .tokens import _MOVE_TOKEN_RE, first_move_token_index
+from .core import Maze, SimStatus
+from .tokens import _MOVE_TOKEN_RE, extract_move_tokens, walk_answer
 
 CORRECTNESS_PER_STEP = 0.2
 INTEGRITY_PER_TOKEN = 0.5
@@ -45,51 +45,30 @@ class GroupAdvantages:
     epsilon: float
 
 
-def _correctness(m: Maze, names: Sequence[str]) -> float:
-    o = m.origin
-    if o is None:
-        raise ValueError("correctness_reward requires a maze with endpoints")
-    if _walk_moves(m, o.row * m.width + o.col, names)[2] is SimStatus.REACHED_TARGET:
-        return CORRECTNESS_PER_STEP * len(names)
-    return 0.0
-
-
-def _integrity(names: Sequence[str]) -> float:
-    return INTEGRITY_PER_TOKEN * len(names)
-
-
 def correctness_reward(m: Maze, output: str) -> float:
     """0.2 per step when the extracted moves reach the target, else 0."""
-    return _correctness(m, _MOVE_TOKEN_RE.findall(output))
+    return total_reward(m, output).correctness
 
 
 def integrity_reward(output: str) -> float:
     """0.5 per movement token anywhere in the output."""
-    return _integrity(_MOVE_TOKEN_RE.findall(output))
+    return INTEGRITY_PER_TOKEN * len(extract_move_tokens(output))
 
 
 def thinking_reward(output: str) -> float:
     """0.25 for exactly one ordered think-tag pair that precedes any move token."""
-    if output.count("<think>") != 1 or output.count("</think>") != 1:
-        return 0.0
-    close = output.find("</think>")
-    if output.find("<think>") >= close:
-        return 0.0
-    first_move = first_move_token_index(output)
-    if first_move is not None and first_move < close:
-        return 0.0
-    return THINKING_POINTS
+    # one cut at the first "</think>" is exact: no tag or move token can straddle it, each having its only "<" first
+    head, close, tail = output.partition("</think>")
+    ok = close and "</think>" not in tail and "<think>" not in tail and head.count("<think>") == 1
+    return THINKING_POINTS if ok and not _MOVE_TOKEN_RE.search(head) else 0.0
 
 
 def total_reward(m: Maze, output: str) -> RewardBreakdown:
-    """All three components for one output; total is their plain sum.
-
-    The move names are found once and shared by correctness and integrity.
-    """
-    names = _MOVE_TOKEN_RE.findall(output)
+    """All three components for one output, its moves read once by ``walk_answer``; total is their plain sum."""
+    moves, _, status = walk_answer(m, output)
     return RewardBreakdown(
-        correctness=_correctness(m, names),
-        integrity=_integrity(names),
+        correctness=CORRECTNESS_PER_STEP * moves if status is SimStatus.REACHED_TARGET else 0.0,
+        integrity=INTEGRITY_PER_TOKEN * moves,
         thinking=thinking_reward(output),
     )
 

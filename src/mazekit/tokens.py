@@ -19,8 +19,10 @@ coordinate, one ``str.split`` on the ``|><|`` seam cuts the text into names,
 and the text is accepted when those names are exactly a rendering's.  Only
 other text (CRLF row endings, or text that will be rejected) is walked token
 by token, to read it or to name its first fault in cell order.
-``extract_move_tokens`` is the one lenient entry point: it scans raw model
-output and keeps every movement token it finds, in order.
+``extract_move_tokens`` and ``walk_answer`` are the lenient entry points: each
+scans raw model output and keeps every movement token it finds, in order.
+``walk_answer`` is the one answer reader: the reward, the bench verdict and
+the strict record check all walk an answer's moves from the origin through it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position
-from .core import _cells, validate_maze, wall_mismatches
+from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, SimStatus
+from .core import _cells, _walk_moves, validate_maze, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -116,10 +118,15 @@ def extract_move_tokens(model_output: str) -> tuple[MoveDirection, ...]:
     return tuple(map(_MOVE_NAMES.__getitem__, _MOVE_TOKEN_RE.findall(model_output)))
 
 
-def first_move_token_index(text: str) -> int | None:
-    """Character offset of the first movement token, or None."""
-    match = _MOVE_TOKEN_RE.search(text)
-    return match.start() if match else None
+def walk_answer(m: Maze, output: str) -> tuple[int, int, SimStatus]:
+    """The one answer reader, for the reward, bench verdict and record check: (move
+    count, steps taken, status) of walking the output's movement tokens from the origin."""
+    o = m.origin
+    if o is None:
+        raise ValueError("an answer walk requires a maze with an origin set")
+    names = _MOVE_TOKEN_RE.findall(output)
+    _, steps_taken, status = _walk_moves(m, o.row * m.width + o.col, names)
+    return len(names), steps_taken, status
 
 
 def _line_tokens(line: str, row: int) -> list[str]:

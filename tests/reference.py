@@ -8,8 +8,9 @@ that scans each cell's neighbours on every step, and the rendering joined
 cell by cell; plus ``CountingRng``, which counts draws by stream position,
 and ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
 their form from before the one move walk: ``simulate_moves`` stepping edge
-by edge through ``_crosses``, and ``total_reward`` and the bench verdict on
-the ``MoveDirection`` tuple of ``extract_move_tokens`` and a ``SimOutcome``."""
+by edge through ``_crosses``, ``total_reward`` and the bench verdict on the
+``MoveDirection`` tuple of ``extract_move_tokens`` and a ``SimOutcome``, and
+the think rule as five scans of the whole output."""
 
 from mazekit.bench import NO_OUTPUT_REASON, MazeVerdict
 from mazekit.core import (
@@ -27,9 +28,9 @@ from mazekit.core import (
     links,
     open_neighbors,
 )
-from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, RewardBreakdown, thinking_reward
+from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64
-from mazekit.tokens import _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, extract_move_tokens
+from mazekit.tokens import _MOVE_TOKEN_RE, _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, extract_move_tokens
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
 BITS = {d: bit for d, bit, _, _, _ in EDGES}
@@ -179,6 +180,20 @@ def reference_simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     return SimOutcome(final=cells[i], steps_taken=len(seq), status=status)
 
 
+def reference_thinking_reward(output: str) -> float:
+    """``thinking_reward`` as five scans of the whole output: both tag counts,
+    both tag offsets and the first move token's offset."""
+    if output.count("<think>") != 1 or output.count("</think>") != 1:
+        return 0.0
+    close = output.find("</think>")
+    if output.find("<think>") >= close:
+        return 0.0
+    first_move = _MOVE_TOKEN_RE.search(output)
+    if first_move is not None and first_move.start() < close:
+        return 0.0
+    return THINKING_POINTS
+
+
 def reference_total_reward(m: Maze, output: str) -> RewardBreakdown:
     """``total_reward`` on the extracted directions and a simulated outcome."""
     moves = extract_move_tokens(output)
@@ -188,7 +203,7 @@ def reference_total_reward(m: Maze, output: str) -> RewardBreakdown:
     return RewardBreakdown(
         correctness=CORRECTNESS_PER_STEP * len(moves) if solved else 0.0,
         integrity=INTEGRITY_PER_TOKEN * len(moves),
-        thinking=thinking_reward(output),
+        thinking=reference_thinking_reward(output),
     )
 
 

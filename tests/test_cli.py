@@ -11,9 +11,9 @@ from mazekit.augment import RESET_MARKER
 from mazekit.bench import maze_id
 from mazekit.cli import main
 from mazekit.dataset import RecordKind, read_records
-from mazekit.generate import solve_shortest_path
+from mazekit.generate import GenConfig, generate_solved_maze, solve_shortest_path
 from mazekit.rng import derive_seed
-from mazekit.tokens import parse_maze_tokens, render_move_tokens
+from mazekit.tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
 GOLDEN_ID = maze_id(parse_maze_tokens(GOLDEN_PATH.read_text(encoding="utf-8")))
@@ -228,6 +228,27 @@ def test_reward_batch(capsys, tmp_path):
     assert rows[1]["total"] == pytest.approx(0.5)
     assert rows[0]["advantage"] == pytest.approx(1.0, abs=1e-6)
     assert rows[1]["advantage"] == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_reward_advantages_are_per_maze(capsys, tmp_path):
+    """Each row is normalized within the rows of its own maze (GRPO's group
+    for one prompt), so a correct answer scores +1 whatever its length; one
+    file-wide group gave -0.494, -0.618, +1.73 and -0.618 here."""
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "rewards.jsonl"
+    rows = []
+    for seed, steps in [(5, 1), (81, 19)]:
+        m = generate_solved_maze(GenConfig(5, 5, seed))
+        moves = solve_shortest_path(m).moves
+        assert len(moves) == steps
+        text = render_maze_tokens(m)
+        rows += [{"maze_tokens": text, "output": f"<think>\n</think>\n{render_move_tokens(moves)}"},
+                 {"maze_tokens": text, "output": "<think>\n</think>\n"}]
+    pairs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code, _, err = run(capsys, "reward", "--pairs", str(pairs), "--advantages", "--out", str(out))
+    assert code == 0, err
+    scored = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["total"] for row in scored] == pytest.approx([0.95, 0.25, 13.55, 0.25])
+    assert [row["advantage"] for row in scored] == pytest.approx([1.0, -1.0, 1.0, -1.0], abs=1e-6)
 
 
 def test_trend_fits_points(capsys, tmp_path):

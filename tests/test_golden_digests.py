@@ -16,6 +16,7 @@ from mazekit.bench import hash16
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
+from mazekit.rewards import group_advantages
 from mazekit.tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 POOL_DIGEST = "15bd6c5a18f8a3021b591e092127fc13ef1b5c3663754ec343845ca04ecc680a"
@@ -63,7 +64,8 @@ TOPPED_UP_BUILD_DIGESTS = {
 }
 SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
 BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515bcd7881"
-REWARD_DIGEST = "73c318e4ff726c7d1186ccf4f727d8da3e10a89801975a27bed3c9024752660f"
+# advantages are normalized per maze: the six GOLDEN rows among themselves, the GAP_MAZE row alone
+REWARD_DIGEST = "01e2d6a2e20f6579c04bdb597099ab2602d07d4fcd9117d8f253c826a9ca810d"
 TREND_DIGEST = "fc277633d5fbbd4e1ee88df01c1db6993e18e2513657def3a4440accba4162d9"
 
 GOLDEN = (pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt").read_text(encoding="utf-8")
@@ -170,6 +172,9 @@ def test_reward_advantages_digest(tmp_path, capsys):
         json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in outputs
     ))
     assert main(["reward", "--pairs", str(pairs), "--advantages", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    golden = group_advantages([row["total"] for row in rows[:6]]).advantages
+    assert [row["advantage"] for row in rows] == [*golden, 0.0]
     assert sha256(out) == REWARD_DIGEST
 
 

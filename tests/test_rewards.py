@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.generate import GenConfig, place_endpoints, solve_shortest_path
+from mazekit.augment import ReasoningTrace
+from mazekit.generate import GenConfig, generate_solved_maze, place_endpoints, solve_shortest_path
 from mazekit.rewards import (
     correctness_reward,
     group_advantages,
@@ -32,6 +33,20 @@ def test_four_step_solution_scores_point_eight(four_step_maze):
 
 def test_example_solution_scores_one(example_maze):
     assert correctness_reward(example_maze, _solution_text(example_maze)) == pytest.approx(1.0)
+
+
+def test_move_token_spam_outscores_the_oracle():
+    """FOUND (ROADMAP item 7), pinned as it stands: integrity pays 0.5 per
+    movement token anywhere in the output, so on the seed-7 maze (6 steps)
+    token spam, solving or not, out-scores the oracle answer."""
+    m = generate_solved_maze(GenConfig(seed=7))
+    trace = ReasoningTrace(m, (), solve_shortest_path(m))
+    assert trace.solution.steps == 6
+    moves = render_move_tokens(trace.solution.moves)
+    assert total_reward(m, f"<think>{trace.solution_text}</think>{moves}").total == pytest.approx(4.45)
+    assert total_reward(m, "<think></think>" + "<|up|>" * 40).total == pytest.approx(20.25)
+    padded = f"<think>{trace.solution_text}{'<|left|>' * 20}</think>{moves}"
+    assert total_reward(m, padded).total == pytest.approx(13.0)
 
 
 def test_non_solving_output_scores_zero(example_maze):
