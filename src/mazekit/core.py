@@ -16,9 +16,10 @@ and the trace walks in ``augment``.  ``_walk_moves``, the one move walk,
 takes each move's edge from ``_steps``, keyed by direction or by its name
 (``"up"``): ``tokens.walk_answer``, the one answer reader behind the reward,
 bench verdict and strict record check, walks the move-token regex's names
-from the origin, with no direction tuple or ``SimOutcome``.  It,
-the one integer BFS ``_search`` (connectivity, endpoint placement, the
-solver) and the trace step text of ``augment`` inline the rule.  The wall
+from the origin, with no direction tuple or ``SimOutcome``.  It, the one
+integer BFS ``_search`` (connectivity, the solver, endpoints on a given maze;
+a carved maze reads its paths from its carve's tree) and the trace step text
+of ``augment`` inline the rule.  The wall
 audits first test the whole grid as one integer against the per-shape bit
 masks of ``_grid_bits``; only a grid that fails is walked cell by cell, to
 name each fault.

@@ -15,7 +15,8 @@ bit facing it in each neighbour's set, so no step rescans a neighbour.
 A carve draws its start row and column with ``randbelow``, then one block of
 ``take(w*h - 1)``: one draw per carved edge, mod the step's candidate count.  A
 draw ``randbelow`` would reject moves the carve on by one, and the stream's
-next draw joins the block.
+next draw joins the block.  The carve keeps its tree, and a carved maze's
+endpoint paths are climbed in it; ``place_endpoints`` takes any maze, so it uses BFS.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .core import SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _search, links
+from .core import EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _search, links
 from .rng import _LIMITS, SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
@@ -95,17 +96,16 @@ def _carve_table(width: int, height: int):
     return clears, choices, tuple(sum(bit for bit, _, _ in row) for row in edges)
 
 
-def generate_maze(cfg: GenConfig) -> Maze:
-    """Carve a perfect maze from the config's seed; endpoints stay unset."""
-    rng = SplitMix64(cfg.seed)
-    w, h = cfg.width, cfg.height
+def _carve(w: int, h: int, seed: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The one carve loop: per flat index, the wall mask and, in the spanning tree it
+    walks, the parent, the wall bit of the edge in from it, and the depth (0 at the start)."""
+    rng = SplitMix64(seed)
     clears, choices, uncarved = _carve_table(w, h)
-    # every cell starts with all four walls; carving an edge clears one bit
-    # on each side.  uncarved[i] holds the directions from cell i whose
-    # neighbour is not carved yet, so choices[i][uncarved[i]] are its
-    # candidate edges.  Both are lists: their items read and write faster
-    # than a bytearray's
+    # every cell starts with all four walls; carving an edge clears one bit on each side.
+    # uncarved[i] holds the directions from cell i whose neighbour is not carved yet, so
+    # choices[i][uncarved[i]] are its candidates.  Lists read and write faster than bytearrays
     masks = [15] * (w * h)
+    parent, entered, depth = [0] * (w * h), [0] * (w * h), [0] * (w * h)
     uncarved = list(uncarved)
     start = rng.randbelow(h) * w + rng.randbelow(w)
     for n, clear in clears[start]:
@@ -131,8 +131,15 @@ def generate_maze(cfg: GenConfig) -> Maze:
         # entering j clears, in each neighbour, the bit that faces j
         for n, clear in clears[j]:
             uncarved[n] &= clear
+        # the stack is the tree path from the start to i
+        parent[j], entered[j], depth[j] = i, bit, len(stack)
         stack.append(j)
-    return Maze(width=w, height=h, masks=bytes(masks))
+    return masks, parent, entered, depth
+
+
+def generate_maze(cfg: GenConfig) -> Maze:
+    """Carve a perfect maze from the config's seed; endpoints stay unset."""
+    return Maze(width=cfg.width, height=cfg.height, masks=bytes(_carve(cfg.width, cfg.height, cfg.seed)[0]))
 
 
 def place_endpoints(m: Maze, cfg: GenConfig) -> Maze:
@@ -142,35 +149,64 @@ def place_endpoints(m: Maze, cfg: GenConfig) -> Maze:
     until the shortest-path length lies in [min_steps, max_steps].  Raises
     EndpointSamplingError once the attempt budget is exhausted.
     """
-    return _solved(m, cfg)[0]
+    path = _endpoints(cfg.seed, m.width * m.height, cfg, lambda o, t: _shortest_path(m, o, t))
+    return m.with_endpoints(path.cells[0], path.cells[-1])
 
 
-def _solved(m: Maze, cfg: GenConfig) -> tuple[Maze, SolutionPath]:
-    """``place_endpoints`` with the shortest path its accept test found."""
-    rng = SplitMix64(mix64(cfg.seed ^ _ENDPOINT_SALT))
-    cells = m.width * m.height
+def _endpoints(seed: int, cells: int, cfg: GenConfig, path_of) -> SolutionPath:
+    """The endpoint loop on ``seed``'s stream: the first path ``path_of(origin, target)``
+    gives (on flat indices; None when unreachable) within cfg's step bounds."""
+    rng = SplitMix64(mix64(seed ^ _ENDPOINT_SALT))
+    # a path between distinct cells takes 1 to cells - 1 steps, so these stand in for no bound
+    lo, hi = cfg.min_steps or 0, cfg.max_steps or cells
     for _ in range(ENDPOINT_ATTEMPTS):
         o = rng.randbelow(cells)
         t = rng.randbelow(cells)
         if o == t:
             continue
-        path = _shortest_path(m, o, t)
-        if path is None:
-            continue
-        if cfg.min_steps is not None and path.steps < cfg.min_steps:
-            continue
-        if cfg.max_steps is not None and path.steps > cfg.max_steps:
-            continue
-        return m.with_endpoints(path.cells[0], path.cells[-1]), path
+        path = path_of(o, t)
+        if path is not None and lo <= path.steps <= hi:
+            return path
     raise EndpointSamplingError(
         f"no endpoint pair with path length in "
         f"[{cfg.min_steps}, {cfg.max_steps}] after {ENDPOINT_ATTEMPTS} attempts"
     )
 
 
+# each wall bit's move, and the move back along it: a climb to the parent undoes the carve's move
+_ALONG = {bit: d for d, bit, _, _, _ in EDGES}
+_BACK = {bit: _ALONG[back] for _, bit, back, _, _ in EDGES}
+
+
+def _tree_path(parent: list[int], entered: list[int], depth: list[int], positions, o: int, t: int) -> SolutionPath:
+    """The one simple path from flat index o to t in the carve's tree: climb the
+    deeper end until both meet at their common ancestor, then join the two climbs."""
+    up, down = [], []
+    while o != t:
+        if depth[o] >= depth[t]:
+            up.append(o)
+            o = parent[o]
+        else:
+            down.append(t)
+            t = parent[t]
+    down.reverse()
+    moves = [_BACK[entered[i]] for i in up] + [_ALONG[entered[i]] for i in down]
+    # a list, not map(): a tuple grown from an iterator of unknown length can keep a larger block once trimmed
+    return SolutionPath(moves=tuple(moves), cells=tuple([positions[i] for i in up + [o] + down]))
+
+
+def _tree_solved(cfg: GenConfig, seed: int) -> tuple[Maze, SolutionPath]:
+    """The maze of ``seed`` at cfg's shape, solved with each candidate path read from its carve's tree."""
+    w, h = cfg.width, cfg.height
+    masks, parent, entered, depth = _carve(w, h, seed)
+    positions = _cells(w, h)
+    path = _endpoints(seed, w * h, cfg, lambda o, t: _tree_path(parent, entered, depth, positions, o, t))
+    return Maze(w, h, bytes(masks), path.cells[0], path.cells[-1]), path
+
+
 def generate_solved_maze(cfg: GenConfig) -> Maze:
     """Convenience: carve walls and place endpoints in one call."""
-    return place_endpoints(generate_maze(cfg), cfg)
+    return _tree_solved(cfg, cfg.seed)[0]
 
 
 def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[int, Maze, SolutionPath]]:
@@ -180,8 +216,8 @@ def solved_pool(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tuple[in
     so it is the same whichever range it is drawn in.
     """
     for i in range(start, start + count):
-        item = GenConfig(cfg.width, cfg.height, derive_seed(cfg.seed, i), cfg.min_steps, cfg.max_steps)
-        yield item.seed, *_solved(generate_maze(item), item)
+        seed = derive_seed(cfg.seed, i)
+        yield seed, *_tree_solved(cfg, seed)
 
 
 def solve_shortest_path(m: Maze) -> SolutionPath:

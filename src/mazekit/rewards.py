@@ -82,17 +82,16 @@ def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON)
     n = len(rewards)
     if n == 0:
         raise ValueError("group_advantages requires at least one reward")
-    # exact short-circuit: an all-equal group has no signal, and computing
-    # its mean in floats can manufacture phantom variance
-    if all(r == rewards[0] for r in rewards):
-        return GroupAdvantages(advantages=(0.0,) * n, epsilon=epsilon)
-    mean = sum(rewards) / n
-    variance = sum((r - mean) ** 2 for r in rewards) / n
+    # centred on the first reward, close rewards keep their exact differences, so the
+    # float mean cannot round onto one of them, and an all-equal group is exactly 0.0
+    shifted = [r - rewards[0] for r in rewards]
+    mean = sum(shifted) / n
+    variance = sum([(r - mean) ** 2 for r in shifted]) / n
     scale = math.sqrt(variance) + epsilon
     if scale == 0.0:
-        # squared deviations can underflow to zero for subnormal spreads
+        # an all-equal group with epsilon 0, or squared deviations underflowing for subnormal spreads
         return GroupAdvantages(advantages=(0.0,) * n, epsilon=epsilon)
     return GroupAdvantages(
-        advantages=tuple((r - mean) / scale for r in rewards),
+        advantages=tuple([(r - mean) / scale for r in shifted]),
         epsilon=epsilon,
     )

@@ -4,7 +4,8 @@ integer BFS, wall masks built from directions, and the per-cell wall token.
 
 It also keeps the plain forms of the table-driven kernels, for the
 differential tests: ``randbelow`` as a loop over ``next_u64``, the carve
-that scans each cell's neighbours on every step, and the rendering joined
+that scans each cell's neighbours on every step, the pool that places each
+maze's endpoints with a BFS per candidate pair, and the rendering joined
 cell by cell; plus ``CountingRng``, which counts draws by stream position,
 and ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
 their form from before the one move walk: ``simulate_moves`` stepping edge
@@ -28,8 +29,9 @@ from mazekit.core import (
     links,
     open_neighbors,
 )
+from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, _shortest_path
 from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
-from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64
+from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
 from mazekit.tokens import _MOVE_TOKEN_RE, _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, extract_move_tokens
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
@@ -147,6 +149,35 @@ def reference_carve(width, height, rng):
         masks[j] &= ~back
         stack.append(j)
     return bytes(masks)
+
+
+def reference_solved_pool(cfg, count, start=0):
+    """``solved_pool`` from each item's own ``GenConfig``, the neighbour-scan carve
+    and a BFS (``_shortest_path``) for every candidate endpoint pair."""
+    for i in range(start, start + count):
+        item = GenConfig(cfg.width, cfg.height, derive_seed(cfg.seed, i), cfg.min_steps, cfg.max_steps)
+        m = Maze(item.width, item.height, reference_carve(item.width, item.height, SplitMix64(item.seed)))
+        rng = SplitMix64(mix64(item.seed ^ _ENDPOINT_SALT))
+        cells = m.width * m.height
+        for _ in range(ENDPOINT_ATTEMPTS):
+            o = rng.randbelow(cells)
+            t = rng.randbelow(cells)
+            if o == t:
+                continue
+            path = _shortest_path(m, o, t)
+            if path is None:
+                continue
+            if item.min_steps is not None and path.steps < item.min_steps:
+                continue
+            if item.max_steps is not None and path.steps > item.max_steps:
+                continue
+            yield item.seed, m.with_endpoints(path.cells[0], path.cells[-1]), path
+            break
+        else:
+            raise EndpointSamplingError(
+                f"no endpoint pair with path length in "
+                f"[{item.min_steps}, {item.max_steps}] after {ENDPOINT_ATTEMPTS} attempts"
+            )
 
 
 def reference_render(m: Maze) -> str:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit import generate
-from mazekit.core import Position, SimStatus, simulate_moves, open_neighbors, validate_maze
+from mazekit import core, generate
+from mazekit.core import Maze, Position, SimStatus, _cells, simulate_moves, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
     GenConfig,
@@ -17,7 +17,16 @@ from mazekit.generate import (
     solved_pool,
 )
 from mazekit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed
-from reference import CountingRng, apply_move, is_open, open_passage_count, reference_carve, unmix64
+from mazekit.tokens import parse_maze_tokens, render_maze_tokens
+from reference import (
+    CountingRng,
+    apply_move,
+    is_open,
+    open_passage_count,
+    reference_carve,
+    reference_solved_pool,
+    unmix64,
+)
 
 
 def enumerate_simple_paths(m, start, goal):
@@ -277,3 +286,86 @@ def test_carve_takes_its_steps_in_one_block(monkeypatch):
     width, height, seed, _, masks = CARVES[0]
     assert generate_maze(GenConfig(width, height, seed)).masks == bytes.fromhex(masks)
     assert calls == {"randbelow": 2, "take": 1, "next_u64": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**64 - 1), st.data())
+def test_tree_path_is_the_bfs_path(width, height, seed, data):
+    """The path read from the carve's tree is, move for move and cell for cell,
+    the one the BFS finds, for any distinct pair of cells."""
+    masks, parent, entered, depth = generate._carve(width, height, seed)
+    m = Maze(width, height, bytes(masks))
+    cells = width * height
+    for _ in range(5):
+        o, t = data.draw(st.lists(st.integers(0, cells - 1), min_size=2, max_size=2, unique=True))
+        path = generate._tree_path(parent, entered, depth, _cells(width, height), o, t)
+        assert path == generate._shortest_path(m, o, t)
+
+
+def pool_outcome(items):
+    """The items a pool yields, or the message of the EndpointSamplingError it raises."""
+    try:
+        return list(items)
+    except EndpointSamplingError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(2, 12),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.none(), st.tuples(st.integers(1, 143), st.integers(0, 20))),
+)
+def test_solved_pool_matches_the_bfs_pool(width, height, seed, bounds):
+    """The tree-read pool yields what the pool that solved every candidate pair
+    with a BFS yields, with or without step bounds, and fails with its message."""
+    if bounds is None:
+        cfg = GenConfig(width, height, seed)
+    else:
+        low = min(bounds[0], width * height - 1)
+        cfg = GenConfig(width, height, seed, low, low + bounds[1])
+    assert pool_outcome(solved_pool(cfg, 3, start=5)) == pool_outcome(reference_solved_pool(cfg, 3, start=5))
+
+
+def test_solved_pool_failure_message_is_pinned():
+    """Neither 5x5 tree here (pool item 0 of seed 3, and seed 3's own) has a 24-step
+    path, so each fails with the message of the pool that solved by BFS."""
+    cfg = GenConfig(5, 5, 3, min_steps=24)
+    message = "no endpoint pair with path length in [24, None] after 1000 attempts"
+    assert pool_outcome(solved_pool(cfg, 1)) == pool_outcome(reference_solved_pool(cfg, 1)) == message
+    with pytest.raises(EndpointSamplingError, match=r"^no endpoint pair with path length in \[24, None\] after 1000"):
+        generate_solved_maze(cfg)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Calls of ``core._search``, at each module that bound it, and of ``Maze.__post_init__``."""
+    search, post_init = core._search, Maze.__post_init__
+    calls = {"_search": 0, "__post_init__": 0}
+
+    def counting_search(*args):
+        calls["_search"] += 1
+        return search(*args)
+
+    def counting_post_init(self):
+        calls["__post_init__"] += 1
+        return post_init(self)
+
+    for module in (core, generate):
+        monkeypatch.setattr(module, "_search", counting_search)
+    monkeypatch.setattr(Maze, "__post_init__", counting_post_init)
+    return calls
+
+
+def test_pool_item_searches_nothing_and_builds_one_maze(solve_calls):
+    """A pool item and a solved maze read their path from the carve's tree: no BFS,
+    and one ``Maze``, built with its endpoints set.  ``place_endpoints`` takes any
+    maze, so on a parsed one it still solves its candidate pairs by BFS."""
+    next(solved_pool(GenConfig(seed=7, min_steps=3, max_steps=8), 1))
+    assert solve_calls == {"_search": 0, "__post_init__": 1}
+    cfg = GenConfig(seed=7)
+    m = generate_solved_maze(cfg)
+    assert solve_calls == {"_search": 0, "__post_init__": 2}
+    assert place_endpoints(parse_maze_tokens(render_maze_tokens(m)), cfg) == m
+    assert solve_calls["_search"] >= 1

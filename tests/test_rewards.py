@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mazekit.augment import ReasoningTrace
@@ -119,6 +119,11 @@ def test_group_advantages_oracle_case():
     assert adv[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_group_advantages_one_ulp_apart_keep_their_signs():
+    """Two rewards one ulp apart normalize to +1 and -1, as any two distinct rewards do."""
+    assert group_advantages([100.0, 99.99999999999999], epsilon=0.0).advantages == (1.0, -1.0)
+
+
 def test_group_advantages_empty():
     with pytest.raises(ValueError):
         group_advantages([])
@@ -126,6 +131,7 @@ def test_group_advantages_empty():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=16))
+@example([100.0, 99.99999999999999])  # one ulp apart: a float mean rounds onto one of them
 def test_group_advantages_zero_mean(rewards):
     adv = group_advantages(rewards, epsilon=0.0).advantages
     assert abs(sum(adv)) / len(adv) < 1e-9
