@@ -21,10 +21,10 @@ answer moves from inside the reasoning.
 
 A ``ReasoningTrace`` holds its maze, attempts and solution path and renders
 that text on first use, caching each piece, so a caller that only needs
-``is_retry`` renders nothing.  Every walk starts at the origin, so its step
-text follows its moves alone from there.  Walks and step text run on the
-flat cell index of ``core``; an attempt turns its walk into ``Position``
-cells once, when it is kept.
+``is_retry`` renders nothing.  Every walk starts at the origin, so an
+attempt keeps only its moves, and its step text follows them from there.
+Walks and step text run on the flat cell index of ``core``, from the
+origin's index that the ``Maze`` keeps.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _open, links
+from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, _open, links
 from .generate import SolutionPath
 from .rng import SplitMix64
 
@@ -62,10 +62,9 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class WrongAttempt:
-    """One failed excursion: the moves walked and every cell visited."""
+    """One failed excursion from the origin: the moves walked and how it ended."""
 
     moves: tuple[MoveDirection, ...]
-    cells: tuple[Position, ...]
     terminal_kind: TerminalKind
 
     @property
@@ -155,9 +154,7 @@ def _attempt(
         moves, path = _walk(m, origin, first, blocked, n_steps, rng)
         dead = m.masks[path[-1]].bit_count() == DEAD_END_WALLS
         if moves and (dead or len(moves) == n_steps):
-            kind = TerminalKind.DEAD_END if dead else TerminalKind.WRONG_DIRECTION
-            cells = _cells(m.width, m.height)
-            return WrongAttempt(tuple(moves), tuple(cells[i] for i in path), kind)
+            return WrongAttempt(tuple(moves), TerminalKind.DEAD_END if dead else TerminalKind.WRONG_DIRECTION)
     return None
 
 
@@ -173,7 +170,7 @@ def build_attempts(m: Maze, solution: SolutionPath, cfg: AugmentConfig) -> list[
     """
     if m.origin is None:
         raise ValueError("maze has no origin")
-    origin = m.origin.row * m.width + m.origin.col
+    origin = m._origin_index
     # off-grid cells name no cell, so they block nothing
     blocked = {p.row * m.width + p.col for p in solution.cells if m.in_bounds(p)}
     rng = SplitMix64(cfg.seed)
@@ -206,7 +203,7 @@ def _steps_text(m: Maze, moves) -> str:
     if m.origin is None:
         raise ValueError("maze has no origin")
     masks, table, names = m.masks, links(m.width, m.height), _cell_names(m.width, m.height)
-    i = m.origin.row * m.width + m.origin.col
+    i = m._origin_index
     lines = []
     for d in moves:
         here, bits, j = masks[i], 0, None

@@ -9,25 +9,25 @@ consistent by construction.  ``validate_maze`` audits that expectation
 instead of repairing breaches.  The rule: a maze is audited once where it
 is read; a maze the carve built is trusted.
 
-Searches and walks index those bytes with the per-shape ``links`` table,
-which holds every in-bounds edge of each cell.  ``_crosses`` is the one
-open-edge rule; ``_open`` applies it to a whole cell for ``open_neighbors``
-and the trace walks in ``augment``.  ``_walk_moves``, the one move walk,
-takes each move's edge from ``_steps``, keyed by direction or by its name
-(``"up"``): ``tokens.walk_answer``, the one answer reader behind the reward,
-bench verdict and strict record check, walks the move-token regex's names
-from the origin, with no direction tuple or ``SimOutcome``.  It, the one
-integer BFS ``_search`` (connectivity, the solver, endpoints on a given maze;
-a carved maze reads its paths from its carve's tree) and the trace step text
-of ``augment`` inline the rule.  The wall
-audits first test the whole grid as one integer against the per-shape bit
-masks of ``_grid_bits``; only a grid that fails is walked cell by cell, to
-name each fault.
+The flat index is the library's internal currency; ``Position`` is what the
+public API takes and returns, and a ``Maze`` keeps its endpoints' flat
+indices.  Searches and walks index the wall bytes with the per-shape ``links``
+table of each cell's in-bounds edges.  ``_crosses`` is the one open-edge rule;
+``_open`` applies it to a whole cell for ``open_neighbors`` and the trace
+walks in ``augment``.  ``_walk_moves``, the one move walk, takes each move's
+edge from ``_steps``, keyed by direction or by its name (``"up"``):
+``tokens.walk_answer``, the one answer reader behind the reward, bench verdict
+and strict record check, walks an answer's move-token names from the origin.
+It, the one integer BFS ``_search`` and the trace step text of ``augment``
+inline the rule.  ``_search`` records its tree in the carve's shape, so
+``generate._tree_path`` reads paths from both.  The wall audits first test the
+whole grid as one integer against the per-shape bit masks of ``_grid_bits``;
+only a grid that fails is walked cell by cell, to name each fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -149,23 +149,23 @@ def _open(masks: bytes, table, i: int) -> list[tuple[MoveDirection, int]]:
 def _search(m: Maze, src: int, dst: int = -1):
     """Integer BFS from flat index src, stopping once dst is reached.
 
-    Returns (parents, order): parents[j] is (predecessor, move) for each
-    reached cell, (src, None) for src, None elsewhere; order is discovery order.
+    Returns its tree in ``generate._carve``'s shape, per flat index the parent, the wall bit
+    of the edge in from it and the depth (-1 where not reached), then the discovery order.
     """
     masks, table = m.masks, links(m.width, m.height)
-    parents: list = [None] * len(masks)
-    parents[src] = (src, None)
+    parent, entered, depth = [0] * len(masks), [0] * len(masks), [-1] * len(masks)
+    depth[src] = 0
     order = [src]
     for i in order:  # the list grows while it is walked: a FIFO queue
-        here = masks[i]
-        for d, (bit, back, j) in table[i]:
+        here, deeper = masks[i], depth[i] + 1
+        for _, (bit, back, j) in table[i]:
             # the ``_crosses`` rule, inlined: this loop is the hot path of every search
-            if parents[j] is None and not here & bit and not masks[j] & back:
-                parents[j] = (i, d)
+            if depth[j] < 0 and not here & bit and not masks[j] & back:
+                parent[j], entered[j], depth[j] = i, bit, deeper
                 order.append(j)
                 if j == dst:
-                    return parents, order
-    return parents, order
+                    return parent, entered, depth, order
+    return parent, entered, depth, order
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ class Maze:
     ``masks`` holds one wall mask (0..15) per cell, row-major.  Immutable
     after construction; use ``with_endpoints`` to derive a copy with
     endpoints set.  The constructor checks only the grid's shape and mask
-    range, not the structural invariants (see ``validate_maze``).
+    range, not the structural invariants (see ``validate_maze``).  It keeps
+    each endpoint's flat index (-1 when unset), which equality, hash and repr ignore.
     """
 
     width: int
@@ -183,6 +184,8 @@ class Maze:
     masks: bytes
     origin: Optional[Position] = None
     target: Optional[Position] = None
+    _origin_index: int = field(init=False, compare=False, repr=False)
+    _target_index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -193,10 +196,11 @@ class Maze:
             raise ValueError(f"{len(self.masks)} wall masks for a {self.width}x{self.height} grid")
         if max(self.masks) > 15:
             raise ValueError(f"wall mask {max(self.masks)} is not a 4-bit mask")
-        for name in ("origin", "target"):
+        for name, index in (("origin", "_origin_index"), ("target", "_target_index")):
             p = getattr(self, name)
             if p is not None and not self.in_bounds(p):
                 raise OutOfBoundsError(f"{name} {p} outside {self.width}x{self.height} grid")
+            object.__setattr__(self, index, -1 if p is None else p.row * self.width + p.col)
 
     def in_bounds(self, p: Position) -> bool:
         return 0 <= p.row < self.height and 0 <= p.col < self.width
@@ -277,7 +281,7 @@ def validate_maze(m: Maze) -> list[str]:
                 problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
-    reached = len(_search(m, 0)[1])
+    reached = len(_search(m, 0)[3])
     total = m.width * m.height
     if reached != total:
         problems.append(f"disconnected: only {reached} of {total} cells reachable from (0,0)")
@@ -311,8 +315,8 @@ def wall_mismatches(masks, width: int) -> Iterator[tuple[int, int, int, int, str
 def _walk_moves(m: Maze, i: int, moves: Sequence[MoveDirection | str]) -> tuple[int, int, SimStatus]:
     """The one move walk: (final flat index, steps taken, status) of walking
     moves, directions or their names, from flat index i; see ``simulate_moves``."""
-    t = m.target
-    if t is None:
+    t = m._target_index
+    if t < 0:
         raise ValueError("a move walk requires a maze with a target set")
     masks, steps = m.masks, _steps(m.width, m.height)
     for k, d in enumerate(moves):
@@ -323,8 +327,7 @@ def _walk_moves(m: Maze, i: int, moves: Sequence[MoveDirection | str]) -> tuple[
             # the grid is only reportable through a perimeter gap
             return i, k, SimStatus.OUT_OF_BOUNDS if j < 0 and not masks[i] & bit else SimStatus.WALL_HIT
         i = j
-    # the maze checked its endpoints against the grid when it was built
-    return i, len(moves), SimStatus.REACHED_TARGET if i == t.row * m.width + t.col else SimStatus.STOPPED_SHORT
+    return i, len(moves), SimStatus.REACHED_TARGET if i == t else SimStatus.STOPPED_SHORT
 
 
 def simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:

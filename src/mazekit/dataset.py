@@ -7,9 +7,10 @@ set and three training collections:
                   as retry completions (reasoning with RESET feedback)
     sft straight  mazes rendered as straight-success completions, drawn
                   from mazes not used for retry examples
-    grpo          straight-success records from whatever the sft straight
-                  selection left over, spilling into retry-selected mazes
-                  when the pool is too small to keep all three disjoint
+    grpo          straight-success records from the mazes both sft
+                  selections left over, then from the retry mazes: the
+                  paper's counts, which every ``--scale`` plan divides, leave
+                  few or none over, so grpo mazes are also sft retry mazes
 
 Test mazes never appear in any training collection; identity is a hash of
 the wall grid plus endpoints, so even a duplicate maze generated under a

@@ -15,8 +15,8 @@ bit facing it in each neighbour's set, so no step rescans a neighbour.
 A carve draws its start row and column with ``randbelow``, then one block of
 ``take(w*h - 1)``: one draw per carved edge, mod the step's candidate count.  A
 draw ``randbelow`` would reject moves the carve on by one, and the stream's
-next draw joins the block.  The carve keeps its tree, and a carved maze's
-endpoint paths are climbed in it; ``place_endpoints`` takes any maze, so it uses BFS.
+next draw joins the block.  The carve keeps its tree; ``_tree_path``, the one path
+builder, climbs it, or the same-shaped BFS tree that the solver grows on any maze.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .core import EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _index, _search, links
+from .core import EDGES, SHAPE_CACHE, Maze, MoveDirection, Position, _cells, _search, links
 from .rng import _LIMITS, SplitMix64, derive_seed, mix64
 
 # Endpoint placement draws from its own stream so it never replays the
@@ -179,8 +179,8 @@ _BACK = {bit: _ALONG[back] for _, bit, back, _, _ in EDGES}
 
 
 def _tree_path(parent: list[int], entered: list[int], depth: list[int], positions, o: int, t: int) -> SolutionPath:
-    """The one simple path from flat index o to t in the carve's tree: climb the
-    deeper end until both meet at their common ancestor, then join the two climbs."""
+    """The one path builder: the simple path from flat index o to t in a carve's or a BFS's
+    tree.  Climb the deeper end until both meet at their common ancestor, then join the climbs."""
     up, down = [], []
     while o != t:
         if depth[o] >= depth[t]:
@@ -228,21 +228,13 @@ def solve_shortest_path(m: Maze) -> SolutionPath:
     """
     if m.origin is None or m.target is None:
         raise ValueError("solve_shortest_path requires origin and target")
-    path = _shortest_path(m, _index(m, m.origin), _index(m, m.target))
+    path = _shortest_path(m, m._origin_index, m._target_index)
     if path is None:
         raise UnreachableTargetError(f"target {m.target} unreachable from origin {m.origin}")
     return path
 
 
 def _shortest_path(m: Maze, origin: int, target: int) -> Optional[SolutionPath]:
-    """Walk the BFS parent links back from flat index target; None when unreachable."""
-    parents = _search(m, origin, target)[0]
-    if parents[target] is None:
-        return None
-    positions = _cells(m.width, m.height)
-    cur, moves, cells = target, [], [positions[target]]
-    while cur != origin:
-        cur, d = parents[cur]
-        moves.append(d)
-        cells.append(positions[cur])
-    return SolutionPath(moves=tuple(reversed(moves)), cells=tuple(reversed(cells)))
+    """The BFS tree's path from flat index origin to target; None when unreachable."""
+    parent, entered, depth, _ = _search(m, origin, target)
+    return None if depth[target] < 0 else _tree_path(parent, entered, depth, _cells(m.width, m.height), origin, target)

@@ -76,8 +76,9 @@ def total_reward(m: Maze, output: str) -> RewardBreakdown:
 def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON) -> GroupAdvantages:
     """Center each reward on the group mean and scale by population std.
 
-    advantage_i = (r_i - mean) / (std + epsilon).  A zero-variance group
-    maps to all-zero advantages even when epsilon is 0.
+    advantage_i = (r_i - mean) / (std + epsilon).  A group of equal finite
+    rewards maps to all-zero advantages, even when epsilon is 0.  A non-finite
+    reward, or a spread that overflows a float, raises ValueError.
     """
     n = len(rewards)
     if n == 0:
@@ -86,12 +87,17 @@ def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON)
     # float mean cannot round onto one of them, and an all-equal group is exactly 0.0
     shifted = [r - rewards[0] for r in rewards]
     mean = sum(shifted) / n
-    variance = sum([(r - mean) ** 2 for r in shifted]) / n
+    try:
+        variance = sum([(r - mean) ** 2 for r in shifted]) / n
+    except OverflowError:  # ** raises where * would give inf: a finite square past the float range
+        variance = math.inf
     scale = math.sqrt(variance) + epsilon
+    if not math.isfinite(scale):  # any non-finite reward makes the scale NaN, so this one test finds it
+        for k, r in enumerate(rewards):
+            if not math.isfinite(r):
+                raise ValueError(f"reward {k} is {r!r}, not a finite number")
+        raise ValueError(f"the rewards are finite, but their spread overflows: std + epsilon is {scale!r}")
     if scale == 0.0:
         # an all-equal group with epsilon 0, or squared deviations underflowing for subnormal spreads
         return GroupAdvantages(advantages=(0.0,) * n, epsilon=epsilon)
-    return GroupAdvantages(
-        advantages=tuple([(r - mean) / scale for r in shifted]),
-        epsilon=epsilon,
-    )
+    return GroupAdvantages(advantages=tuple([(r - mean) / scale for r in shifted]), epsilon=epsilon)

@@ -95,12 +95,11 @@ def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
     problems = validate_maze(m) if audit else ()
     if problems:
         raise ValueError("cannot render invalid maze: " + "; ".join(problems))
-    w = m.width
-    pieces = list(_render_pieces(w, m.height))
+    pieces = list(_render_pieces(m.width, m.height))
     pieces[1::3] = map(_WALL_TOKENS.__getitem__, m.masks)
     # the endpoints are distinct, so neither state overwrites the other
-    pieces[3 * (m.origin.row * w + m.origin.col) + 2] = ORIGIN_TOKEN
-    pieces[3 * (m.target.row * w + m.target.col) + 2] = TARGET_TOKEN
+    pieces[3 * m._origin_index + 2] = ORIGIN_TOKEN
+    pieces[3 * m._target_index + 2] = TARGET_TOKEN
     return "".join(pieces)
 
 
@@ -121,11 +120,11 @@ def extract_move_tokens(model_output: str) -> tuple[MoveDirection, ...]:
 def walk_answer(m: Maze, output: str) -> tuple[int, int, SimStatus]:
     """The one answer reader, for the reward, bench verdict and record check: (move
     count, steps taken, status) of walking the output's movement tokens from the origin."""
-    o = m.origin
-    if o is None:
+    o = m._origin_index
+    if o < 0:
         raise ValueError("an answer walk requires a maze with an origin set")
     names = _MOVE_TOKEN_RE.findall(output)
-    _, steps_taken, status = _walk_moves(m, o.row * m.width + o.col, names)
+    _, steps_taken, status = _walk_moves(m, o, names)
     return len(names), steps_taken, status
 
 

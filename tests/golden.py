@@ -1,0 +1,140 @@
+"""Pinned SHA-256 digests of CLI output files, and the commands that write them.
+
+The other reproducibility tests compare one run against another, so a change
+to the emitted bytes would pass them unseen.  These values pin the bytes
+themselves; a change here is a change to the data format and must be made
+on purpose.
+
+This module needs only the standard library, so every interpreter the
+package supports can re-run the generate, augment and build-dataset commands
+of ``GOLDEN`` without pytest:
+
+    python tests/golden.py
+
+prints each mismatch and exits 1 if there is one.  ``test_golden_digests``
+runs the same commands through ``check``.
+"""
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+POOL_DIGEST = "15bd6c5a18f8a3021b591e092127fc13ef1b5c3663754ec343845ca04ecc680a"
+AUGMENT_DIGEST = "f352d97133787b3f150b04a180bb3d04606f3d8e07442bf8c4117f22e7902736"
+BUILD_DIGESTS = {
+    "test.jsonl": "c22484a0091db70935e9ca931e25be14fa1e470056303fc7bdfb2eda67063115",
+    "sft.jsonl": "7eb1d3b41dabdec645cf4ce9678e6a438afe0426e1c45fa5911b4d1d92a0d33f",
+    "grpo.jsonl": "3c2c57ae1a314d767574d69a653b5a7bf0167aaa0ec541d60d126d08ef80ba1a",
+    "manifest.json": "c3e7418f3da7d31aa9919fc9494424279f9e673d0ee3fddc12738a1ae76ba85b",
+}
+
+
+# generate argv -> (pool digest, digest of ``augment --seed 4`` on that pool)
+SHAPED_POOL_DIGESTS = {
+    ("--count", "300", "--seed", "3", "--width", "8", "--height", "3"): (
+        "6cfe570bc0722a3b5d1732d48f2d425446522da40cca38cb372702e990fb4fd8",
+        "2d3b66cc74be2cd70a58b6e9d7cfb8d28d24197eab1d21a5ff9fda0d75ec12ad",
+    ),
+    ("--count", "300", "--seed", "3", "--width", "3", "--height", "8"): (
+        "45e2d079fcdce48c3615d1e5822b0febc6185431679e07a2946d981c62a78abf",
+        "4cb9318228eede77b970c79b13dc0aa86fde9b0742090d47350c8d94a60ba11d",
+    ),
+    ("--count", "200", "--seed", "5", "--width", "9", "--height", "9"): (
+        "48481d77e07f7d9ff7401d9e72fdf09e6cee6e6a87331c1dc99e15fb0d256a33",
+        "bb56956f378ee7fca20c55a444ac77d0daa0814d802a29b67ce7cc21523fc2ae",
+    ),
+    ("--count", "300", "--seed", "9", "--min-steps", "9", "--max-steps", "13"): (
+        "01ee75a03626f5950bd7e68e990c47dc95c4ceb2e0b79a015dd6135534094a73",
+        "7f20a9e01d1e2071804354c49699e7157f798642c60595fc09efb952112b132b",
+    ),
+}
+SHAPED_BUILD_DIGESTS = {
+    "test.jsonl": "4bd1e2b059d12cc48aa597fbce0cdd0dd08e08284526ac9aaba41785f40fab64",
+    "sft.jsonl": "c91b29cb767ab67c6241dfe7c441ccd26243c46561f68e40255a9cb75f9d69d1",
+    "grpo.jsonl": "3ebbcb619e2007981c08326cb7987074e16f141705c664643cffede31ce183d2",
+    "manifest.json": "662364e1e9292f35bea1f47cc5a246d3a6a895fdd5b0d0bfc6b8f3551b9ef3dd",
+}
+# build-dataset --scale 400 at a seed whose pool repeats a test maze id: the
+# plan is topped up by one pool item and the manifest records "top_up": 1
+TOPPED_UP_BUILD_DIGESTS = {
+    "test.jsonl": "707af4a9fadb59be3541541f30ff465bad76972b77681182fcf59958f20234a8",
+    "sft.jsonl": "d89bc4d00d2b2e63ebd92c5ca322599f39e9fd0c5cf4eb2a1266c9f59bd06dd7",
+    "grpo.jsonl": "deacdf6a9b40e3704cf0663e0b34764967657b9853f0e836f3b45c1558edb3db",
+    "manifest.json": "eb731ac7d63ef4933e436c64e754354d6c5fa80287e7bdc8c8d534b69368bc9e",
+}
+SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
+BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515bcd7881"
+# advantages are normalized per maze: the six GOLDEN rows among themselves, the GAP_MAZE row alone
+REWARD_DIGEST = "01e2d6a2e20f6579c04bdb597099ab2602d07d4fcd9117d8f253c826a9ca810d"
+TREND_DIGEST = "fc277633d5fbbd4e1ee88df01c1db6993e18e2513657def3a4440accba4162d9"
+
+
+def _pool(argv, seed, pool_digest, augment_digest):
+    """``generate`` with argv, then ``augment --seed seed`` on that pool."""
+    commands = (
+        ["generate", *argv, "--out", "pool.jsonl"],
+        ["augment", "--in", "pool.jsonl", "--seed", seed, "--out", "records.jsonl"],
+    )
+    return commands, {"pool.jsonl": pool_digest, "records.jsonl": augment_digest}
+
+
+def _build(argv, digests):
+    """``build-dataset`` with argv into ``ds``."""
+    return (["build-dataset", *argv, "--out", "ds"],), {f"ds/{name}": digest for name, digest in digests.items()}
+
+
+# name -> (CLI commands, their output files' digests); paths are relative to the run's directory
+GOLDEN = {
+    "pool": _pool(("--count", "500", "--seed", "7"), "11", POOL_DIGEST, AUGMENT_DIGEST),
+    **{
+        "pool_" + "_".join(argv[2:]).replace("--", ""): _pool(argv, "4", *digests)
+        for argv, digests in SHAPED_POOL_DIGESTS.items()
+    },
+    "build": _build(("--seed", "42", "--scale", "400"), BUILD_DIGESTS),
+    "build_topped_up": _build(("--seed", "7750221749264622373", "--scale", "400"), TOPPED_UP_BUILD_DIGESTS),
+    "build_shaped": _build(("--seed", "42", "--scale", "400", "--width", "7", "--height", "4"), SHAPED_BUILD_DIGESTS),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def check(names=None, root=None) -> list[str]:
+    """Run the ``GOLDEN`` commands of each name (all by default), each in its own
+    directory under root (a temporary one by default), and return the mismatches."""
+    from mazekit.cli import main
+
+    if root is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return check(names, tmp)
+    mismatches = []
+    for name in GOLDEN if names is None else names:
+        commands, digests = GOLDEN[name]
+        where = pathlib.Path(root) / name
+        where.mkdir(parents=True)
+        for argv in commands:
+            # each path after --in or --out names a file in the run's directory
+            argv = [str(where / a) if flag in ("--in", "--out") else a for flag, a in zip(["", *argv], argv)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse exits on an argv it rejects
+                    code = e.code
+            if code != 0:
+                mismatches.append(f"{name}: {argv[0]} exited {code}: {err.getvalue().strip()}")
+        for path, want in digests.items():
+            got = sha256(where / path) if (where / path).exists() else "missing"
+            if got != want:
+                mismatches.append(f"{name}: {path} is {got}, pinned {want}")
+    return mismatches
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    failed = check()
+    print("\n".join(failed) or f"{len(GOLDEN)} golden commands match under Python {sys.version.split()[0]}")
+    sys.exit(1 if failed else 0)

@@ -1,13 +1,15 @@
 """Reference helpers for the tests: Position-based restatements of rules the
 package itself applies on the flat cell index, a Position-keyed view of its
-integer BFS, wall masks built from directions, and the per-cell wall token.
+integer BFS, the cells of a wrong attempt, wall masks built from directions,
+and the per-cell wall token.
 
 It also keeps the plain forms of the table-driven kernels, for the
 differential tests: ``randbelow`` as a loop over ``next_u64``, the carve
 that scans each cell's neighbours on every step, the pool that places each
-maze's endpoints with a BFS per candidate pair, and the rendering joined
-cell by cell; plus ``CountingRng``, which counts draws by stream position,
-and ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
+maze's endpoints with a BFS per candidate pair, the solver that walks BFS
+parent links back from the target, and the rendering joined cell by cell;
+plus ``CountingRng``, which counts draws by stream position, and
+``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
 their form from before the one move walk: ``simulate_moves`` stepping edge
 by edge through ``_crosses``, ``total_reward`` and the bench verdict on the
 ``MoveDirection`` tuple of ``extract_move_tokens`` and a ``SimOutcome``, and
@@ -29,13 +31,14 @@ from mazekit.core import (
     links,
     open_neighbors,
 )
-from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, _shortest_path
+from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, SolutionPath
 from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
 from mazekit.tokens import _MOVE_TOKEN_RE, _WALL_TOKENS, BLANK_TOKEN, ORIGIN_TOKEN, TARGET_TOKEN, extract_move_tokens
 
 _STEPS = {d: (dr, dc) for d, _, _, dr, dc in EDGES}
 BITS = {d: bit for d, bit, _, _, _ in EDGES}
+MOVE_OF_BIT = {bit: d for d, bit in BITS.items()}
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 OPPOSITE = {U: D, D: U, L: R, R: L}
@@ -67,12 +70,42 @@ def bfs(m, src, dst=None):
     None, in discovery order; the search stops as soon as dst is reached.
     """
     cells = _cells(m.width, m.height)
-    parents, order = _search(m, _index(m, src), -1 if dst is None else _index(m, dst))
+    parent, entered, _, order = _search(m, _index(m, src), -1 if dst is None else _index(m, dst))
     prev = {src: None}
     for j in order[1:]:
-        i, d = parents[j]
-        prev[cells[j]] = (cells[i], d)
+        prev[cells[j]] = (cells[parent[j]], MOVE_OF_BIT[entered[j]])
     return prev
+
+
+def reference_shortest_path(m, origin, target):
+    """``_shortest_path`` as a BFS that records each cell's (predecessor, move) and walks
+    those links back from flat index target; None when unreachable."""
+    table, positions = links(m.width, m.height), _cells(m.width, m.height)
+    parents = [None] * len(m.masks)
+    parents[origin] = (origin, None)
+    queue = [origin]
+    for i in queue:
+        for d, edge in table[i]:
+            j = edge[2]
+            if parents[j] is None and _crosses(m.masks, i, edge):
+                parents[j] = (i, d)
+                queue.append(j)
+    if parents[target] is None:
+        return None
+    cur, moves, cells = target, [], [positions[target]]
+    while cur != origin:
+        cur, d = parents[cur]
+        moves.append(d)
+        cells.append(positions[cur])
+    return SolutionPath(moves=tuple(reversed(moves)), cells=tuple(reversed(cells)))
+
+
+def attempt_cells(m, attempt):
+    """The cells a wrong attempt visits: its moves applied one by one from the origin."""
+    cells = [m.origin]
+    for d in attempt.moves:
+        cells.append(apply_move(cells[-1], d, m.width, m.height))
+    return tuple(cells)
 
 
 def open_passage_count(m):
@@ -153,7 +186,7 @@ def reference_carve(width, height, rng):
 
 def reference_solved_pool(cfg, count, start=0):
     """``solved_pool`` from each item's own ``GenConfig``, the neighbour-scan carve
-    and a BFS (``_shortest_path``) for every candidate endpoint pair."""
+    and a BFS (``reference_shortest_path``) for every candidate endpoint pair."""
     for i in range(start, start + count):
         item = GenConfig(cfg.width, cfg.height, derive_seed(cfg.seed, i), cfg.min_steps, cfg.max_steps)
         m = Maze(item.width, item.height, reference_carve(item.width, item.height, SplitMix64(item.seed)))
@@ -164,7 +197,7 @@ def reference_solved_pool(cfg, count, start=0):
             t = rng.randbelow(cells)
             if o == t:
                 continue
-            path = _shortest_path(m, o, t)
+            path = reference_shortest_path(m, o, t)
             if path is None:
                 continue
             if item.min_steps is not None and path.steps < item.min_steps:

@@ -33,7 +33,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
-from reference import is_open, open_passage_count
+from reference import attempt_cells, is_open, open_passage_count
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
 
@@ -115,11 +115,12 @@ def test_criterion_5_reset_constraints():
         attempts = build_attempts(m, sol, cfg)
         path = set(sol.cells)
         for a in attempts:
-            if len(set(a.cells)) != len(a.cells):
+            cells = attempt_cells(m, a)
+            if len(set(cells)) != len(cells):
                 violations.append((i, "revisited cell"))
-            if any(c in path for c in a.cells[1:]):
+            if any(c in path for c in cells[1:]):
                 violations.append((i, "correct-path cell beyond anchor"))
-            dead = m.wall_at(a.cells[-1]).bit_count() == 3
+            dead = m.wall_at(cells[-1]).bit_count() == 3
             if (a.terminal_kind is TerminalKind.DEAD_END) != dead:
                 violations.append((i, "terminal kind vs wall count"))
         trace = augment_trace(m, sol, cfg)

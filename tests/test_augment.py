@@ -14,6 +14,7 @@ from mazekit.augment import (
 from mazekit.core import Maze, SimStatus, _index, open_neighbors, simulate_moves
 from mazekit.generate import SolutionPath, solve_shortest_path
 from mazekit.rng import SplitMix64
+from reference import attempt_cells
 
 # attempts per origin wall count; any other count gets none
 ATTEMPTS_BY_WALLS = {1: 2, 2: 1}
@@ -52,23 +53,24 @@ def test_build_attempts_requires_an_origin(example_maze):
 
 
 def audit_attempt(m, solution, attempt, max_n_steps):
-    assert attempt.cells[0] == m.origin
-    assert len(attempt.cells) == len(attempt.moves) + 1
+    # every attempt starts at the origin: its cells are its moves walked from there,
+    # and a move off the grid raises here
+    cells = attempt_cells(m, attempt)
     assert 1 <= len(attempt.moves) <= max_n_steps
     # no revisits
-    assert len(set(attempt.cells)) == len(attempt.cells)
+    assert len(set(cells)) == len(cells)
     # no solution-path cell beyond the starting anchor
     path = set(solution.cells)
-    assert not any(c in path for c in attempt.cells[1:])
+    assert not any(c in path for c in cells[1:])
     # terminal kind matches the final cell's wall count
-    dead = m.wall_at(attempt.cells[-1]).bit_count() == 3
+    dead = m.wall_at(cells[-1]).bit_count() == 3
     assert (attempt.terminal_kind is TerminalKind.DEAD_END) == dead
-    # every move is legal: walking the attempt never hits a wall
-    out = simulate_moves(m, attempt.cells[0], attempt.moves)
+    # every move is legal: walking the attempt from the origin never hits a wall
+    out = simulate_moves(m, m.origin, attempt.moves)
     assert out.status in (SimStatus.STOPPED_SHORT, SimStatus.REACHED_TARGET)
-    assert out.final == attempt.cells[-1]
+    assert out.final == cells[-1]
     # the attempt must not accidentally solve the maze
-    assert attempt.cells[-1] != m.target
+    assert cells[-1] != m.target
 
 
 def test_attempt_invariants(maze_corpus):
@@ -86,7 +88,7 @@ def test_order1_attempt_count(maze_corpus):
         attempts = build_attempts(m, sol, AugmentConfig(seed=1))
         assert len(attempts) == 2
         # each commits its first move into a different off-path neighbor
-        assert len({a.cells[1] for a in attempts}) == 2
+        assert len({attempt_cells(m, a)[1] for a in attempts}) == 2
 
 
 def test_order2_yields_single_attempt(maze_corpus):

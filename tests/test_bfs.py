@@ -4,18 +4,21 @@ with cycles, partly walled-off grids, and grids with no passages at all."""
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import EDGES, Maze, MoveDirection, Position, _cells, open_neighbors, validate_maze
+from mazekit.core import EDGES, Maze, MoveDirection, Position, _cells, _index, open_neighbors, validate_maze
 from mazekit.generate import (
     EndpointSamplingError,
     GenConfig,
+    SolutionPath,
+    UnreachableTargetError,
+    _shortest_path,
     place_endpoints,
     solve_shortest_path,
 )
 from mazekit.rng import derive_seed
-from reference import bfs
+from reference import bfs, reference_shortest_path
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -122,3 +125,24 @@ def test_flat_rule_matches_edges_reference(case):
     disconnected = [p for p in validate_maze(m) if p.startswith("disconnected")]
     expected = [] if reached == total else [f"disconnected: only {reached} of {total} cells reachable from (0,0)"]
     assert disconnected == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+@example((room(3, 3), Position(0, 0), None))  # a room with loops, where ties break by canonical order
+@example((room(4, 3, split_after_col=1), Position(2, 3), None))  # half the cells unreachable
+def test_shortest_path_matches_the_walk_back_reference(case):
+    """The path climbed in the BFS tree is, move for move and cell for cell, the one
+    the walk back along (predecessor, move) links finds, from the source to every
+    cell: None where unreachable, and the empty path to the source itself."""
+    m, src, _ = case
+    o = _index(m, src)
+    for t, p in enumerate(_cells(m.width, m.height)):
+        want = reference_shortest_path(m, o, t)
+        assert _shortest_path(m, o, t) == want
+        if want is None:
+            with pytest.raises(UnreachableTargetError):
+                solve_shortest_path(m.with_endpoints(src, p))
+        else:
+            assert solve_shortest_path(m.with_endpoints(src, p)) == want
+    assert reference_shortest_path(m, o, o) == SolutionPath((), (src,))

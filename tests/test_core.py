@@ -5,6 +5,7 @@ import pkgutil
 import re
 
 import pytest
+from hypothesis import given, settings
 
 import mazekit
 from mazekit.core import (
@@ -17,12 +18,14 @@ from mazekit.core import (
     Position,
     SimStatus,
     _cells,
+    _index,
     open_neighbors,
     simulate_moves,
     validate_maze,
     wall_mismatches,
 )
 from reference import BITS, OPPOSITE, apply_move, bfs, is_open
+from test_bfs import any_grid
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -64,6 +67,26 @@ def test_off_grid_position_is_rejected(example_maze, p):
         bfs(example_maze, p)
     with pytest.raises(OutOfBoundsError):
         bfs(example_maze, Position(0, 0), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+def test_maze_keeps_its_endpoints_flat_indices(case):
+    """Each endpoint's flat index is ``_index`` of it, -1 when unset, recomputed by
+    ``with_endpoints``; equality, hash and repr ignore the two fields."""
+    bare, origin, target = case
+    m = bare.with_endpoints(origin, target)
+    assert (bare._origin_index, bare._target_index) == (-1, -1)
+    assert m._origin_index == _index(m, origin)
+    assert m._target_index == (-1 if target is None else _index(m, target))
+    assert (m.with_endpoints(None, None)._origin_index, m.with_endpoints(target, None)._target_index) == (-1, -1)
+    twin = Maze(m.width, m.height, m.masks, origin, target)
+    object.__setattr__(twin, "_origin_index", -2)
+    object.__setattr__(twin, "_target_index", -2)
+    assert twin == m and hash(twin) == hash(m)
+    assert repr(twin) == repr(m) == (
+        f"Maze(width={m.width}, height={m.height}, masks={m.masks!r}, origin={origin!r}, target={target!r})"
+    )
 
 
 def test_wall_set_is_its_mask():

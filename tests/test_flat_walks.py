@@ -13,7 +13,7 @@ from mazekit import augment
 from mazekit.augment import AugmentConfig, ReasoningTrace, TerminalKind, build_attempts
 from mazekit.core import DIRECTIONS, EDGES, OutOfBoundsError, Position, SimStatus, _cells, simulate_moves
 from mazekit.generate import SolutionPath
-from reference import CountingRng
+from reference import CountingRng, attempt_cells
 from test_bfs import any_grid, reference_neighbors, room
 
 STEPS = {d: (bit, dr, dc) for d, bit, _, dr, dc in EDGES}
@@ -86,10 +86,11 @@ def check_attempts(m, path_cells, max_n_steps, seed):
         attempts = build_attempts(m, SolutionPath((), tuple(path_cells)), AugmentConfig(max_n_steps, seed))
     assert len(made) == 1
     ref_rng = CountingRng(seed)
-    assert [(a.moves, a.cells) for a in attempts] == reference_attempts(m, path_cells, max_n_steps, ref_rng)
+    walks = [(a.moves, attempt_cells(m, a)) for a in attempts]
+    assert walks == reference_attempts(m, path_cells, max_n_steps, ref_rng)
     assert made[0].draws == ref_rng.draws
-    for a in attempts:
-        assert (a.terminal_kind is TerminalKind.DEAD_END) == (walls(m, a.cells[-1]).bit_count() == 3)
+    for a, (_, cells) in zip(attempts, walks):
+        assert (a.terminal_kind is TerminalKind.DEAD_END) == (walls(m, cells[-1]).bit_count() == 3)
 
 
 def reference_simulate(m, start, moves):
@@ -203,4 +204,4 @@ def test_off_grid_forbidden_position_blocks_nothing():
     # (0, 5) is off the 5-wide grid; read as row*width+col it would be (1, 0)
     solution = SolutionPath((), (origin, Position(0, 1), Position(0, 5)))
     (attempt,) = build_attempts(m, solution, AugmentConfig(max_n_steps=1))
-    assert attempt.cells == (origin, Position(1, 0))
+    assert attempt_cells(m, attempt) == (origin, Position(1, 0))

@@ -24,6 +24,7 @@ from reference import (
     is_open,
     open_passage_count,
     reference_carve,
+    reference_shortest_path,
     reference_solved_pool,
     unmix64,
 )
@@ -292,14 +293,14 @@ def test_carve_takes_its_steps_in_one_block(monkeypatch):
 @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**64 - 1), st.data())
 def test_tree_path_is_the_bfs_path(width, height, seed, data):
     """The path read from the carve's tree is, move for move and cell for cell,
-    the one the BFS finds, for any distinct pair of cells."""
+    the one a BFS walked back from the target finds, for any distinct pair of cells."""
     masks, parent, entered, depth = generate._carve(width, height, seed)
     m = Maze(width, height, bytes(masks))
     cells = width * height
     for _ in range(5):
         o, t = data.draw(st.lists(st.integers(0, cells - 1), min_size=2, max_size=2, unique=True))
         path = generate._tree_path(parent, entered, depth, _cells(width, height), o, t)
-        assert path == generate._shortest_path(m, o, t)
+        assert path == reference_shortest_path(m, o, t)
 
 
 def pool_outcome(items):
@@ -356,6 +357,24 @@ def solve_calls(monkeypatch):
         monkeypatch.setattr(module, "_search", counting_search)
     monkeypatch.setattr(Maze, "__post_init__", counting_post_init)
     return calls
+
+
+def test_solve_searches_once_and_climbs_once(monkeypatch, example_maze):
+    """A solve is one BFS and one climb of its tree, the carve's path builder."""
+    calls = {"_search": 0, "_tree_path": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    search = counting("_search", core._search)
+    for module in (core, generate):
+        monkeypatch.setattr(module, "_search", search)
+    monkeypatch.setattr(generate, "_tree_path", counting("_tree_path", generate._tree_path))
+    assert solve_shortest_path(example_maze).steps == 5
+    assert calls == {"_search": 1, "_tree_path": 1}
 
 
 def test_pool_item_searches_nothing_and_builds_one_maze(solve_calls):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,39 @@ def test_group_advantages_oracle_case():
 def test_group_advantages_one_ulp_apart_keep_their_signs():
     """Two rewards one ulp apart normalize to +1 and -1, as any two distinct rewards do."""
     assert group_advantages([100.0, 99.99999999999999], epsilon=0.0).advantages == (1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "rewards, epsilon, message",
+    [
+        ([1e308, -1e308], 1e-8, r"^the rewards are finite, but their spread overflows: std \+ epsilon is nan$"),
+        ([0.0, 1e200], 0.0, r"^the rewards are finite, but their spread overflows: std \+ epsilon is inf$"),
+        ([float("inf"), float("inf")], 0.0, r"^reward 0 is inf, not a finite number$"),
+        ([float("nan"), 1.0], 1e-8, r"^reward 0 is nan, not a finite number$"),
+        ([1.0, 2.0, float("-inf")], 1e-8, r"^reward 2 is -inf, not a finite number$"),
+    ],
+)
+def test_group_advantages_rejects_what_has_no_finite_scale(rewards, epsilon, message):
+    """Rewards that would normalize to NaN raise, naming the first non-finite one."""
+    with pytest.raises(ValueError, match=message):
+        group_advantages(rewards, epsilon=epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=16))
+@example([1e308, -1e308])  # finite rewards whose spread overflows
+@example([0.0, 2.6815615859885194e154])  # a finite deviation whose square overflows
+@example([float("inf"), float("inf")])
+@example([float("nan"), 1.0])
+def test_group_advantages_are_finite_or_raise(rewards):
+    """Any floats either normalize to finite advantages or raise ValueError."""
+    try:
+        adv = group_advantages(rewards, epsilon=0.0).advantages
+    except ValueError as e:
+        bad = [k for k, r in enumerate(rewards) if not math.isfinite(r)]
+        assert str(e).startswith(f"reward {bad[0]} is" if bad else "the rewards are finite, but their spread overflows")
+    else:
+        assert all(math.isfinite(a) for a in adv)
 
 
 def test_group_advantages_empty():
