@@ -61,7 +61,7 @@ def hash16(maze_tokens: str) -> str:
 
 
 def maze_id(m: Maze) -> str:
-    """Stable identity hash of the wall grid plus endpoints."""
+    """Stable identity hash of the wall grid plus endpoints, for any maze with two distinct endpoints."""
     return hash16(render_maze_tokens(m))
 
 

@@ -28,6 +28,7 @@ from .bench import (
     evaluate_suite,
     fit_trendline,
     hash16,
+    maze_id,
 )
 from .core import validate_maze
 from .dataset import (
@@ -66,7 +67,7 @@ def _out(path: str) -> str:
 
 def _maze(where: str, row: dict, audit: bool = False):
     """The row's maze; with ``audit``, also one that ``validate_maze`` passes,
-    for commands that render it again."""
+    for commands that build training or bench data from it."""
     try:
         m = parse_maze_tokens(field(where, row, "maze_tokens", str))
     except MazeParseError as exc:
@@ -100,7 +101,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     rows = []
     for i, (seed, m, solution) in enumerate(solved_pool(cfg, args.count)):
-        tokens = render_maze_tokens(m, audit=False)
+        tokens = render_maze_tokens(m)
         rows.append(
             {"id": f"{i:06d}-{hash16(tokens)}", "seed": seed, "maze_tokens": tokens, "steps": solution.steps}
         )
@@ -142,7 +143,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         "origin": [m.origin.row, m.origin.col],
         "target": [m.target.row, m.target.col],
         "steps": solve_shortest_path(m).steps,
-        "id": hash16(render_maze_tokens(m, audit=False)),
+        "id": maze_id(m),
     }
     print(json.dumps(summary, sort_keys=True))
     if args.preview:
@@ -163,7 +164,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         m = _maze(where, row, audit=True)
         cfg = AugmentConfig(max_n_steps=args.max_n_steps, seed=derive_seed(args.seed, i))
         trace = augment_trace(m, solve_shortest_path(m), cfg)
-        tokens = render_maze_tokens(m, audit=False)
+        tokens = render_maze_tokens(m)
         record = make_record(i, cfg.seed, tokens, hash16(tokens), trace, trace.is_retry)
         if args.strict:
             validate_record(record, where)
@@ -236,9 +237,7 @@ def _suite_entry(where: str, row: dict) -> BenchEntry:
         raise DatasetError(f"{where}: steps {steps} does not match the maze's {solved}-step solution")
     if difficulty != band.value:
         raise DatasetError(f"{where}: difficulty {difficulty!r} does not match {solved} steps ({band.value!r})")
-    # maze_id without its audit: a suite may hold a damaged maze, whose
-    # outputs can then score out of bounds
-    expected_id = hash16(render_maze_tokens(m, audit=False))
+    expected_id = maze_id(m)
     if entry_id != expected_id:
         raise DatasetError(f"{where}: field 'id' {entry_id!r} is not the maze's id {expected_id!r}")
     return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=row["maze_tokens"])

@@ -6,8 +6,9 @@ left 4, right 8), and a maze stores them as ``Maze.masks``: one byte per
 cell on the flat index ``row * width + col``.  Walls are stored per cell,
 redundantly on both sides of each shared edge, and are expected to stay
 consistent by construction.  ``validate_maze`` audits that expectation
-instead of repairing breaches.  The rule: a maze is audited once where it
-is read; a maze the carve built is trusted.
+instead of repairing breaches.  Only the CLI's readers of outside input
+(``cli._maze`` with ``audit`` and ``cli._read_maze``) call it; a maze the
+carve built is trusted, and rendering and hashing never audit.
 
 The flat index is the library's internal currency; ``Position`` is what the
 public API takes and returns, and a ``Maze`` keeps its endpoints' flat

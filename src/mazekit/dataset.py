@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _json_str  # json.dumps' string encoder when ensure_ascii=False
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional, get_type_hints
 
 from .augment import RESET_MARKER, AugmentConfig, ReasoningTrace, augment_trace
 from .bench import hash16
@@ -84,15 +84,8 @@ class DatasetRecord:
         return {**asdict(self), "kind": self.kind.value}
 
 
-_RECORD_FIELDS = {
-    "id": str,
-    "seed": int,
-    "maze_tokens": str,
-    "steps": int,
-    "kind": str,
-    "prompt": str,
-    "completion": str,
-}
+# the JSON type of each field, in order: a kind is written as its value
+_RECORD_FIELDS = {name: str if typ is RecordKind else typ for name, typ in get_type_hints(DatasetRecord).items()}
 
 
 @dataclass(frozen=True)
@@ -171,9 +164,8 @@ def build_splits(
             seeds.append(seed)
             pool.append(m)
             solutions.append(solution)
-            # rendered once, unaudited as the carve built it: ids and every
-            # record of this maze share the string
-            tokens.append(render_maze_tokens(m, audit=False))
+            # rendered once: ids and every record of this maze share the string
+            tokens.append(render_maze_tokens(m))
             ids.append(hash16(tokens[-1]))
         return range(start, len(pool))
 
@@ -212,11 +204,10 @@ def build_splits(
         train_indices += [i for i in extra if ids[i] not in test_ids]
 
     retry_sel = list(traces)
-    straight_sel = [i for i in train_indices if i not in traces][: plan.sft_straight_count]
-    straight_set = set(straight_sel)
-    leftovers = [i for i in train_indices if i not in traces and i not in straight_set]
+    rest = [i for i in train_indices if i not in traces]  # each pool index at most once
+    straight_sel = rest[: plan.sft_straight_count]
     # retry mazes spill into grpo after the leftovers
-    grpo_sel = (leftovers + retry_sel)[: plan.grpo_count]
+    grpo_sel = (rest[plan.sft_straight_count :] + retry_sel)[: plan.grpo_count]
     shortfalls = [
         f"{name} quota shortfall: need {need}, only {len(sel)} {why}"
         for name, need, sel, why in (

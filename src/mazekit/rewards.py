@@ -78,11 +78,14 @@ def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON)
 
     advantage_i = (r_i - mean) / (std + epsilon).  A group of equal finite
     rewards maps to all-zero advantages, even when epsilon is 0.  A non-finite
-    reward, or a spread that overflows a float, raises ValueError.
+    reward, a spread that overflows a float, or an epsilon that is negative or
+    not finite raises ValueError.
     """
     n = len(rewards)
     if n == 0:
         raise ValueError("group_advantages requires at least one reward")
+    if not 0.0 <= epsilon < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     # centred on the first reward, close rewards keep their exact differences, so the
     # float mean cannot round onto one of them, and an all-equal group is exactly 0.0
     shifted = [r - rewards[0] for r in rewards]

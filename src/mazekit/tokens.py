@@ -8,12 +8,12 @@ One maze row per line; each cell is three adjacent tokens with no separator:
     state        ``<|origin|>``, ``<|target|>`` or ``<|blank|>``
 
 Movement tokens are ``<|up|>``, ``<|down|>``, ``<|left|>``, ``<|right|>``.
-Rendering and parsing are exact inverses on valid mazes.  A rendering
-copies the per-shape pieces of a blank grid (per cell: its coordinate token,
-after the row's newline, then a wall slot and a state slot), fills in the
-walls and the two endpoint states, and joins the pieces once.  The parser
-rejects malformed input instead of repairing it, so datasets stay
-trustworthy at rest.  It matches the whole grid in one pass: one
+Rendering and parsing are exact inverses on every maze the parser accepts.
+A rendering copies the per-shape pieces of a blank grid (per cell: its
+coordinate token, after the row's newline, then a wall slot and a state
+slot), fills in the walls and the two endpoint states, and joins the pieces
+once.  The parser rejects malformed input instead of repairing it, so
+datasets stay trustworthy at rest.  It matches the whole grid in one pass: one
 ``str.replace`` moves each row's newline onto the next row's first
 coordinate, one ``str.split`` on the ``|><|`` seam cuts the text into names,
 and the text is accepted when those names are exactly a rendering's.  Only
@@ -31,7 +31,7 @@ import re
 from functools import lru_cache
 
 from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, SimStatus
-from .core import _cells, _walk_moves, validate_maze, wall_mismatches
+from .core import _cells, _walk_moves, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -79,22 +79,18 @@ def _render_pieces(width: int, height: int) -> tuple[str, ...]:
     )
 
 
-def render_maze_tokens(m: Maze, *, audit: bool = True) -> str:
-    """Serialize a valid maze with endpoints; rows joined by newline.
+def render_maze_tokens(m: Maze) -> str:
+    """Serialize a maze with two distinct endpoints; rows joined by newline.
 
-    ``audit=False`` skips the ``validate_maze`` audit.  It is safe only for
-    a maze valid by construction (one ``generate_maze`` carved) or one the
-    caller has just audited; otherwise an invalid maze renders silently.
-    Missing or coinciding endpoints are rejected either way, since the text
-    could not name them.
+    No audit runs, so a perimeter gap or cut-off cells render too: on every
+    maze the parser accepts this is the exact inverse of ``parse_maze_tokens``,
+    and a maze whose walls disagree renders text the parser rejects.  Missing
+    or coinciding endpoints raise ValueError, since the text cannot name them.
     """
     if m.origin is None or m.target is None:
         raise ValueError("cannot render a maze without origin and target")
     if m.origin == m.target:
         raise ValueError(f"cannot render a maze whose origin and target coincide at ({m.origin.row},{m.origin.col})")
-    problems = validate_maze(m) if audit else ()
-    if problems:
-        raise ValueError("cannot render invalid maze: " + "; ".join(problems))
     pieces = list(_render_pieces(m.width, m.height))
     pieces[1::3] = map(_WALL_TOKENS.__getitem__, m.masks)
     # the endpoints are distinct, so neither state overwrites the other

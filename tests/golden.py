@@ -6,8 +6,8 @@ themselves; a change here is a change to the data format and must be made
 on purpose.
 
 This module needs only the standard library, so every interpreter the
-package supports can re-run the generate, augment and build-dataset commands
-of ``GOLDEN`` without pytest:
+package supports can re-run the generate, augment, build-dataset, bench build
+and reward commands of ``GOLDEN`` without pytest:
 
     python tests/golden.py
 
@@ -18,6 +18,7 @@ runs the same commands through ``check``.
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -71,6 +72,22 @@ BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515
 REWARD_DIGEST = "01e2d6a2e20f6579c04bdb597099ab2602d07d4fcd9117d8f253c826a9ca810d"
 TREND_DIGEST = "fc277633d5fbbd4e1ee88df01c1db6993e18e2513657def3a4440accba4162d9"
 
+EXAMPLE_MAZE = (pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt").read_text(encoding="utf-8")
+# the worked example with the left wall of (2,0) removed: a perimeter gap
+# two moves left of the origin, so a walk can leave the grid
+GAP_MAZE = EXAMPLE_MAZE.replace("<|2-0|><|up_left_wall|>", "<|2-0|><|up_wall|>")
+_SOLUTION = "<|left|><|down|><|right|><|down|><|right|>"
+# (id, maze_tokens, output) of each ``reward`` pair: six outputs of the worked example, one of the gap maze
+REWARD_PAIRS = (
+    ("think-solve", EXAMPLE_MAZE, "<think>plan</think>" + _SOLUTION),
+    ("solve", EXAMPLE_MAZE, _SOLUTION),
+    ("wall", EXAMPLE_MAZE, "<think>up</think><|up|>"),
+    ("short", EXAMPLE_MAZE, "<|left|>"),
+    ("late-think", EXAMPLE_MAZE, "<|left|><think>x</think>"),
+    ("empty", EXAMPLE_MAZE, ""),
+    ("off-grid", GAP_MAZE, "<think>west</think><|left|><|left|>"),
+)
+
 
 def _pool(argv, seed, pool_digest, augment_digest):
     """``generate`` with argv, then ``augment --seed seed`` on that pool."""
@@ -96,7 +113,29 @@ GOLDEN = {
     "build": _build(("--seed", "42", "--scale", "400"), BUILD_DIGESTS),
     "build_topped_up": _build(("--seed", "7750221749264622373", "--scale", "400"), TOPPED_UP_BUILD_DIGESTS),
     "build_shaped": _build(("--seed", "42", "--scale", "400", "--width", "7", "--height", "4"), SHAPED_BUILD_DIGESTS),
+    "suite": (
+        (
+            ["generate", "--count", "2000", "--seed", "21", "--out", "pool.jsonl"],
+            ["bench", "build", "--pool", "pool.jsonl", "--seed", "8", "--out", "suite.jsonl"],
+        ),
+        {"suite.jsonl": SUITE_DIGEST},
+    ),
+    "reward": (
+        (["reward", "--pairs", "pairs.jsonl", "--advantages", "--out", "rewards.jsonl"],),
+        {"rewards.jsonl": REWARD_DIGEST},
+    ),
 }
+# name -> {path: text} of the input files written into the run's directory before its commands
+INPUTS = {
+    "reward": {
+        "pairs.jsonl": "".join(
+            json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in REWARD_PAIRS
+        ),
+    },
+}
+
+
+_PATH_FLAGS = ("--in", "--out", "--pool", "--pairs")
 
 
 def sha256(path) -> str:
@@ -116,9 +155,12 @@ def check(names=None, root=None) -> list[str]:
         commands, digests = GOLDEN[name]
         where = pathlib.Path(root) / name
         where.mkdir(parents=True)
+        for path, text in INPUTS.get(name, {}).items():
+            (where / path).write_text(text, encoding="utf-8")
         for argv in commands:
-            # each path after --in or --out names a file in the run's directory
-            argv = [str(where / a) if flag in ("--in", "--out") else a for flag, a in zip(["", *argv], argv)]
+            # each path after --in, --out, --pool or --pairs names a file in the run's directory
+            # (a build-dataset --pool count would be rewritten too: the builds give --scale)
+            argv = [str(where / a) if flag in _PATH_FLAGS else a for flag, a in zip(["", *argv], argv)]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 try:
                     code = main(argv)

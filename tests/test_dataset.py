@@ -320,6 +320,22 @@ def test_unknown_kind_rejected(small_splits):
         record_from_dict(row)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda row: {**row, "extra": 1, "another": 2}, "unknown fields ['another', 'extra']"),
+        (lambda row: {**row, "kind": "mystery"}, "field 'kind' must be one of ['straight_success', 'retry'], got 'mystery'"),
+        (lambda row: {**row, "seed": True}, "field 'seed' must be int"),
+        (lambda row: {k: v for k, v in row.items() if k not in ("completion", "seed")}, "missing field 'seed'"),
+    ],
+    ids=["unknown-fields", "unknown-kind", "bool-for-int", "first-missing-in-field-order"],
+)
+def test_record_from_dict_messages(small_splits, change, message):
+    """Each schema fault's message, with the fields checked in ``DatasetRecord`` order."""
+    with pytest.raises(DatasetError, match=f"^{re.escape('row 7: ' + message)}$"):
+        record_from_dict(change(small_splits.sft[0].to_dict()), "row 7")
+
+
 def test_records_ordered_by_pool_index(small_splits):
     for split in (small_splits.test, small_splits.sft, small_splits.grpo):
         indices = [int(r.id.split("-")[0]) for r in split]

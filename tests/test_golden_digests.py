@@ -1,32 +1,28 @@
 """Pinned SHA-256 digests of CLI output files.
 
-The digests, and the generate, augment and build-dataset commands that
-``golden.check`` re-runs, live in the stdlib-only ``tests/golden.py``, so
-that any interpreter can check them without pytest.  The bench, reward and
-trend commands below build their inputs with the package, so they run here.
+The digests, and the generate, augment, build-dataset, bench build and
+reward commands that ``golden.check`` re-runs, live in the stdlib-only
+``tests/golden.py``, so that any interpreter can check them without pytest.
+The bench run and trend commands below build their inputs with the package,
+so they run here.
 """
 
 import hashlib
 import json
-import pathlib
 
 import pytest
 
-from mazekit.bench import hash16
+from mazekit.bench import maze_id
 from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
 from mazekit.rewards import group_advantages
-from mazekit.tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens
+from mazekit.tokens import parse_maze_tokens, render_move_tokens
 import golden
-from golden import BENCH_REPORT_DIGEST, REWARD_DIGEST, SUITE_DIGEST, TREND_DIGEST, sha256
+from golden import BENCH_REPORT_DIGEST, GAP_MAZE, TREND_DIGEST, sha256
 
-GOLDEN = (pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt").read_text(encoding="utf-8")
-# the worked example with the left wall of (2,0) removed: a perimeter gap
-# two moves left of the origin, so a walk can leave the grid
-GAP_MAZE = GOLDEN.replace("<|2-0|><|up_left_wall|>", "<|2-0|><|up_wall|>")
-# a suite row's id must be the hash of its maze's text
-GAP_ID = hash16(render_maze_tokens(parse_maze_tokens(GAP_MAZE), audit=False))
+# a suite row's id must be its maze's id
+GAP_ID = maze_id(parse_maze_tokens(GAP_MAZE))
 
 
 def test_generate_and_augment_digests(tmp_path):
@@ -55,9 +51,9 @@ def test_shaped_build_dataset_digests(tmp_path):
 
 
 def test_every_golden_command_is_checked():
-    """Each ``golden.GOLDEN`` entry is run by one test above."""
+    """Each ``golden.GOLDEN`` entry is run by one test in this module."""
     shaped = {name for name in golden.GOLDEN if name.startswith("pool_")}
-    assert set(golden.GOLDEN) == {"pool", "build", "build_topped_up", "build_shaped"} | shaped
+    assert set(golden.GOLDEN) == {"pool", "build", "build_topped_up", "build_shaped", "suite", "reward"} | shaped
 
 
 def _wall_hit(m) -> str:
@@ -68,11 +64,9 @@ def _wall_hit(m) -> str:
 
 
 def test_bench_build_and_run_digests(tmp_path, capsys):
-    pool, suite = tmp_path / "pool.jsonl", tmp_path / "suite.jsonl"
+    assert golden.check(["suite"], tmp_path) == []
+    suite = tmp_path / "suite" / "suite.jsonl"
     outputs, report = tmp_path / "outputs.jsonl", tmp_path / "report.json"
-    assert main(["generate", "--count", "2000", "--seed", "21", "--out", str(pool)]) == 0
-    assert main(["bench", "build", "--pool", str(pool), "--seed", "8", "--out", str(suite)]) == 0
-    assert sha256(suite) == SUITE_DIGEST
 
     rows = [json.loads(line) for line in suite.read_text().splitlines()]
     gap = {"id": GAP_ID, "difficulty": "medium", "steps": 5, "maze_tokens": GAP_MAZE}
@@ -95,26 +89,12 @@ def test_bench_build_and_run_digests(tmp_path, capsys):
     assert sha256(report) == BENCH_REPORT_DIGEST
 
 
-def test_reward_advantages_digest(tmp_path, capsys):
-    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "rewards.jsonl"
-    solution = "<|left|><|down|><|right|><|down|><|right|>"
-    outputs = [
-        ("think-solve", GOLDEN, "<think>plan</think>" + solution),
-        ("solve", GOLDEN, solution),
-        ("wall", GOLDEN, "<think>up</think><|up|>"),
-        ("short", GOLDEN, "<|left|>"),
-        ("late-think", GOLDEN, "<|left|><think>x</think>"),
-        ("empty", GOLDEN, ""),
-        ("off-grid", GAP_MAZE, "<think>west</think><|left|><|left|>"),
-    ]
-    pairs.write_text("".join(
-        json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in outputs
-    ))
-    assert main(["reward", "--pairs", str(pairs), "--advantages", "--out", str(out)]) == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    golden = group_advantages([row["total"] for row in rows[:6]]).advantages
-    assert [row["advantage"] for row in rows] == [*golden, 0.0]
-    assert sha256(out) == REWARD_DIGEST
+def test_reward_advantages_digest(tmp_path):
+    assert golden.check(["reward"], tmp_path) == []
+    rows = [json.loads(line) for line in (tmp_path / "reward" / "rewards.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == [i for i, _, _ in golden.REWARD_PAIRS]
+    example = group_advantages([row["total"] for row in rows[:6]]).advantages
+    assert [row["advantage"] for row in rows] == [*example, 0.0]
 
 
 def test_trend_digest(tmp_path, capsys):

@@ -312,6 +312,6 @@ def _no_walk(line, *args):
 @settings(max_examples=300, deadline=None)
 @given(rendered_maze())
 def test_rendered_text_takes_the_grid_match(m):
-    # audit=False: a drawn 1-row or 1-column wall grid need not be connected
+    # a drawn 1-row or 1-column wall grid need not be connected: the render does not audit
     with mock.patch.object(tokens, "_walk_row", _no_walk):
-        assert parse_maze_tokens(render_maze_tokens(m, audit=False)) == m
+        assert parse_maze_tokens(render_maze_tokens(m)) == m

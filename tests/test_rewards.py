@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -157,6 +158,13 @@ def test_group_advantages_are_finite_or_raise(rewards):
         assert str(e).startswith(f"reward {bad[0]} is" if bad else "the rewards are finite, but their spread overflows")
     else:
         assert all(math.isfinite(a) for a in adv)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -0.5, float("nan"), float("inf")])
+def test_group_advantages_rejects_a_negative_or_non_finite_epsilon(epsilon):
+    """A negative epsilon would flip (-1.0) or zero (-0.5) the advantages of [0.0, 1.0]."""
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must be a finite number >= 0, got {epsilon!r}")):
+        group_advantages([0.0, 1.0], epsilon=epsilon)
 
 
 def test_group_advantages_empty():

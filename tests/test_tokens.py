@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazekit.core import Maze, MoveDirection, Position
+from mazekit.bench import hash16, maze_id
+from mazekit.core import Maze, MoveDirection, Position, validate_maze
 from mazekit.generate import GenConfig, generate_solved_maze
 from mazekit.tokens import (
     MazeParseError,
@@ -14,6 +15,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
+from golden import GAP_MAZE
 from reference import mask, reference_render, wall_token
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
@@ -69,24 +71,21 @@ def test_render_is_injective(maze_corpus):
 def test_render_requires_endpoints():
     from mazekit.generate import generate_maze
 
-    with pytest.raises(ValueError):
-        render_maze_tokens(generate_maze(GenConfig(seed=1)))
-    # the endpoint check holds even where the audit is skipped
     with pytest.raises(ValueError, match="without origin and target"):
-        render_maze_tokens(generate_maze(GenConfig(seed=1)), audit=False)
-    # so does the distinct-endpoints check: a shared cell would render only the target
+        render_maze_tokens(generate_maze(GenConfig(seed=1)))
+    # a shared cell would render only the target
     m = generate_solved_maze(GenConfig(seed=7))
-    for audit in (True, False):
-        with pytest.raises(ValueError, match=re.escape(f"origin and target coincide at ({m.origin.row},{m.origin.col})")):
-            render_maze_tokens(m.with_endpoints(m.origin, m.origin), audit=audit)
+    with pytest.raises(ValueError, match=re.escape(f"origin and target coincide at ({m.origin.row},{m.origin.col})")):
+        render_maze_tokens(m.with_endpoints(m.origin, m.origin))
 
 
-def test_render_audits_by_default(golden_text):
-    gap = parse_maze_tokens(golden_text.replace("<|up_left_wall|>", "<|left_wall|>", 1))
-    with pytest.raises(ValueError, match=re.escape("cannot render invalid maze: perimeter gap: (0,0) lacks an up wall")):
-        render_maze_tokens(gap)
-    # audit=False trusts the caller: the same maze renders, and parses back unchanged
-    assert parse_maze_tokens(render_maze_tokens(gap, audit=False)) == gap
+def test_render_does_not_audit():
+    """The gap maze of ``bench run``'s golden suite renders to its own text,
+    has the id that suite pins, and only the audit names its gap."""
+    gap = parse_maze_tokens(GAP_MAZE)
+    assert render_maze_tokens(gap) == GAP_MAZE  # so it parses back to gap
+    assert maze_id(gap) == hash16(GAP_MAZE) == "a667604ffa245c95"
+    assert validate_maze(gap) == ["perimeter gap: (2,0) lacks a left wall"]
 
 
 @st.composite
@@ -102,9 +101,9 @@ def any_render_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(any_render_case())
 def test_render_matches_the_per_cell_join(m):
-    """The render fills a per-shape tuple of pieces; the unaudited text equals
-    the one joined cell by cell, whatever the masks."""
-    assert render_maze_tokens(m, audit=False) == reference_render(m)
+    """The render fills a per-shape tuple of pieces; its text equals the one
+    joined cell by cell, whatever the masks."""
+    assert render_maze_tokens(m) == reference_render(m)
 
 
 def test_parse_missing_origin(golden_text):
