@@ -208,7 +208,7 @@ def _steps_text(m: Maze, moves) -> str:
     for d in moves:
         here, bits, j = masks[i], 0, None
         for e, (bit, back, n) in table[i]:
-            # the ``_crosses`` rule, inlined as in ``core._search``
+            # ``core._open``'s rule, inlined as in ``core._search``
             if not here & bit and not masks[n] & back:
                 bits |= bit
                 if e is d:

@@ -13,17 +13,17 @@ carve built is trusted, and rendering and hashing never audit.
 The flat index is the library's internal currency; ``Position`` is what the
 public API takes and returns, and a ``Maze`` keeps its endpoints' flat
 indices.  Searches and walks index the wall bytes with the per-shape ``links``
-table of each cell's in-bounds edges.  ``_crosses`` is the one open-edge rule;
-``_open`` applies it to a whole cell for ``open_neighbors`` and the trace
-walks in ``augment``.  ``_walk_moves``, the one move walk, takes each move's
+table of each cell's in-bounds edges.  ``_open`` states the one open-edge
+rule, for each edge of a cell, for ``open_neighbors`` and the trace walks in
+``augment``.  ``_walk_moves``, the one move walk, takes each move's
 edge from ``_steps``, keyed by direction or by its name (``"up"``):
 ``tokens.walk_answer``, the one answer reader behind the reward, bench verdict
 and strict record check, walks an answer's move-token names from the origin.
 It, the one integer BFS ``_search`` and the trace step text of ``augment``
 inline the rule.  ``_search`` records its tree in the carve's shape, so
-``generate._tree_path`` reads paths from both.  The wall audits first test the
-whole grid as one integer against the per-shape bit masks of ``_grid_bits``;
-only a grid that fails is walked cell by cell, to name each fault.
+``generate._tree_path`` reads paths from both.  ``wall_mismatches`` tests the
+whole grid as one integer against the bit masks of ``_grid_bits`` and walks
+only a grid that fails cell by cell, to name each mismatch.
 """
 
 from __future__ import annotations
@@ -123,28 +123,21 @@ def _cells(width: int, height: int) -> tuple[Position, ...]:
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
-def _grid_bits(width: int, cells: int) -> tuple[int, int, int]:
+def _grid_bits(width: int, cells: int) -> tuple[int, int]:
     """For a grid read as ``int.from_bytes(masks, "little")`` (cell i in bits 8i..8i+7):
-    bit 8i of each cell with one below, bit 8i+2 of each with one right, the perimeter walls."""
-    down = right = perimeter = 0
+    bit 8i of each cell with one below, and bit 8i+2 of each with one right."""
+    down = right = 0
     for i in range(cells):
-        c = i % width
         down |= (i + width < cells) << 8 * i
-        right |= (c + 1 < width) << 8 * i + 2
-        perimeter |= ((i < width) | (i + width >= cells) << 1 | (c == 0) << 2 | (c + 1 == width) << 3) << 8 * i
-    return down, right, perimeter
-
-
-def _crosses(masks: bytes, i: int, edge: tuple[int, int, int]) -> bool:
-    """The open-edge rule: ``edge`` of cell i (see ``links``) is open when
-    the wall bit on neither side of it is set."""
-    bit, back, j = edge
-    return not masks[i] & bit and not masks[j] & back
+        right |= ((i + 1) % width != 0) << 8 * i + 2
+    return down, right
 
 
 def _open(masks: bytes, table, i: int) -> list[tuple[MoveDirection, int]]:
-    """(direction, neighbour's flat index) for each open edge of cell i, in ``EDGES`` order."""
-    return [(d, edge[2]) for d, edge in table[i] if _crosses(masks, i, edge)]
+    """The one open-edge rule: (direction, neighbour's flat index) for each edge of cell i
+    (see ``links``) with the wall bit set on neither side of it, in ``EDGES`` order."""
+    here = masks[i]
+    return [(d, j) for d, (bit, back, j) in table[i] if not here & bit and not masks[j] & back]
 
 
 def _search(m: Maze, src: int, dst: int = -1):
@@ -160,7 +153,7 @@ def _search(m: Maze, src: int, dst: int = -1):
     for i in order:  # the list grows while it is walked: a FIFO queue
         here, deeper = masks[i], depth[i] + 1
         for _, (bit, back, j) in table[i]:
-            # the ``_crosses`` rule, inlined: this loop is the hot path of every search
+            # ``_open``'s rule, inlined: this loop is the hot path of every search
             if depth[j] < 0 and not here & bit and not masks[j] & back:
                 parent[j], entered[j], depth[j] = i, bit, deeper
                 order.append(j)
@@ -248,7 +241,7 @@ class SimOutcome:
 def open_neighbors(m: Maze, p: Position) -> list[tuple[MoveDirection, Position]]:
     """Open (direction, neighbor) pairs from p, in canonical direction order.
 
-    The one open-edge rule (``_crosses``): the edge stays in bounds and the
+    The one open-edge rule (``_open``): the edge stays in bounds and the
     wall bit on neither side of it is set; the two bits agree on any maze
     that passes ``validate_maze``.
     """
@@ -268,18 +261,16 @@ def validate_maze(m: Maze) -> list[str]:
         f"wall mismatch between ({r},{c}) and ({r2},{c2}): {pair} flags disagree"
         for r, c, r2, c2, pair in wall_mismatches(masks, w)
     ]
-    perimeter = _grid_bits(w, len(masks))[2]
-    if int.from_bytes(masks, "little") & perimeter != perimeter:  # walked only to name the gaps
-        for c in range(w):
-            if not masks[c] & 1:
-                problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
-            if not masks[last_row * w + c] & 2:
-                problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
-        for r in range(m.height):
-            if not masks[r * w] & 4:
-                problems.append(f"perimeter gap: ({r},0) lacks a left wall")
-            if not masks[r * w + last_col] & 8:
-                problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
+    for c in range(w):
+        if not masks[c] & 1:
+            problems.append(f"perimeter gap: (0,{c}) lacks an up wall")
+        if not masks[last_row * w + c] & 2:
+            problems.append(f"perimeter gap: ({last_row},{c}) lacks a down wall")
+    for r in range(m.height):
+        if not masks[r * w] & 4:
+            problems.append(f"perimeter gap: ({r},0) lacks a left wall")
+        if not masks[r * w + last_col] & 8:
+            problems.append(f"perimeter gap: ({r},{last_col}) lacks a right wall")
     if m.origin is not None and m.origin == m.target:
         problems.append(f"origin and target coincide at ({m.origin.row},{m.origin.col})")
     reached = len(_search(m, 0)[3])
@@ -297,7 +288,7 @@ def wall_mismatches(masks, width: int) -> Iterator[tuple[int, int, int, int, str
     """
     cells = len(masks)
     grid = int.from_bytes(masks, "little")
-    down, right, _ = _grid_bits(width, cells)
+    down, right = _grid_bits(width, cells)
     # shifted right by one bit, each down wall (2) lands on up (1) and each right
     # wall (8) on left (4): the bits that the facing cells hold, in the whole
     # grid a shift of 8 * width or 8 bits away, in the per-cell scan at i + width or i + 1
@@ -322,7 +313,7 @@ def _walk_moves(m: Maze, i: int, moves: Sequence[MoveDirection | str]) -> tuple[
     masks, steps = m.masks, _steps(m.width, m.height)
     for k, d in enumerate(moves):
         bit, back, j = steps[i][d]
-        # the ``_crosses`` rule, inlined: this loop is the hot path of every reward
+        # ``_open``'s rule, inlined: this loop is the hot path of every reward
         if masks[i] & bit or j < 0 or masks[j] & back:
             # a present wall blocks the move before the boundary does, so leaving
             # the grid is only reportable through a perimeter gap

@@ -27,8 +27,9 @@ import gzip
 import io
 import json
 import os
+import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _json_str  # json.dumps' string encoder when ensure_ascii=False
 from typing import BinaryIO, Iterable, Iterator, Optional, get_type_hints
@@ -79,9 +80,6 @@ class DatasetRecord:
     kind: RecordKind
     prompt: str
     completion: str
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
 
 
 # the JSON type of each field, in order: a kind is written as its value
@@ -277,9 +275,12 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
 
 @contextmanager
 def decode_errors_named(path: str, fh) -> Iterator[None]:
-    """Re-raise a decode error from reading text file fh as ``<path>: line N: ...``, N found by re-reading its bytes."""
+    """Re-raise a decode error from reading text file fh as ``<path>: line N: ...``, N found by re-reading
+    its bytes, and a gzip stream that is cut short, corrupt or not gzip at all as ``<path>: ...``."""
     try:
         yield
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DatasetError(f"{path}: corrupt gzip file: {exc}") from None
     except UnicodeDecodeError as exc:
         fh.buffer.seek(0)  # split as text mode splits lines: at \r\n, \n or \r
         lines = fh.buffer.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
@@ -297,7 +298,7 @@ def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
             where = f"{path}: line {lineno}"
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not only JSONDecodeError: the int digit limit, deep nesting
                 raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise DatasetError(f"{where}: expected a JSON object")
@@ -315,8 +316,8 @@ def field(where: str, row: dict, name: str, typ: type):
 
 
 def _record_line(r: DatasetRecord) -> str:
-    """``json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":"))``,
-    with the maze text encoded once when the prompt repeats it."""
+    """The fields in schema order, kind as its value, as ``json.dumps(..., ensure_ascii=False,
+    separators=(",", ":"))`` writes them, with the maze text encoded once when the prompt repeats it."""
     maze = _json_str(r.maze_tokens)
     prompt = maze if r.prompt == r.maze_tokens else _json_str(r.prompt)
     return (

@@ -6,8 +6,8 @@ themselves; a change here is a change to the data format and must be made
 on purpose.
 
 This module needs only the standard library, so every interpreter the
-package supports can re-run the generate, augment, build-dataset, bench build
-and reward commands of ``GOLDEN`` without pytest:
+package supports can re-run the generate, augment, build-dataset, bench build,
+reward and trend commands of ``GOLDEN`` without pytest:
 
     python tests/golden.py
 
@@ -103,6 +103,8 @@ def _build(argv, digests):
     return (["build-dataset", *argv, "--out", "ds"],), {f"ds/{name}": digest for name, digest in digests.items()}
 
 
+STDOUT = "stdout.txt"  # what a run's commands print, written into its directory after them
+
 # name -> (CLI commands, their output files' digests); paths are relative to the run's directory
 GOLDEN = {
     "pool": _pool(("--count", "500", "--seed", "7"), "11", POOL_DIGEST, AUGMENT_DIGEST),
@@ -124,6 +126,7 @@ GOLDEN = {
         (["reward", "--pairs", "pairs.jsonl", "--advantages", "--out", "rewards.jsonl"],),
         {"rewards.jsonl": REWARD_DIGEST},
     ),
+    "trend": ((["trend", "--points", "scores.csv"],), {STDOUT: TREND_DIGEST}),
 }
 # name -> {path: text} of the input files written into the run's directory before its commands
 INPUTS = {
@@ -132,10 +135,11 @@ INPUTS = {
             json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in REWARD_PAIRS
         ),
     },
+    "trend": {"scores.csv": "step,score\n0,86.0\n50,86.0\n100,91.0\n150,91.0\n200,88.0\n250,92.5\n300,89.0\n"},
 }
 
 
-_PATH_FLAGS = ("--in", "--out", "--pool", "--pairs")
+_PATH_FLAGS = ("--in", "--out", "--pool", "--pairs", "--points")
 
 
 def sha256(path) -> str:
@@ -157,17 +161,19 @@ def check(names=None, root=None) -> list[str]:
         where.mkdir(parents=True)
         for path, text in INPUTS.get(name, {}).items():
             (where / path).write_text(text, encoding="utf-8")
+        out = io.StringIO()
         for argv in commands:
-            # each path after --in, --out, --pool or --pairs names a file in the run's directory
+            # each path after --in, --out, --pool, --pairs or --points names a file in the run's directory
             # (a build-dataset --pool count would be rewritten too: the builds give --scale)
             argv = [str(where / a) if flag in _PATH_FLAGS else a for flag, a in zip(["", *argv], argv)]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
                 try:
                     code = main(argv)
                 except SystemExit as e:  # argparse exits on an argv it rejects
                     code = e.code
             if code != 0:
                 mismatches.append(f"{name}: {argv[0]} exited {code}: {err.getvalue().strip()}")
+        (where / STDOUT).write_bytes(out.getvalue().encode("utf-8"))
         for path, want in digests.items():
             got = sha256(where / path) if (where / path).exists() else "missing"
             if got != want:

@@ -11,9 +11,12 @@ parent links back from the target, and the rendering joined cell by cell;
 plus ``CountingRng``, which counts draws by stream position, and
 ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
 their form from before the one move walk: ``simulate_moves`` stepping edge
-by edge through ``_crosses``, ``total_reward`` and the bench verdict on the
-``MoveDirection`` tuple of ``extract_move_tokens`` and a ``SimOutcome``, and
-the think rule as five scans of the whole output."""
+by edge with the open-edge rule written out, ``total_reward`` and the bench
+verdict on the ``MoveDirection`` tuple of ``extract_move_tokens`` and a
+``SimOutcome``, and the think rule as five scans of the whole output.
+``record_dict`` is a record as the JSON object that its written line holds."""
+
+from dataclasses import asdict
 
 from mazekit.bench import NO_OUTPUT_REASON, MazeVerdict
 from mazekit.core import (
@@ -25,12 +28,12 @@ from mazekit.core import (
     SimOutcome,
     SimStatus,
     _cells,
-    _crosses,
     _index,
     _search,
     links,
     open_neighbors,
 )
+from mazekit.dataset import DatasetRecord
 from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, SolutionPath
 from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
@@ -85,9 +88,8 @@ def reference_shortest_path(m, origin, target):
     parents[origin] = (origin, None)
     queue = [origin]
     for i in queue:
-        for d, edge in table[i]:
-            j = edge[2]
-            if parents[j] is None and _crosses(m.masks, i, edge):
+        for d, (bit, back, j) in table[i]:
+            if parents[j] is None and not m.masks[i] & bit and not m.masks[j] & back:
                 parents[j] = (i, d)
                 queue.append(j)
     if parents[target] is None:
@@ -98,6 +100,11 @@ def reference_shortest_path(m, origin, target):
         moves.append(d)
         cells.append(positions[cur])
     return SolutionPath(moves=tuple(reversed(moves)), cells=tuple(reversed(cells)))
+
+
+def record_dict(r: DatasetRecord) -> dict:
+    """The record's fields in schema order, its kind as the kind's value."""
+    return {**asdict(r), "kind": r.kind.value}
 
 
 def attempt_cells(m, attempt):
@@ -235,7 +242,7 @@ def reference_simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:
     masks, table, cells = m.masks, links(m.width, m.height), _cells(m.width, m.height)
     for k, d in enumerate(seq):
         edge = dict(table[i]).get(d)
-        if edge is None or not _crosses(masks, i, edge):
+        if edge is None or masks[i] & edge[0] or masks[edge[2]] & edge[1]:
             off_grid = edge is None and not masks[i] & BITS[d]
             status = SimStatus.OUT_OF_BOUNDS if off_grid else SimStatus.WALL_HIT
             return SimOutcome(final=cells[i], steps_taken=k, status=status)

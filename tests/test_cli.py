@@ -617,6 +617,16 @@ def _bad_row_cases(tmp_path):
                                          {"id": "\ud800", "maze_tokens": golden, "output": ""}), "--out", out],
             "r3.jsonl: line 2: field 'id' is not UTF-8 text: surrogates not allowed",
         ),
+        # json.loads rejects these with a ValueError that is not a JSONDecodeError, and a RecursionError
+        "reward-integer-past-digit-limit": (
+            ["reward", "--pairs", _text(tmp_path / "r4.jsonl", '\n{"id": ' + "9" * 5000 + "}\n"),
+             "--out", out],
+            "r4.jsonl: line 2: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+        ),
+        "reward-nested-too-deep": (
+            ["reward", "--pairs", _text(tmp_path / "r5.jsonl", "[" * 200_000 + "\n"), "--out", out],
+            "r5.jsonl: line 1: invalid JSON: maximum recursion depth exceeded",
+        ),
     }
 
 
@@ -647,6 +657,8 @@ def _bad_row_cases(tmp_path):
         "trend-not-utf8",
         "parse-not-utf8",
         "reward-lone-surrogate-id",
+        "reward-integer-past-digit-limit",
+        "reward-nested-too-deep",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):
@@ -658,7 +670,23 @@ def test_bad_row_names_file_line(capsys, tmp_path, case):
 
 def _whole_file_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")  # a 5-step, medium maze
+    rows = "".join(json.dumps({"id": str(i), "maze_tokens": golden, "output": ""}) + "\n" for i in range(50))
+    packed = gzip.compress(rows.encode(), mtime=0)  # 600 bytes
     return {
+        "reward-gzip-cut-short": (
+            ["reward", "--pairs", _bytes(tmp_path / "cut.jsonl.gz", packed[:300]), "--out", str(tmp_path / "r.jsonl")],
+            "cut.jsonl.gz: corrupt gzip file: Compressed file ended before the end-of-stream marker was reached",
+        ),
+        "tokenize-gzip-scrambled": (
+            ["tokenize", "--in", _bytes(tmp_path / "xor.jsonl.gz",
+                                        packed[:40] + bytes(b ^ 0x5A for b in packed[40:200]) + packed[200:])],
+            "xor.jsonl.gz: corrupt gzip file: Error -3 while decompressing data: invalid code -- missing end-of-block",
+        ),
+        "bench-run-gzip-not-gzip": (
+            ["bench", "run", "--suite", _text(tmp_path / "plain.jsonl.gz", "not gzip\n"),
+             "--outputs", _jsonl(tmp_path / "o.jsonl"), "--report", str(tmp_path / "report.json")],
+            "plain.jsonl.gz: corrupt gzip file: Not a gzipped file (b'no')",
+        ),
         "tokenize-index-past-the-rows": (
             ["tokenize", "--in", _jsonl(tmp_path / "one.jsonl", {"maze_tokens": golden}), "--index", "3"],
             "one.jsonl: index 3 outside 0..0",
@@ -687,7 +715,7 @@ def _whole_file_cases(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["tokenize-index-past-the-rows", "bench-run-blank-suite", "trend-one-point", "trend-constant-x",
-     "bench-build-pool-short"],
+     "bench-build-pool-short", "reward-gzip-cut-short", "tokenize-gzip-scrambled", "bench-run-gzip-not-gzip"],
 )
 def test_whole_file_error_names_the_file(capsys, tmp_path, case):
     argv, message = _whole_file_cases(tmp_path)[case]

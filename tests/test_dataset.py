@@ -29,6 +29,7 @@ from mazekit.dataset import (
 )
 from mazekit.generate import GenConfig, solved_pool
 from mazekit.tokens import render_maze_tokens
+from reference import record_dict
 
 SMALL_PLAN = SplitPlan(total_pool=120, test_count=10, sft_straight_count=40, sft_retry_count=40, grpo_count=30)
 
@@ -78,7 +79,7 @@ def test_read_records_keeps_one_copy_of_the_maze_text(small_splits, tmp_path):
     path = str(tmp_path / "sft.jsonl")
     write_records(small_splits.sft, path)
     assert all(r.prompt is r.maze_tokens for r in read_records(path))
-    row = {**small_splits.sft[0].to_dict(), "prompt": "hello"}
+    row = {**record_dict(small_splits.sft[0]), "prompt": "hello"}
     assert record_from_dict(row).prompt == "hello"
 
 
@@ -235,14 +236,14 @@ def test_empty_collection_round_trips(tmp_path):
 
 def test_malformed_line_names_line_number(small_splits, tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = json.dumps(small_splits.sft[0].to_dict())
+    good = json.dumps(record_dict(small_splits.sft[0]))
     path.write_text(good + "\nnot json\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="line 2"):
         read_records(str(path))
 
 
 def test_schema_violation_names_field(small_splits, tmp_path):
-    row = small_splits.sft[0].to_dict()
+    row = record_dict(small_splits.sft[0])
     del row["steps"]
     path = tmp_path / "schema.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -251,14 +252,14 @@ def test_schema_violation_names_field(small_splits, tmp_path):
 
 
 def test_wrong_type_rejected(small_splits):
-    row = small_splits.sft[0].to_dict()
+    row = record_dict(small_splits.sft[0])
     row["steps"] = "five"
     with pytest.raises(DatasetError, match="'steps' must be int"):
         record_from_dict(row)
 
 
 def test_strict_mode_catches_broken_completion(small_splits, tmp_path):
-    row = small_splits.sft[0].to_dict()
+    row = record_dict(small_splits.sft[0])
     row["completion"] = "<think>nope</think><|up|><|up|><|up|>"
     path = tmp_path / "broken.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -270,7 +271,7 @@ def test_strict_mode_catches_broken_completion(small_splits, tmp_path):
 
 def test_strict_mode_catches_kind_mismatch(small_splits, tmp_path):
     record = next(r for r in small_splits.sft if r.kind is RecordKind.RETRY)
-    row = record.to_dict()
+    row = record_dict(record)
     row["kind"] = "straight_success"
     path = tmp_path / "kind.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
@@ -280,7 +281,7 @@ def test_strict_mode_catches_kind_mismatch(small_splits, tmp_path):
 
 def _forged_rows(record):
     """Rows that differ from a straight record in one field that strict mode checks against its maze."""
-    row = record.to_dict()
+    row = record_dict(record)
     other_maze = hash16(row["maze_tokens"] + "\n")
     retry_id = row["id"].replace("-straight", "-retry")
     return {
@@ -314,7 +315,7 @@ def test_strict_mode_checks_record_against_its_maze(small_splits, tmp_path, case
 
 
 def test_unknown_kind_rejected(small_splits):
-    row = small_splits.sft[0].to_dict()
+    row = record_dict(small_splits.sft[0])
     row["kind"] = "mystery"
     with pytest.raises(DatasetError, match="kind"):
         record_from_dict(row)
@@ -333,7 +334,7 @@ def test_unknown_kind_rejected(small_splits):
 def test_record_from_dict_messages(small_splits, change, message):
     """Each schema fault's message, with the fields checked in ``DatasetRecord`` order."""
     with pytest.raises(DatasetError, match=f"^{re.escape('row 7: ' + message)}$"):
-        record_from_dict(change(small_splits.sft[0].to_dict()), "row 7")
+        record_from_dict(change(record_dict(small_splits.sft[0])), "row 7")
 
 
 def test_records_ordered_by_pool_index(small_splits):
@@ -369,7 +370,7 @@ def test_strict_mode_requires_a_pool_index_in_the_id(tmp_path, index):
 )
 def test_strict_mode_rejects_non_canonical_maze_text(small_splits, tmp_path, retext, message):
     # the parser reads both forms, so with a matching prompt and id hash they would name one maze twice
-    row = small_splits.test[0].to_dict()
+    row = record_dict(small_splits.test[0])
     text = retext(row["maze_tokens"])
     index, _, suffix = row["id"].split("-")
     forged = {**row, "maze_tokens": text, "prompt": text, "id": f"{index}-{hash16(text)}-{suffix}"}
@@ -407,9 +408,9 @@ def _records(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_records(), max_size=4), st.sampled_from(["r.jsonl", "r.jsonl.gz"]))
-def test_record_lines_equal_json_dumps_of_to_dict(records, name):
-    """The record writer's bytes are json.dumps of each to_dict, one per line."""
-    expected = "".join(json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
+def test_record_lines_equal_json_dumps_of_record_dict(records, name):
+    """The record writer's bytes are json.dumps of each record_dict, one per line."""
+    expected = "".join(json.dumps(record_dict(r), ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         assert write_records(records, path) == len(records)

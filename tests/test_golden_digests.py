@@ -1,13 +1,12 @@
 """Pinned SHA-256 digests of CLI output files.
 
-The digests, and the generate, augment, build-dataset, bench build and
-reward commands that ``golden.check`` re-runs, live in the stdlib-only
+The digests, and the generate, augment, build-dataset, bench build, reward
+and trend commands that ``golden.check`` re-runs, live in the stdlib-only
 ``tests/golden.py``, so that any interpreter can check them without pytest.
-The bench run and trend commands below build their inputs with the package,
-so they run here.
+The bench run command below builds its input with the package, so it runs
+here.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -19,7 +18,7 @@ from mazekit.generate import solve_shortest_path
 from mazekit.rewards import group_advantages
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
 import golden
-from golden import BENCH_REPORT_DIGEST, GAP_MAZE, TREND_DIGEST, sha256
+from golden import BENCH_REPORT_DIGEST, GAP_MAZE, sha256
 
 # a suite row's id must be its maze's id
 GAP_ID = maze_id(parse_maze_tokens(GAP_MAZE))
@@ -53,7 +52,7 @@ def test_shaped_build_dataset_digests(tmp_path):
 def test_every_golden_command_is_checked():
     """Each ``golden.GOLDEN`` entry is run by one test in this module."""
     shaped = {name for name in golden.GOLDEN if name.startswith("pool_")}
-    assert set(golden.GOLDEN) == {"pool", "build", "build_topped_up", "build_shaped", "suite", "reward"} | shaped
+    assert set(golden.GOLDEN) == {"pool", "build", "build_topped_up", "build_shaped", "suite", "reward", "trend"} | shaped
 
 
 def _wall_hit(m) -> str:
@@ -97,9 +96,5 @@ def test_reward_advantages_digest(tmp_path):
     assert [row["advantage"] for row in rows] == [*example, 0.0]
 
 
-def test_trend_digest(tmp_path, capsys):
-    csv = tmp_path / "scores.csv"
-    csv.write_text("step,score\n0,86.0\n50,86.0\n100,91.0\n150,91.0\n200,88.0\n250,92.5\n300,89.0\n")
-    capsys.readouterr()
-    assert main(["trend", "--points", str(csv)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == TREND_DIGEST
+def test_trend_digest(tmp_path):
+    assert golden.check(["trend"], tmp_path) == []
