@@ -75,17 +75,6 @@ class BenchEntry:
 
 
 @dataclass(frozen=True)
-class BenchSuite:
-    entries: tuple[BenchEntry, ...]
-
-    def counts(self) -> dict[Difficulty, int]:
-        out = {d: 0 for d in Difficulty}
-        for entry in self.entries:
-            out[entry.difficulty] += 1
-        return out
-
-
-@dataclass(frozen=True)
 class MazeVerdict:
     id: str
     difficulty: Difficulty
@@ -112,13 +101,14 @@ def build_suite(
     pool: Sequence[Maze],
     seed: int,
     composition: Optional[Mapping[Difficulty, int]] = None,
-) -> BenchSuite:
+) -> tuple[BenchEntry, ...]:
     """Sample without replacement from a pool of solved mazes until each
     stratum quota is met; deterministic for a given pool order and seed.
 
     Raises StratumShortfallError naming the stratum and deficit when the
     pool runs out.  Pool mazes whose solution length exceeds 13 steps fit
-    no band and are skipped.  A negative quota raises ValueError.
+    no band and are skipped, and so is a maze whose id is already chosen,
+    without spending quota.  A negative quota raises ValueError.
     """
     quotas = dict(DEFAULT_COMPOSITION if composition is None else composition)
     negative = {d.value: v for d, v in quotas.items() if v < 0}
@@ -126,8 +116,7 @@ def build_suite(
         raise ValueError(f"stratum quotas must be non-negative, got {negative}")
     order = list(range(len(pool)))
     SplitMix64(seed).shuffle(order)
-    remaining = dict(quotas)
-    chosen: list[BenchEntry] = []
+    chosen: dict[str, BenchEntry] = {}
     for idx in order:
         m = pool[idx]
         steps = solve_shortest_path(m).steps
@@ -135,47 +124,50 @@ def build_suite(
             band = classify_difficulty(steps)
         except ValueError:
             continue  # longer than every band
-        if remaining.get(band, 0) <= 0:
+        if quotas.get(band, 0) <= 0:
             continue
-        remaining[band] -= 1
         # rendered once: the id and the suite row share the text
         text = render_maze_tokens(m)
-        chosen.append(BenchEntry(id=hash16(text), maze=m, difficulty=band, steps=steps, maze_tokens=text))
-        if all(v <= 0 for v in remaining.values()):
+        entry_id = hash16(text)
+        if entry_id in chosen:
+            continue  # the pool repeats a maze
+        quotas[band] -= 1
+        chosen[entry_id] = BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=text)
+        if all(v <= 0 for v in quotas.values()):
             break
-    deficits = {d: v for d, v in remaining.items() if v > 0}
+    deficits = {d: v for d, v in quotas.items() if v > 0}
     if deficits:
         detail = ", ".join(f"{d.value} short by {v}" for d, v in sorted(deficits.items(), key=lambda kv: kv[0].value))
         raise StratumShortfallError(f"pool cannot fill the suite: {detail}")
-    return BenchSuite(entries=tuple(chosen))
+    return tuple(chosen.values())
 
 
 def _verdict(entry: BenchEntry, output: Optional[str]) -> MazeVerdict:
-    if output is None:
-        return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, NO_OUTPUT_REASON)
-    _, steps_taken, status = walk_answer(entry.maze, output)
-    if status is SimStatus.REACHED_TARGET:
-        return MazeVerdict(entry.id, entry.difficulty, entry.steps, True, None)
-    if status is SimStatus.WALL_HIT:
-        reason = f"wall hit at step {steps_taken}"
-    elif status is SimStatus.OUT_OF_BOUNDS:
-        reason = f"out of bounds at step {steps_taken}"
-    else:
-        reason = "stopped short of target"
-    return MazeVerdict(entry.id, entry.difficulty, entry.steps, False, reason)
+    reason: Optional[str] = NO_OUTPUT_REASON
+    if output is not None:
+        _, steps_taken, status = walk_answer(entry.maze, output)
+        if status is SimStatus.REACHED_TARGET:
+            reason = None
+        elif status is SimStatus.WALL_HIT:
+            reason = f"wall hit at step {steps_taken}"
+        elif status is SimStatus.OUT_OF_BOUNDS:
+            reason = f"out of bounds at step {steps_taken}"
+        else:
+            reason = "stopped short of target"
+    return MazeVerdict(entry.id, entry.difficulty, entry.steps, reason is None, reason)
 
 
 def _rate(solved: int, total: int) -> float:
     return round(100.0 * solved / total, 1)
 
 
-def evaluate_suite(suite: BenchSuite, outputs: Mapping[str, str]) -> BenchReport:
+def evaluate_suite(suite: Sequence[BenchEntry], outputs: Mapping[str, str]) -> BenchReport:
     """Score one output per suite entry and aggregate success rates.
 
     ``outputs`` maps entry id to raw output text.  A missing output scores
     the entry unsolved with reason "no output".
     """
-    verdicts = [_verdict(entry, outputs.get(entry.id)) for entry in suite.entries]
+    verdicts = [_verdict(entry, outputs.get(entry.id)) for entry in suite]
     total = len(verdicts)
     if total == 0:
         raise ValueError("cannot evaluate an empty suite")

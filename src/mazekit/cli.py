@@ -22,7 +22,6 @@ from .bench import (
     Difficulty,
     StratumShortfallError,
     BenchEntry,
-    BenchSuite,
     build_suite,
     classify_difficulty,
     evaluate_suite,
@@ -243,17 +242,19 @@ def _suite_entry(where: str, row: dict) -> BenchEntry:
     return BenchEntry(id=entry_id, maze=m, difficulty=band, steps=steps, maze_tokens=row["maze_tokens"])
 
 
-def _load_outputs(path: str) -> dict[str, str]:
-    """Model outputs by id; an id given twice is an error naming both lines."""
-    outputs: dict[str, str] = {}
+def _by_id(path: str, read):
+    """``read(where, row)`` of each row, by the row's id; an id given twice is
+    an error naming both lines, raised after the row's own checks."""
+    values: dict = {}
     first_line: dict[str, str] = {}
     for where, row in iter_jsonl(path):
         key = field(where, row, "id", str)
+        value = read(where, row)
         if key in first_line:
             raise DatasetError(f"{where}: id {key!r} repeats {first_line[key]}")
         first_line[key] = where.rsplit(": ", 1)[1]
-        outputs[key] = field(where, row, "output", str)
-    return outputs
+        values[key] = value
+    return values
 
 
 def cmd_bench_build(args: argparse.Namespace) -> int:
@@ -270,24 +271,20 @@ def cmd_bench_build(args: argparse.Namespace) -> int:
         raise StratumShortfallError(f"{args.pool}: {exc}") from None
     out = _out(args.out)
     rows = ({"id": e.id, "difficulty": e.difficulty.value, "steps": e.steps, "maze_tokens": e.maze_tokens}
-            for e in suite.entries)
+            for e in suite)
     write_jsonl(out, rows)
-    counts = suite.counts()
-    print(
-        f"suite: {counts[Difficulty.EASY]} easy / {counts[Difficulty.MEDIUM]} medium / "
-        f"{counts[Difficulty.HARD]} hard -> {out}",
-        file=sys.stderr,
-    )
+    counts = " / ".join(f"{sum(e.difficulty is d for e in suite)} {d.value}" for d in Difficulty)
+    print(f"suite: {counts} -> {out}", file=sys.stderr)
     return 0
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
     if args.scores_csv is not None and args.step is None:
         raise ValueError("--scores-csv needs --step")
-    suite = BenchSuite(entries=tuple(_suite_entry(where, row) for where, row in iter_jsonl(args.suite)))
-    outputs = _load_outputs(args.outputs)
+    suite = _by_id(args.suite, _suite_entry)
+    outputs = _by_id(args.outputs, lambda where, row: field(where, row, "output", str))
     try:
-        report = evaluate_suite(suite, outputs)
+        report = evaluate_suite(tuple(suite.values()), outputs)
     except ValueError as exc:  # the suite is empty
         raise ValueError(f"{args.suite}: {exc}") from None
     doc = {
@@ -332,6 +329,7 @@ def cmd_reward(args: argparse.Namespace) -> int:
 
 def _read_points(path: str) -> list[tuple[float, float]]:
     points = []
+    header_allowed = True  # on the first non-blank line only
     with open(path, "r", encoding="utf-8") as fh, decode_errors_named(path, fh):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -343,9 +341,9 @@ def _read_points(path: str) -> list[tuple[float, float]]:
             try:
                 points.append((float(parts[0]), float(parts[1])))
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}: line {lineno}: values are not numeric") from None
+                if not header_allowed:
+                    raise ValueError(f"{path}: line {lineno}: values are not numeric") from None
+            header_allowed = False
     return points
 
 

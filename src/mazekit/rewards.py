@@ -42,7 +42,6 @@ class RewardBreakdown:
 @dataclass(frozen=True)
 class GroupAdvantages:
     advantages: tuple[float, ...]
-    epsilon: float
 
 
 def correctness_reward(m: Maze, output: str) -> float:
@@ -102,5 +101,5 @@ def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON)
         raise ValueError(f"the rewards are finite, but their spread overflows: std + epsilon is {scale!r}")
     if scale == 0.0:
         # an all-equal group with epsilon 0, or squared deviations underflowing for subnormal spreads
-        return GroupAdvantages(advantages=(0.0,) * n, epsilon=epsilon)
-    return GroupAdvantages(advantages=tuple([(r - mean) / scale for r in shifted]), epsilon=epsilon)
+        return GroupAdvantages(advantages=(0.0,) * n)
+    return GroupAdvantages(advantages=tuple([(r - mean) / scale for r in shifted]))

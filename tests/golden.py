@@ -7,7 +7,7 @@ on purpose.
 
 This module needs only the standard library, so every interpreter the
 package supports can re-run the generate, augment, build-dataset, bench build,
-reward and trend commands of ``GOLDEN`` without pytest:
+bench run, reward and trend commands of ``GOLDEN`` without pytest:
 
     python tests/golden.py
 
@@ -72,10 +72,15 @@ BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515
 REWARD_DIGEST = "01e2d6a2e20f6579c04bdb597099ab2602d07d4fcd9117d8f253c826a9ca810d"
 TREND_DIGEST = "fc277633d5fbbd4e1ee88df01c1db6993e18e2513657def3a4440accba4162d9"
 
-EXAMPLE_MAZE = (pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt").read_text(encoding="utf-8")
+DATA = pathlib.Path(__file__).parent / "data"
+EXAMPLE_MAZE = (DATA / "example_maze_tokens.txt").read_text(encoding="utf-8")
 # the worked example with the left wall of (2,0) removed: a perimeter gap
 # two moves left of the origin, so a walk can leave the grid
 GAP_MAZE = EXAMPLE_MAZE.replace("<|2-0|><|up_left_wall|>", "<|2-0|><|up_wall|>")
+# the suite row bench run reads after the ``suite`` command's rows; a suite row's id is its maze's id
+GAP_ROW = {"id": "a667604ffa245c95", "difficulty": "medium", "steps": 5, "maze_tokens": GAP_MAZE}
+# one output per suite row, or none, for each verdict reason; test_golden_digests re-derives them
+BENCH_OUTPUTS = DATA / "bench_outputs.jsonl"
 _SOLUTION = "<|left|><|down|><|right|><|down|><|right|>"
 # (id, maze_tokens, output) of each ``reward`` pair: six outputs of the worked example, one of the gap maze
 REWARD_PAIRS = (
@@ -105,7 +110,16 @@ def _build(argv, digests):
 
 STDOUT = "stdout.txt"  # what a run's commands print, written into its directory after them
 
-# name -> (CLI commands, their output files' digests); paths are relative to the run's directory
+_REWARD_PAIRS_JSONL = "".join(
+    json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in REWARD_PAIRS
+)
+_SUITE = (
+    ["generate", "--count", "2000", "--seed", "21", "--out", "pool.jsonl"],
+    ["bench", "build", "--pool", "pool.jsonl", "--seed", "8", "--out", "suite.jsonl"],
+)
+
+# name -> (steps, their output files' digests); a step is a CLI argv, or a {path: text}
+# dict whose texts are appended to those files; paths are relative to the run's directory
 GOLDEN = {
     "pool": _pool(("--count", "500", "--seed", "7"), "11", POOL_DIGEST, AUGMENT_DIGEST),
     **{
@@ -115,31 +129,33 @@ GOLDEN = {
     "build": _build(("--seed", "42", "--scale", "400"), BUILD_DIGESTS),
     "build_topped_up": _build(("--seed", "7750221749264622373", "--scale", "400"), TOPPED_UP_BUILD_DIGESTS),
     "build_shaped": _build(("--seed", "42", "--scale", "400", "--width", "7", "--height", "4"), SHAPED_BUILD_DIGESTS),
-    "suite": (
+    "suite": (_SUITE, {"suite.jsonl": SUITE_DIGEST}),
+    "bench_run": (
         (
-            ["generate", "--count", "2000", "--seed", "21", "--out", "pool.jsonl"],
-            ["bench", "build", "--pool", "pool.jsonl", "--seed", "8", "--out", "suite.jsonl"],
+            *_SUITE,
+            {"suite.jsonl": json.dumps(GAP_ROW) + "\n", "outputs.jsonl": BENCH_OUTPUTS.read_text(encoding="utf-8")},
+            ["bench", "run", "--suite", "suite.jsonl", "--outputs", "outputs.jsonl", "--report", "report.json"],
         ),
-        {"suite.jsonl": SUITE_DIGEST},
+        {"report.json": BENCH_REPORT_DIGEST},
     ),
     "reward": (
-        (["reward", "--pairs", "pairs.jsonl", "--advantages", "--out", "rewards.jsonl"],),
+        (
+            {"pairs.jsonl": _REWARD_PAIRS_JSONL},
+            ["reward", "--pairs", "pairs.jsonl", "--advantages", "--out", "rewards.jsonl"],
+        ),
         {"rewards.jsonl": REWARD_DIGEST},
     ),
-    "trend": ((["trend", "--points", "scores.csv"],), {STDOUT: TREND_DIGEST}),
-}
-# name -> {path: text} of the input files written into the run's directory before its commands
-INPUTS = {
-    "reward": {
-        "pairs.jsonl": "".join(
-            json.dumps({"id": i, "maze_tokens": maze, "output": text}) + "\n" for i, maze, text in REWARD_PAIRS
+    "trend": (
+        (
+            {"scores.csv": "step,score\n0,86.0\n50,86.0\n100,91.0\n150,91.0\n200,88.0\n250,92.5\n300,89.0\n"},
+            ["trend", "--points", "scores.csv"],
         ),
-    },
-    "trend": {"scores.csv": "step,score\n0,86.0\n50,86.0\n100,91.0\n150,91.0\n200,88.0\n250,92.5\n300,89.0\n"},
+        {STDOUT: TREND_DIGEST},
+    ),
 }
 
 
-_PATH_FLAGS = ("--in", "--out", "--pool", "--pairs", "--points")
+_PATH_FLAGS = ("--in", "--out", "--pool", "--pairs", "--points", "--suite", "--outputs", "--report")
 
 
 def sha256(path) -> str:
@@ -147,7 +163,7 @@ def sha256(path) -> str:
 
 
 def check(names=None, root=None) -> list[str]:
-    """Run the ``GOLDEN`` commands of each name (all by default), each in its own
+    """Run the ``GOLDEN`` steps of each name (all by default), each in its own
     directory under root (a temporary one by default), and return the mismatches."""
     from mazekit.cli import main
 
@@ -159,13 +175,16 @@ def check(names=None, root=None) -> list[str]:
         commands, digests = GOLDEN[name]
         where = pathlib.Path(root) / name
         where.mkdir(parents=True)
-        for path, text in INPUTS.get(name, {}).items():
-            (where / path).write_text(text, encoding="utf-8")
         out = io.StringIO()
-        for argv in commands:
-            # each path after --in, --out, --pool, --pairs or --points names a file in the run's directory
+        for step in commands:
+            if isinstance(step, dict):
+                for path, text in step.items():
+                    with open(where / path, "a", encoding="utf-8") as fh:
+                        fh.write(text)
+                continue
+            # each path after a _PATH_FLAGS flag names a file in the run's directory
             # (a build-dataset --pool count would be rewritten too: the builds give --scale)
-            argv = [str(where / a) if flag in _PATH_FLAGS else a for flag, a in zip(["", *argv], argv)]
+            argv = [str(where / a) if flag in _PATH_FLAGS else a for flag, a in zip(["", *step], step)]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
                 try:
                     code = main(argv)

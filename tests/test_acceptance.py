@@ -6,6 +6,7 @@ lines alongside pytest's own verdicts.
 
 import pathlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -180,26 +181,26 @@ def test_criterion_6_desk_scale_split_replica():
 def test_criterion_7_bench_harness():
     pool = [generate_solved_maze(GenConfig(seed=derive_seed(0xACCE97, i))) for i in range(700)]
     suite = build_suite(pool, seed=17)
-    counts = suite.counts()
+    counts = Counter(e.difficulty for e in suite)
     assert counts[Difficulty.EASY] == 50
     assert counts[Difficulty.MEDIUM] == 40
     assert counts[Difficulty.HARD] == 10
-    for e in suite.entries:
+    for e in suite:
         lo, hi = {Difficulty.EASY: (1, 4), Difficulty.MEDIUM: (5, 8), Difficulty.HARD: (9, 13)}[e.difficulty]
         assert lo <= e.steps <= hi
 
-    oracle = {e.id: render_move_tokens(solve_shortest_path(e.maze).moves) for e in suite.entries}
+    oracle = {e.id: render_move_tokens(solve_shortest_path(e.maze).moves) for e in suite}
     assert evaluate_suite(suite, oracle).overall == 100.0
 
-    null = {e.id: "" for e in suite.entries}
+    null = {e.id: "" for e in suite}
     assert evaluate_suite(suite, null).overall == 0.0
 
-    truncated = {e.id: render_move_tokens(solve_shortest_path(e.maze).moves[:-1]) for e in suite.entries}
+    truncated = {e.id: render_move_tokens(solve_shortest_path(e.maze).moves[:-1]) for e in suite}
     assert evaluate_suite(suite, truncated).overall == 0.0
 
     from mazekit.core import DIRECTIONS
 
-    entry = suite.entries[0]
+    entry = suite[0]
     closed = next(d for d in DIRECTIONS if not is_open(entry.maze, entry.maze.origin, d))
     report_doc = evaluate_suite(suite, {entry.id: render_move_tokens([closed])})
     verdict = next(v for v in report_doc.verdicts if v.id == entry.id)

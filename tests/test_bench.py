@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from mazekit.bench import (
@@ -48,23 +50,33 @@ def test_classify_difficulty_out_of_band(steps):
 
 
 def test_suite_composition(suite):
-    counts = suite.counts()
+    counts = Counter(e.difficulty for e in suite)
     assert counts[Difficulty.EASY] == 50
     assert counts[Difficulty.MEDIUM] == 40
     assert counts[Difficulty.HARD] == 10
-    assert len(suite.entries) == 100
+    assert len(suite) == 100
 
 
 def test_suite_respects_step_bands(suite):
-    for entry in suite.entries:
+    for entry in suite:
         lo, hi = {Difficulty.EASY: (1, 4), Difficulty.MEDIUM: (5, 8), Difficulty.HARD: (9, 13)}[entry.difficulty]
         assert lo <= entry.steps <= hi
         assert solve_shortest_path(entry.maze).steps == entry.steps
 
 
 def test_suite_samples_without_replacement(suite):
-    ids = [e.id for e in suite.entries]
+    ids = [e.id for e in suite]
     assert len(set(ids)) == len(ids)
+
+
+def test_suite_skips_a_maze_the_pool_repeats(suite):
+    """A maze the pool repeats is chosen once, and its copies spend no quota."""
+    easy = [e.maze for e in suite if e.difficulty is Difficulty.EASY][:3]
+    only_easy = {Difficulty.EASY: 3, Difficulty.MEDIUM: 0, Difficulty.HARD: 0}
+    suite = build_suite([easy[0]] * 6 + easy[1:], seed=7, composition=only_easy)
+    assert sorted(e.id for e in suite) == sorted(maze_id(m) for m in easy)
+    with pytest.raises(StratumShortfallError, match="easy short by 1"):
+        build_suite([easy[0]] * 6 + easy[1:2], seed=7, composition=only_easy)
 
 
 def test_suite_deterministic(bench_pool):
@@ -82,7 +94,7 @@ def test_suite_shortfall_names_stratum():
 
 
 def _oracle_outputs(suite):
-    return {e.id: render_move_tokens(solve_shortest_path(e.maze).moves) for e in suite.entries}
+    return {e.id: render_move_tokens(solve_shortest_path(e.maze).moves) for e in suite}
 
 
 def test_oracle_agent_scores_100(suite):
@@ -93,14 +105,14 @@ def test_oracle_agent_scores_100(suite):
 
 
 def test_null_agent_scores_0(suite):
-    report = evaluate_suite(suite, {e.id: "" for e in suite.entries})
+    report = evaluate_suite(suite, {e.id: "" for e in suite})
     assert report.overall == 0.0
     assert all(not v.solved for v in report.verdicts)
 
 
 def test_truncated_oracle_scores_0(suite):
     outputs = {
-        e.id: render_move_tokens(solve_shortest_path(e.maze).moves[:-1]) for e in suite.entries
+        e.id: render_move_tokens(solve_shortest_path(e.maze).moves[:-1]) for e in suite
     }
     report = evaluate_suite(suite, outputs)
     assert report.overall == 0.0
@@ -111,7 +123,7 @@ def test_wall_hit_reason_carries_index(suite):
     from mazekit.core import DIRECTIONS
     from reference import is_open
 
-    entry = suite.entries[0]
+    entry = suite[0]
     closed = next(d for d in DIRECTIONS if not is_open(entry.maze, entry.maze.origin, d))
     outputs = {entry.id: render_move_tokens([closed])}
     report = evaluate_suite(suite, outputs)
@@ -129,7 +141,7 @@ def test_missing_output_marked(suite):
 def test_rates_reconstructible_from_verdicts(suite):
     outputs = _oracle_outputs(suite)
     # break half of the easy entries
-    for e in suite.entries[:25]:
+    for e in suite[:25]:
         outputs[e.id] = ""
     report = evaluate_suite(suite, outputs)
     solved = sum(v.solved for v in report.verdicts)

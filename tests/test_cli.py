@@ -254,12 +254,13 @@ def test_reward_advantages_are_per_maze(capsys, tmp_path):
 def test_trend_fits_points(capsys, tmp_path):
     csv = tmp_path / "fig.csv"
     pts = [(0, 86), (1, 86), (2, 91), (3, 91), (4, 88), (5, 92), (6, 89), (7, 91), (8, 93), (9, 92), (10, 90)]
-    csv.write_text("step,score\n" + "\n".join(f"{x},{y}" for x, y in pts) + "\n")
-    code, out, _ = run(capsys, "trend", "--points", str(csv))
-    assert code == 0
-    fit = json.loads(out)
-    assert fit["slope"] == pytest.approx(0.4636, abs=1e-3)
-    assert fit["intercept"] == pytest.approx(87.5909, abs=1e-3)
+    for head in ("step,score\n", "\n\nstep,score\n"):  # the header is the first non-blank line
+        csv.write_text(head + "\n".join(f"{x},{y}" for x, y in pts) + "\n")
+        code, out, _ = run(capsys, "trend", "--points", str(csv))
+        assert code == 0
+        fit = json.loads(out)
+        assert fit["slope"] == pytest.approx(0.4636, abs=1e-3)
+        assert fit["intercept"] == pytest.approx(87.5909, abs=1e-3)
 
 
 def test_bench_build_renders_each_entry_once(capsys, tmp_path, monkeypatch):
@@ -537,6 +538,11 @@ def _bad_row_cases(tmp_path):
              "--report", report],
             f"o3.jsonl: line 3: id '{GOLDEN_ID}' repeats line 1",
         ),
+        "suite-repeated-id": (
+            ["bench", "run", "--suite", _jsonl(tmp_path / "s8.jsonl", entry, None, entry),
+             "--outputs", _jsonl(tmp_path / "o10.jsonl"), "--report", report],
+            f"s8.jsonl: line 3: id '{GOLDEN_ID}' repeats line 1",
+        ),
         "suite-unknown-difficulty": (
             ["bench", "run", "--suite", _jsonl(tmp_path / "s2.jsonl", {**entry, "difficulty": "extreme"}),
              "--outputs", _jsonl(tmp_path / "o4.jsonl"), "--report", report],
@@ -608,6 +614,10 @@ def _bad_row_cases(tmp_path):
             ["trend", "--points", _bytes(tmp_path / "u3.csv", b"step,score\r1,2\n3,\xe2\x82")],
             "u3.csv: line 3: not UTF-8: unexpected end of data",
         ),
+        "trend-second-header": (
+            ["trend", "--points", _text(tmp_path / "h.csv", "\n\nstep,score\nstep,score\n1,2\n3,4\n")],
+            "h.csv: line 4: values are not numeric",
+        ),
         "parse-not-utf8": (
             ["parse", "--in", _bytes(tmp_path / "u4.txt", golden.encode().replace(b"<|1-0|>", b"<|1-0\xff|>"))],
             "u4.txt: line 2: not UTF-8: invalid start byte",
@@ -640,6 +650,7 @@ def _bad_row_cases(tmp_path):
         "outputs-after-blank-lines",
         "pairs-after-blank-lines",
         "outputs-repeated-id",
+        "suite-repeated-id",
         "suite-unknown-difficulty",
         "suite-steps-not-solved-length",
         "suite-difficulty-not-band",
@@ -655,6 +666,7 @@ def _bad_row_cases(tmp_path):
         "tokenize-not-utf8",
         "augment-gzip-not-utf8",
         "trend-not-utf8",
+        "trend-second-header",
         "parse-not-utf8",
         "reward-lone-surrogate-id",
         "reward-integer-past-digit-limit",

@@ -1,10 +1,10 @@
 """Pinned SHA-256 digests of CLI output files.
 
-The digests, and the generate, augment, build-dataset, bench build, reward
-and trend commands that ``golden.check`` re-runs, live in the stdlib-only
-``tests/golden.py``, so that any interpreter can check them without pytest.
-The bench run command below builds its input with the package, so it runs
-here.
+The digests, and the generate, augment, build-dataset, bench build, bench
+run, reward and trend commands that ``golden.check`` re-runs, live in the
+stdlib-only ``tests/golden.py``, so that any interpreter can check them
+without pytest.  The inputs it commits, the gap maze's suite row and the
+bench outputs, are re-derived here with the package.
 """
 
 import json
@@ -12,16 +12,12 @@ import json
 import pytest
 
 from mazekit.bench import maze_id
-from mazekit.cli import main
 from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
 from mazekit.rewards import group_advantages
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
 import golden
-from golden import BENCH_REPORT_DIGEST, GAP_MAZE, sha256
-
-# a suite row's id must be its maze's id
-GAP_ID = maze_id(parse_maze_tokens(GAP_MAZE))
+from golden import GAP_MAZE, GAP_ROW
 
 
 def test_generate_and_augment_digests(tmp_path):
@@ -52,7 +48,9 @@ def test_shaped_build_dataset_digests(tmp_path):
 def test_every_golden_command_is_checked():
     """Each ``golden.GOLDEN`` entry is run by one test in this module."""
     shaped = {name for name in golden.GOLDEN if name.startswith("pool_")}
-    assert set(golden.GOLDEN) == {"pool", "build", "build_topped_up", "build_shaped", "suite", "reward", "trend"} | shaped
+    assert set(golden.GOLDEN) == {
+        "pool", "build", "build_topped_up", "build_shaped", "suite", "bench_run", "reward", "trend"
+    } | shaped
 
 
 def _wall_hit(m) -> str:
@@ -62,16 +60,14 @@ def _wall_hit(m) -> str:
     return render_move_tokens(sol.moves[:i] + (m.wall_at(sol.cells[i]).directions()[0],))
 
 
-def test_bench_build_and_run_digests(tmp_path, capsys):
-    assert golden.check(["suite"], tmp_path) == []
-    suite = tmp_path / "suite" / "suite.jsonl"
-    outputs, report = tmp_path / "outputs.jsonl", tmp_path / "report.json"
+def test_bench_build_and_run_digests(tmp_path):
+    assert golden.check(["suite", "bench_run"], tmp_path) == []
+    where = tmp_path / "bench_run"
+    *rows, gap = [json.loads(line) for line in (where / "suite.jsonl").read_text().splitlines()]
+    # a suite row's id must be its maze's id
+    assert gap == GAP_ROW and gap["id"] == maze_id(parse_maze_tokens(GAP_MAZE))
 
-    rows = [json.loads(line) for line in suite.read_text().splitlines()]
-    gap = {"id": GAP_ID, "difficulty": "medium", "steps": 5, "maze_tokens": GAP_MAZE}
-    with suite.open("a") as fh:
-        fh.write(json.dumps(gap) + "\n")
-    answers = [{"id": GAP_ID, "output": "<think>west</think><|left|><|left|>"}]
+    answers = [{"id": gap["id"], "output": "<think>west</think><|left|><|left|>"}]
     for i, row in enumerate(rows):
         m = parse_maze_tokens(row["maze_tokens"])
         kind = i % 4  # 0 solves, 1 has no output, 2 stops short, 3 hits a wall
@@ -81,11 +77,10 @@ def test_bench_build_and_run_digests(tmp_path, capsys):
             answers.append({"id": row["id"], "output": "<think>unsure</think>"})
         elif kind == 3:
             answers.append({"id": row["id"], "output": _wall_hit(m)})
-    outputs.write_text("".join(json.dumps(a) + "\n" for a in answers))
-    assert main(["bench", "run", "--suite", str(suite), "--outputs", str(outputs), "--report", str(report)]) == 0
-    reasons = {v["reason"].split(" at step")[0] for v in json.loads(report.read_text())["verdicts"] if v["reason"]}
+    assert golden.BENCH_OUTPUTS.read_text() == "".join(json.dumps(a) + "\n" for a in answers)
+    report = json.loads((where / "report.json").read_text())
+    reasons = {v["reason"].split(" at step")[0] for v in report["verdicts"] if v["reason"]}
     assert reasons == {"no output", "stopped short of target", "wall hit", "out of bounds"}
-    assert sha256(report) == BENCH_REPORT_DIGEST
 
 
 def test_reward_advantages_digest(tmp_path):
