@@ -12,8 +12,10 @@ carve built is trusted, and rendering and hashing never audit.
 
 The flat index is the library's internal currency; ``Position`` is what the
 public API takes and returns, and a ``Maze`` keeps its endpoints' flat
-indices.  Searches and walks index the wall bytes with the per-shape ``links``
-table of each cell's in-bounds edges.  ``_open`` states the one open-edge
+indices.  ``Maze._trusted`` builds the mazes valid by construction, the
+parser's grid match and the carve's solved maze, without the public
+constructor's checks.  Searches and walks index the wall bytes with the
+per-shape ``links`` table of each cell's in-bounds edges.  ``_open`` states the one open-edge
 rule, for each edge of a cell, for ``open_neighbors`` and the trace walks in
 ``augment``.  ``_walk_moves``, the one move walk, takes each move's
 edge from ``_steps``, keyed by direction or by its name (``"up"``):
@@ -171,6 +173,7 @@ class Maze:
     endpoints set.  The constructor checks only the grid's shape and mask
     range, not the structural invariants (see ``validate_maze``).  It keeps
     each endpoint's flat index (-1 when unset), which equality, hash and repr ignore.
+    ``_trusted`` skips the checks; its two callers are the parser's grid match and ``generate._tree_solved``.
     """
 
     width: int
@@ -195,6 +198,21 @@ class Maze:
             if p is not None and not self.in_bounds(p):
                 raise OutOfBoundsError(f"{name} {p} outside {self.width}x{self.height} grid")
             object.__setattr__(self, index, -1 if p is None else p.row * self.width + p.col)
+
+    @classmethod
+    def _trusted(cls, width: int, height: int, masks: bytes, origin: int, target: int) -> "Maze":
+        """A maze whose caller guarantees every ``__post_init__`` check, its endpoints given as flat indices."""
+        # field by field, as the generated __init__ does: a __dict__.update would give each maze
+        # a dict of its own, about 190 bytes more per maze in a pool
+        m, cells, put = object.__new__(cls), _cells(width, height), object.__setattr__
+        put(m, "width", width)
+        put(m, "height", height)
+        put(m, "masks", masks)
+        put(m, "origin", cells[origin])
+        put(m, "target", cells[target])
+        put(m, "_origin_index", origin)
+        put(m, "_target_index", target)
+        return m
 
     def in_bounds(self, p: Position) -> bool:
         return 0 <= p.row < self.height and 0 <= p.col < self.width

@@ -84,6 +84,8 @@ class DatasetRecord:
 
 # the JSON type of each field, in order: a kind is written as its value
 _RECORD_FIELDS = {name: str if typ is RecordKind else typ for name, typ in get_type_hints(DatasetRecord).items()}
+_FIELD_TYPES = tuple(_RECORD_FIELDS.values())
+_KINDS = {kind.value: kind for kind in RecordKind}
 
 
 @dataclass(frozen=True)
@@ -333,19 +335,19 @@ def write_records(records: Iterable[DatasetRecord], path: str) -> int:
 
 def record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
     """Validate one raw row against the record schema."""
-    values = {name: field(where, row, name, typ) for name, typ in _RECORD_FIELDS.items()}
-    extra = set(row) - set(_RECORD_FIELDS)
-    if extra:
-        raise DatasetError(f"{where}: unknown fields {sorted(extra)}")
-    try:
-        values["kind"] = RecordKind(row["kind"])
-    except ValueError:
-        raise DatasetError(f"{where}: field 'kind' must be one of "
-                           f"{[k.value for k in RecordKind]}, got {row['kind']!r}") from None
+    values = tuple(map(row.get, _RECORD_FIELDS))
+    # decoded JSON values have exact types (a bool is not an int), so a valid row passes one
+    # comparison; any other row, a str subclass too, is checked field by field in schema order
+    if tuple(map(type, values)) != _FIELD_TYPES:
+        values = tuple(field(where, row, name, typ) for name, typ in _RECORD_FIELDS.items())
+    if len(row) != len(values):  # every schema field is present, so the others are unknown
+        raise DatasetError(f"{where}: unknown fields {sorted(set(row) - set(_RECORD_FIELDS))}")
+    id_, seed, maze_tokens, steps, kind, prompt, completion = values
+    if kind not in _KINDS:
+        raise DatasetError(f"{where}: field 'kind' must be one of {list(_KINDS)}, got {kind!r}")
     # a valid prompt is the maze text itself (see make_record): keep one copy
-    if values["prompt"] == values["maze_tokens"]:
-        values["prompt"] = values["maze_tokens"]
-    return DatasetRecord(**values)
+    prompt = maze_tokens if prompt == maze_tokens else prompt
+    return DatasetRecord(id_, seed, maze_tokens, steps, _KINDS[kind], prompt, completion)
 
 
 def validate_record(record: DatasetRecord, where: str = "record") -> None:

@@ -201,7 +201,9 @@ def _tree_solved(cfg: GenConfig, seed: int) -> tuple[Maze, SolutionPath]:
     masks, parent, entered, depth = _carve(w, h, seed)
     positions = _cells(w, h)
     path = _endpoints(seed, w * h, cfg, lambda o, t: _tree_path(parent, entered, depth, positions, o, t))
-    return Maze(w, h, bytes(masks), path.cells[0], path.cells[-1]), path
+    # the carve sets every mask in 0..15 and the endpoints are its own cells
+    o, t = path.cells[0], path.cells[-1]
+    return Maze._trusted(w, h, bytes(masks), o.row * w + o.col, t.row * w + t.col), path
 
 
 def generate_solved_maze(cfg: GenConfig) -> Maze:

@@ -14,11 +14,12 @@ coordinate token, after the row's newline, then a wall slot and a state
 slot), fills in the walls and the two endpoint states, and joins the pieces
 once.  The parser rejects malformed input instead of repairing it, so
 datasets stay trustworthy at rest.  It matches the whole grid in one pass: one
-``str.replace`` moves each row's newline onto the next row's first
-coordinate, one ``str.split`` on the ``|><|`` seam cuts the text into names,
-and the text is accepted when those names are exactly a rendering's.  Only
-other text (CRLF row endings, or text that will be rejected) is walked token
-by token, to read it or to name its first fault in cell order.
+``str.split`` on ``|>`` cuts the text into pieces, each ``"<|"`` and a token's
+name (a row's first coordinate after the row's newline), and the text is
+accepted when every piece is a rendering's; a matched maze is built without
+rechecking (``Maze._trusted``).  Only other text (CRLF row endings, or text
+that will be rejected) is walked token by token, to read it or to name its
+first fault in cell order.
 ``extract_move_tokens`` and ``walk_answer`` are the lenient entry points: each
 scans raw model output and keeps every movement token it finds, in order.
 ``walk_answer`` is the one answer reader: the reward, the bench verdict and
@@ -31,7 +32,7 @@ import re
 from functools import lru_cache
 
 from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, SimStatus
-from .core import _cells, _walk_moves, wall_mismatches
+from .core import _walk_moves, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
 ORIGIN_TOKEN = "<|origin|>"
@@ -55,15 +56,16 @@ _WALL_TOKENS = tuple(
     "<|" + "_".join(d.value for d in w.directions()) + "_wall|>" if w else NO_WALL_TOKEN
     for w in WALL_SETS
 )
-# the mask of each wall name (the token between its brackets), for the grid match and the walk
-_WALL_NAMES = {token[2:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
+# the mask of each wall token without its closing "|>", the piece the grid match and the walk read
+_WALL_PIECES = {token[:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
 def _coord_pieces(width: int, height: int) -> tuple[str, ...]:
-    """The coordinate names of a rendered grid as the match splits it:
-    ``"r-c"``, with the row's newline before each row's first cell but the first."""
-    return tuple(("\n" if r and not c else "") + f"{r}-{c}" for r in range(height) for c in range(width))
+    """The coordinate pieces of a rendered grid as the match splits it on ``|>``:
+    ``"<|r-c"``, with the row's newline before each row's first cell but the
+    first, then the ``""`` after the text's last ``|>``."""
+    return tuple(("\n" if r and not c else "") + f"<|{r}-{c}" for r in range(height) for c in range(width)) + ("",)
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -72,10 +74,7 @@ def _render_pieces(width: int, height: int) -> tuple[str, ...]:
     token (after the row's newline, on each row's first cell but the first),
     a wall slot (``<|no_wall|>``) and a state slot (``<|blank|>``)."""
     return tuple(
-        piece
-        for r in range(height)
-        for c in range(width)
-        for piece in (("\n" if r and not c else "") + f"<|{r}-{c}|>", NO_WALL_TOKEN, BLANK_TOKEN)
+        piece for coord in _coord_pieces(width, height)[:-1] for piece in (coord + "|>", NO_WALL_TOKEN, BLANK_TOKEN)
     )
 
 
@@ -149,6 +148,8 @@ def _mark(ends: list[Position | None], name: str, r: int, c: int) -> None:
 def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None]) -> list[int]:
     """Token-by-token parse of one row, naming the first fault in cell order."""
     tokens = _line_tokens(line, r)
+    if not tokens:
+        raise MazeParseError(f"row {r} has no cells")
     if len(tokens) % 3 != 0:
         raise MazeParseError(f"row {r}: {len(tokens)} tokens is not a whole number of cell triplets")
     row_width = len(tokens) // 3
@@ -162,7 +163,7 @@ def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None])
         # the text, not its value: "01-0" names (1,0) but is not how it is written
         if coord[2:-2] != f"{r}-{c}":
             raise MazeParseError(f"coordinate token {coord!r} does not match grid position ({r},{c})")
-        mask = _WALL_NAMES.get(wall[2:-2])
+        mask = _WALL_PIECES.get(wall[:-2])
         if mask is None:
             raise MazeParseError(f"row {r}, cell {c}: unknown wall token {wall!r}")
         row_walls.append(mask)
@@ -181,34 +182,31 @@ def parse_maze_tokens(text: str) -> Maze:
     Perimeter closure and connectivity are not checked here; run
     ``validate_maze`` on the result when those matter.
 
-    Rendered text, with or without trailing newlines, is read by one match
-    over the whole grid.  Only other text goes to the token walk, which
-    reads CRLF row endings and names the first fault, in cell order, of text
-    it rejects: every text parses to the same maze, or fails with the same
-    message, as it would under the walk alone.
+    A trailing run of CR and LF characters is dropped.  Rendered text is then
+    read by one match over the whole grid: one split on ``|>``, whose pieces
+    are accepted only when each is a rendering's piece.  Only other text goes
+    to the token walk, which reads CRLF row endings and names the first fault,
+    in cell order, of text it rejects: every text parses to the same maze, or
+    fails with the same message, as it would under the walk alone.
     """
-    body = text.rstrip("\n")
-    # height counts the "|>\n<|" row seams, not newlines: any other newline,
-    # such as one in "|><|\n", then leaves some name unmatched
-    height = body.count("|>\n<|") + 1
-    names = body[2:-2].replace("|>\n<|", "|><|\n").split("|><|")
-    width = len(names) // (3 * height)
+    body = text.rstrip("\r\n")
+    # in rendered text every "|>" ends a token: the pieces are "<|" + each name, and a last ""
+    pieces = body.split("|>")
+    height = body.count("\n") + 1
+    width = len(pieces) // (3 * height)
     cells = width * height
-    states = names[2::3]
-    masks = None
-    # no known name holds "<", ">" or "|", so names that all match are exactly
-    # "<|" + the rendering's names joined by "|><|" + "|>"
+    states = pieces[2::3]
+    masks = ends = None
+    # joined by "|>" the pieces are the text, so pieces that all match are exactly a rendering
     if (
         cells
-        and len(names) == 3 * cells
-        and body.startswith("<|")
-        and body.endswith("|>")
-        and states.count("blank") == cells - 2
-        and states.count("origin") == 1 == states.count("target")
-        and tuple(names[0::3]) == _coord_pieces(width, height)
+        and len(pieces) == 3 * cells + 1
+        and states.count("<|blank") == cells - 2
+        and states.count("<|origin") == 1 == states.count("<|target")
+        and tuple(pieces[0::3]) == _coord_pieces(width, height)
     ):
         try:
-            masks = bytes(map(_WALL_NAMES.__getitem__, names[1::3]))
+            masks = bytes(map(_WALL_PIECES.__getitem__, pieces[1::3]))
         except KeyError:  # an unknown wall name, which the walk names
             pass
     if masks is None:
@@ -217,19 +215,18 @@ def parse_maze_tokens(text: str) -> Maze:
             raise MazeParseError("empty maze text")
         height = len(lines)
         grid = bytearray()
-        ends: list[Position | None] = [None, None]
+        ends = [None, None]
         width = None
         for r, line in enumerate(lines):
             row_walls = _walk_row(line, r, width, ends)
             width = len(row_walls)
             grid.extend(row_walls)
         masks = bytes(grid)
-    else:
-        positions = _cells(width, height)
-        ends = [positions[states.index("origin")], positions[states.index("target")]]
 
     for r, c, r2, c2, _ in wall_mismatches(masks, width):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
+    if ends is None:
+        return Maze._trusted(width, height, masks, states.index("<|origin"), states.index("<|target"))
     origin, target = ends
     if origin is None:
         raise MazeParseError("missing origin token")

@@ -7,7 +7,8 @@ on purpose.
 
 This module needs only the standard library, so every interpreter the
 package supports can re-run the generate, augment, build-dataset, bench build,
-bench run, reward and trend commands of ``GOLDEN`` without pytest:
+bench run, reward and trend commands of ``GOLDEN`` without pytest, and read
+each build's splits back with ``read_records(path, strict=True)``:
 
     python tests/golden.py
 
@@ -103,9 +104,12 @@ def _pool(argv, seed, pool_digest, augment_digest):
     return commands, {"pool.jsonl": pool_digest, "records.jsonl": augment_digest}
 
 
+BUILT = "ds"  # the directory each ``build-dataset`` run writes, which ``check`` reads back strictly
+
+
 def _build(argv, digests):
-    """``build-dataset`` with argv into ``ds``."""
-    return (["build-dataset", *argv, "--out", "ds"],), {f"ds/{name}": digest for name, digest in digests.items()}
+    """``build-dataset`` with argv into ``BUILT``."""
+    return (["build-dataset", *argv, "--out", BUILT],), {f"{BUILT}/{name}": digest for name, digest in digests.items()}
 
 
 STDOUT = "stdout.txt"  # what a run's commands print, written into its directory after them
@@ -162,9 +166,28 @@ def sha256(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+def read_back(name, outdir) -> list[str]:
+    """Read each split of the build in outdir with ``read_records(path, strict=True)``;
+    a split that fails, or whose count is not its count in manifest.json, is a mismatch."""
+    from mazekit.dataset import DatasetError, read_records
+
+    counts = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["records"]
+    mismatches = []
+    for split, want in counts.items():
+        try:
+            got = len(read_records(str(outdir / f"{split}.jsonl"), strict=True))
+        except DatasetError as exc:
+            mismatches.append(f"{name}: {split}.jsonl fails the strict read: {exc}")
+            continue
+        if got != want:
+            mismatches.append(f"{name}: {split}.jsonl reads back {got} records, manifest.json counts {want}")
+    return mismatches
+
+
 def check(names=None, root=None) -> list[str]:
     """Run the ``GOLDEN`` steps of each name (all by default), each in its own
-    directory under root (a temporary one by default), and return the mismatches."""
+    directory under root (a temporary one by default), and return the mismatches,
+    those of each build's strict read-back among them."""
     from mazekit.cli import main
 
     if root is None:
@@ -197,6 +220,8 @@ def check(names=None, root=None) -> list[str]:
             got = sha256(where / path) if (where / path).exists() else "missing"
             if got != want:
                 mismatches.append(f"{name}: {path} is {got}, pinned {want}")
+        if (where / BUILT / "manifest.json").exists():
+            mismatches += read_back(name, where / BUILT)
     return mismatches
 
 

@@ -14,7 +14,9 @@ their form from before the one move walk: ``simulate_moves`` stepping edge
 by edge with the open-edge rule written out, ``total_reward`` and the bench
 verdict on the ``MoveDirection`` tuple of ``extract_move_tokens`` and a
 ``SimOutcome``, and the think rule as five scans of the whole output.
-``record_dict`` is a record as the JSON object that its written line holds."""
+``record_dict`` is a record as the JSON object that its written line holds, and
+``reference_record_from_dict`` reads one back field by field, as the schema
+check did before it compared the fields' exact types in one step."""
 
 from dataclasses import asdict
 
@@ -33,7 +35,7 @@ from mazekit.core import (
     links,
     open_neighbors,
 )
-from mazekit.dataset import DatasetRecord
+from mazekit.dataset import _RECORD_FIELDS, DatasetError, DatasetRecord, RecordKind, field
 from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, SolutionPath
 from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
@@ -105,6 +107,23 @@ def reference_shortest_path(m, origin, target):
 def record_dict(r: DatasetRecord) -> dict:
     """The record's fields in schema order, its kind as the kind's value."""
     return {**asdict(r), "kind": r.kind.value}
+
+
+def reference_record_from_dict(row: dict, where: str = "record") -> DatasetRecord:
+    """``record_from_dict`` checking each field with ``field`` in schema order, then
+    unknown fields, then the kind's value."""
+    values = {name: field(where, row, name, typ) for name, typ in _RECORD_FIELDS.items()}
+    extra = set(row) - set(_RECORD_FIELDS)
+    if extra:
+        raise DatasetError(f"{where}: unknown fields {sorted(extra)}")
+    try:
+        values["kind"] = RecordKind(row["kind"])
+    except ValueError:
+        raise DatasetError(f"{where}: field 'kind' must be one of "
+                           f"{[k.value for k in RecordKind]}, got {row['kind']!r}") from None
+    if values["prompt"] == values["maze_tokens"]:
+        values["prompt"] = values["maze_tokens"]
+    return DatasetRecord(**values)
 
 
 def attempt_cells(m, attempt):

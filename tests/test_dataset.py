@@ -29,7 +29,7 @@ from mazekit.dataset import (
 )
 from mazekit.generate import GenConfig, solved_pool
 from mazekit.tokens import render_maze_tokens
-from reference import record_dict
+from reference import record_dict, reference_record_from_dict
 
 SMALL_PLAN = SplitPlan(total_pool=120, test_count=10, sft_straight_count=40, sft_retry_count=40, grpo_count=30)
 
@@ -335,6 +335,51 @@ def test_record_from_dict_messages(small_splits, change, message):
     """Each schema fault's message, with the fields checked in ``DatasetRecord`` order."""
     with pytest.raises(DatasetError, match=f"^{re.escape('row 7: ' + message)}$"):
         record_from_dict(change(record_dict(small_splits.sft[0])), "row 7")
+
+
+class Text(str):
+    """A str subclass, as a caller other than the JSON decoder may pass."""
+
+
+@st.composite
+def _mutated_rows(draw, records):
+    """A written record's row with up to three faults: a field dropped or added, a value
+    retyped to bool, float, None, a list or a str subclass, or the kind changed."""
+    row = record_dict(draw(st.sampled_from(records)))
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(row) or ["id"]))
+        fault = draw(st.sampled_from(["drop", "add", "bool", "float", "none", "list", "subclass", "kind"]))
+        if fault == "drop":
+            row.pop(name, None)
+        elif fault == "add":
+            row[draw(st.sampled_from(["extra", "Kind", "", "seed "]))] = draw(st.sampled_from([1, "x", None]))
+        elif fault == "kind":
+            row["kind"] = draw(st.sampled_from(["straight_success", "retry", "mystery", "", "Retry", 0, True, ["retry"]]))
+        elif name in row:
+            value = row[name]
+            row[name] = {
+                "bool": lambda: draw(st.booleans()),
+                "float": lambda: float(value) if isinstance(value, int) else 1.5,
+                "none": lambda: None,
+                "list": lambda: [value],
+                "subclass": lambda: Text(value) if isinstance(value, str) else value,
+            }[fault]()
+    return row
+
+
+def _read(read, row):
+    try:
+        return read(row, "row 3")
+    except DatasetError as exc:
+        return f"DatasetError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_record_from_dict_matches_the_field_by_field_reference(small_splits, data):
+    """Each mutated row gives an equal record, or the same DatasetError message, under both readers."""
+    row = data.draw(_mutated_rows(small_splits.test[:3] + small_splits.sft[:3]))
+    assert _read(record_from_dict, row) == _read(reference_record_from_dict, row)
 
 
 def test_records_ordered_by_pool_index(small_splits):

@@ -341,9 +341,10 @@ def test_solved_pool_failure_message_is_pinned():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Calls of ``core._search``, at each module that bound it, and of ``Maze.__post_init__``."""
-    search, post_init = core._search, Maze.__post_init__
-    calls = {"_search": 0, "__post_init__": 0}
+    """Calls of ``core._search``, at each module that bound it, and of ``Maze.__post_init__``
+    and ``Maze._trusted``, the checked and the trusted way to build a maze."""
+    search, post_init, trusted = core._search, Maze.__post_init__, Maze._trusted
+    calls = {"_search": 0, "__post_init__": 0, "_trusted": 0}
 
     def counting_search(*args):
         calls["_search"] += 1
@@ -353,9 +354,14 @@ def solve_calls(monkeypatch):
         calls["__post_init__"] += 1
         return post_init(self)
 
+    def counting_trusted(cls, *args):
+        calls["_trusted"] += 1
+        return trusted(*args)
+
     for module in (core, generate):
         monkeypatch.setattr(module, "_search", counting_search)
     monkeypatch.setattr(Maze, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Maze, "_trusted", classmethod(counting_trusted))
     return calls
 
 
@@ -379,12 +385,12 @@ def test_solve_searches_once_and_climbs_once(monkeypatch, example_maze):
 
 def test_pool_item_searches_nothing_and_builds_one_maze(solve_calls):
     """A pool item and a solved maze read their path from the carve's tree: no BFS,
-    and one ``Maze``, built with its endpoints set.  ``place_endpoints`` takes any
+    and one ``Maze``, built trusted with its endpoints set.  ``place_endpoints`` takes any
     maze, so on a parsed one it still solves its candidate pairs by BFS."""
     next(solved_pool(GenConfig(seed=7, min_steps=3, max_steps=8), 1))
-    assert solve_calls == {"_search": 0, "__post_init__": 1}
+    assert solve_calls == {"_search": 0, "__post_init__": 0, "_trusted": 1}
     cfg = GenConfig(seed=7)
     m = generate_solved_maze(cfg)
-    assert solve_calls == {"_search": 0, "__post_init__": 2}
+    assert solve_calls == {"_search": 0, "__post_init__": 0, "_trusted": 2}
     assert place_endpoints(parse_maze_tokens(render_maze_tokens(m)), cfg) == m
     assert solve_calls["_search"] >= 1

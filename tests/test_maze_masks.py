@@ -1,11 +1,14 @@
-"""``Maze.masks``, the one stored grid: constructor checks, the derived
-``wall_at`` view, the whole-grid wall audits against per-cell references,
+"""``Maze.masks``, the one stored grid: constructor checks and the two
+callers of the trusted constructor that skips them, the derived ``wall_at`` view, the whole-grid wall audits against per-cell references,
 value semantics, and the identity-hashed ``MoveDirection`` that keys the
 move step."""
 
 import copy
 import dataclasses
 import pickle
+
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from mazekit.core import (
     validate_maze,
     wall_mismatches,
 )
+from mazekit.generate import GenConfig, solved_pool
+from mazekit.tokens import parse_maze_tokens, render_maze_tokens
 from test_bfs import any_grid
 
 
@@ -56,6 +61,55 @@ def test_constructor_rejects_empty_shapes(width, height):
 def test_constructor_rejects_off_grid_endpoints():
     with pytest.raises(OutOfBoundsError):
         Maze(2, 2, bytes(4), Position(0, 2))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Maze(0, 1, b""), ValueError, "maze dimensions must be positive, got 0x1"),
+        (lambda: Maze(2, -1, b""), ValueError, "maze dimensions must be positive, got 2x-1"),
+        (lambda: Maze(2, 2, bytearray(4)), TypeError, "masks must be bytes, got bytearray"),
+        (lambda: Maze(2, 2, bytes(3)), ValueError, "3 wall masks for a 2x2 grid"),
+        (lambda: Maze(2, 2, bytes([15, 15, 16, 15])), ValueError, "wall mask 16 is not a 4-bit mask"),
+        (lambda: Maze(2, 2, bytes(4), Position(0, 2)), OutOfBoundsError, "origin Position(row=0, col=2) outside 2x2 grid"),
+        (
+            lambda: Maze(2, 2, bytes(4)).with_endpoints(Position(0, 0), Position(2, 0)),
+            OutOfBoundsError,
+            "target Position(row=2, col=0) outside 2x2 grid",
+        ),
+    ],
+    ids=["zero-width", "negative-height", "not-bytes", "mask-count", "mask-above-15", "origin-off-grid", "target-off-grid"],
+)
+def test_public_constructor_error_messages(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def _checked(self):
+    raise AssertionError("a checked Maze was built")
+
+
+def _line_maze(width, height):
+    """A 1-row or 1-column maze with every interior edge open and its endpoints at the two ends."""
+    bit, back = (8, 4) if height == 1 else (2, 1)
+    masks = [15] * (width * height)
+    for i in range(width * height - 1):
+        masks[i] ^= bit
+        masks[i + 1] ^= back
+    return Maze(width, height, bytes(masks), Position(0, 0), Position(height - 1, width - 1))
+
+
+def test_only_the_grid_match_and_the_carve_build_trusted_mazes():
+    """Rendered text of every shape 1x2..12x12 and every pool maze are built without
+    ``__post_init__``; text the grid match does not take, CRLF rows here, is built checked."""
+    shapes = [(w, h) for w in range(1, 13) for h in range(1, 13) if w * h > 1]
+    mazes = [_line_maze(w, h) if w == 1 or h == 1 else next(solved_pool(GenConfig(w, h, w * h), 1))[1] for w, h in shapes]
+    texts = [render_maze_tokens(m) for m in mazes]
+    with mock.patch.object(Maze, "__post_init__", _checked):
+        assert [parse_maze_tokens(text) for text in texts] == mazes
+        assert len(list(solved_pool(GenConfig(4, 3, 11), 20))) == 20
+        with pytest.raises(AssertionError, match="a checked Maze was built"):
+            parse_maze_tokens(texts[-1].replace("\n", "\r\n"))
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,7 @@ from mazekit.tokens import (
     BLANK_TOKEN,
     ORIGIN_TOKEN,
     TARGET_TOKEN,
-    _WALL_NAMES,
+    _WALL_PIECES,
     _WALL_TOKENS,
     MazeParseError,
     parse_maze_tokens,
@@ -29,7 +29,8 @@ _COORD_RE = re.compile(r"^(\d+)-(\d+)$")
 
 # The reference: the token-by-token parser, kept as it was before the grid
 # match, except that a coordinate must be spelt exactly as it is rendered
-# ("1-0", not "01-0") and the grid is kept as row-major mask bytes.
+# ("1-0", not "01-0"), the grid is kept as row-major mask bytes, a trailing
+# run of CR and LF characters is dropped, and a row with no tokens has no cells.
 
 
 def _line_tokens(line: str, row: int) -> list[str]:
@@ -46,7 +47,7 @@ def _line_tokens(line: str, row: int) -> list[str]:
 
 
 def reference_parse(text: str) -> Maze:
-    lines = text.rstrip("\n").split("\n")
+    lines = text.rstrip("\r\n").split("\n")
     lines = [line.rstrip("\r") for line in lines]
     if not any(lines):
         raise MazeParseError("empty maze text")
@@ -58,6 +59,8 @@ def reference_parse(text: str) -> Maze:
     width: int | None = None
     for r, line in enumerate(lines):
         tokens = _line_tokens(line, r)
+        if not tokens:
+            raise MazeParseError(f"row {r} has no cells")
         if len(tokens) % 3 != 0:
             raise MazeParseError(f"row {r}: {len(tokens)} tokens is not a whole number of cell triplets")
         row_width = len(tokens) // 3
@@ -144,7 +147,7 @@ def valid_text(draw):
     return render(width, height, masks, origin, target)
 
 
-TOKEN_NAMES = sorted(_WALL_NAMES) + ["blank", "origin", "target", "up", "0-0", "1-0", "left_up_wall", ""]
+TOKEN_NAMES = sorted(piece[2:] for piece in _WALL_PIECES) + ["blank", "origin", "target", "up", "0-0", "1-0", "left_up_wall", ""]
 STRAY = ["<", ">", "|", "\r", " ", "\n", "<|", "|>", "|><|", "\r\n"]
 
 
@@ -158,7 +161,7 @@ def mutation(draw, text):
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     if kind == "trailing_newline":
-        return text + draw(st.sampled_from(["\n", "\n\n", "\r\n"]))
+        return text + draw(st.sampled_from(["\n", "\n\n", "\r\n", "\r\n\r\n", "\n\r"]))
     if kind == "move_newline":
         # drop one row boundary (if any) and break a row at another cell boundary
         newlines = [i for i, ch in enumerate(text) if ch == "\n"]
@@ -275,9 +278,9 @@ def test_newline_inside_the_brackets_is_not_a_row_boundary():
 
 
 def test_first_and_last_brackets_are_checked():
-    # the split drops the text's first and last two characters unread
+    # the match checks the text's first "<|" in the first coordinate piece, and its end in the last piece, ""
     text = _rendered_3x3()
-    for bad in ("|>" + text[2:], "xx" + text[2:], text[:-2] + "<|", text[:-2] + "xx"):
+    for bad in ("|>" + text[2:], "xx" + text[2:], text[:-2] + "<|", text[:-2] + "xx", text + "x", text + "<|"):
         assert outcome(reference_parse, bad) == outcome(parse_maze_tokens, bad)
         assert outcome(parse_maze_tokens, bad).startswith("MazeParseError: row ")
 
@@ -285,8 +288,18 @@ def test_first_and_last_brackets_are_checked():
 def test_crlf_and_trailing_newlines_parse_as_the_rendering():
     for _, m, _ in solved_pool(GenConfig(4, 3, 11), 5):
         text = render_maze_tokens(m)
-        for variant in (text + "\n", text + "\n\n", text.replace("\n", "\r\n"), text.replace("\n", "\r\n") + "\r\n"):
+        crlf = text.replace("\n", "\r\n")
+        for variant in (text + "\n", text + "\n\n", crlf, crlf + "\r\n", crlf + "\r\n\r\n"):
             assert parse_maze_tokens(variant) == m
+
+
+def test_blank_row_has_no_cells():
+    # before, a blank first row was blamed on row 1 ("row 1 has 5 cells, expected 0")
+    # and a blank middle row read "row 1 has 0 cells, expected 5"
+    text = render_maze_tokens(next(solved_pool(GenConfig(seed=3), 1))[1])
+    rows = text.split("\n")
+    for blank, row in (("\n" + text, 0), ("\n".join(rows[:1] + [""] + rows[1:]), 1), (text + "\n\r\n" + text, 5)):
+        assert outcome(reference_parse, blank) == outcome(parse_maze_tokens, blank) == f"MazeParseError: row {row} has no cells"
 
 
 def _one_row_or_column(text):
