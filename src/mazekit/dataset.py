@@ -294,7 +294,7 @@ def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
     """Yield each non-blank row with its location, ``"<path>: line N"``."""
     with _open_for_read(path) as fh, decode_errors_named(path, fh):
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON's whitespace only: str.strip() would drop "\xa0" and "\x1c" too
             if not line:
                 continue
             where = f"{path}: line {lineno}"

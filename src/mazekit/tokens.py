@@ -17,9 +17,9 @@ datasets stay trustworthy at rest.  It matches the whole grid in one pass: one
 ``str.split`` on ``|>`` cuts the text into pieces, each ``"<|"`` and a token's
 name (a row's first coordinate after the row's newline), and the text is
 accepted when every piece is a rendering's; a matched maze is built without
-rechecking (``Maze._trusted``).  Only other text (CRLF row endings, or text
-that will be rejected) is walked token by token, to read it or to name its
-first fault in cell order.
+rechecking (``Maze._trusted``).  CRLF row endings are folded to ``\n`` before
+the match, so it reads them too.  Only text the match rejects is walked token
+by token, and the walk only names its first fault in cell order.
 ``extract_move_tokens`` and ``walk_answer`` are the lenient entry points: each
 scans raw model output and keeps every movement token it finds, in order.
 ``walk_answer`` is the one answer reader: the reward, the bench verdict and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .core import DIRECTIONS, SHAPE_CACHE, WALL_SETS, Maze, MoveDirection, Position, SimStatus
+from .core import DIRECTIONS, EDGES, SHAPE_CACHE, Maze, MoveDirection, SimStatus
 from .core import _walk_moves, wall_mismatches
 
 BLANK_TOKEN = "<|blank|>"
@@ -51,10 +51,10 @@ class MazeParseError(ValueError):
     """Token text violates the maze grammar; the message names the spot."""
 
 
-# wall token of each of the 16 masks, indexed by the mask
+# wall token of each of the 16 masks, indexed by the mask: its set bits named in ``EDGES`` order
 _WALL_TOKENS = tuple(
-    "<|" + "_".join(d.value for d in w.directions()) + "_wall|>" if w else NO_WALL_TOKEN
-    for w in WALL_SETS
+    "<|" + "_".join(d.value for d, bit, _, _, _ in EDGES if mask & bit) + "_wall|>" if mask else NO_WALL_TOKEN
+    for mask in range(16)
 )
 # the mask of each wall token without its closing "|>", the piece the grid match and the walk read
 _WALL_PIECES = {token[:-2]: mask for mask, token in enumerate(_WALL_TOKENS)}
@@ -136,16 +136,15 @@ def _line_tokens(line: str, row: int) -> list[str]:
     return tokens
 
 
-def _mark(ends: list[Position | None], name: str, r: int, c: int) -> None:
-    """Record the origin (ends[0]) or target (ends[1]) at (r, c); a second one is an error."""
+def _mark(ends: list[str | None], name: str, r: int, c: int) -> None:
+    """Record the origin (ends[0]) or target (ends[1]) at (r, c), as its ``"(r,c)"`` text; a second one is an error."""
     k = 0 if name == "origin" else 1
-    seen = ends[k]
-    if seen is not None:
-        raise MazeParseError(f"duplicate {name} at ({seen.row},{seen.col}) and ({r},{c})")
-    ends[k] = Position(r, c)
+    if ends[k] is not None:
+        raise MazeParseError(f"duplicate {name} at {ends[k]} and ({r},{c})")
+    ends[k] = f"({r},{c})"
 
 
-def _walk_row(line: str, r: int, width: int | None, ends: list[Position | None]) -> list[int]:
+def _walk_row(line: str, r: int, width: int | None, ends: list[str | None]) -> list[int]:
     """Token-by-token parse of one row, naming the first fault in cell order."""
     tokens = _line_tokens(line, r)
     if not tokens:
@@ -182,14 +181,17 @@ def parse_maze_tokens(text: str) -> Maze:
     Perimeter closure and connectivity are not checked here; run
     ``validate_maze`` on the result when those matter.
 
-    A trailing run of CR and LF characters is dropped.  Rendered text is then
-    read by one match over the whole grid: one split on ``|>``, whose pieces
-    are accepted only when each is a rendering's piece.  Only other text goes
-    to the token walk, which reads CRLF row endings and names the first fault,
-    in cell order, of text it rejects: every text parses to the same maze, or
-    fails with the same message, as it would under the walk alone.
+    A trailing run of CR and LF characters is dropped, and so is the run of
+    CRs at the end of each line.  The text is then read by one match over
+    the whole grid: one split on ``|>``, whose pieces are accepted only when
+    each is a rendering's piece.  Text the match rejects has a fault, and the
+    token walk names its first one in cell order; the walk never builds a
+    maze.  Every text parses to the same maze, or fails with the same
+    message, as it would under the walk alone.
     """
     body = text.rstrip("\r\n")
+    if "\r" in body:  # CRLF rows: fold them to the rendering, which the match then reads
+        body = "\n".join(line.rstrip("\r") for line in body.split("\n"))
     # in rendered text every "|>" ends a token: the pieces are "<|" + each name, and a last ""
     pieces = body.split("|>")
     height = body.count("\n") + 1
@@ -210,50 +212,34 @@ def parse_maze_tokens(text: str) -> Maze:
         except KeyError:  # an unknown wall name, which the walk names
             pass
     if masks is None:
-        lines = [line.rstrip("\r") for line in body.split("\n")]
+        lines = body.split("\n")
         if not any(lines):
             raise MazeParseError("empty maze text")
-        height = len(lines)
-        grid = bytearray()
+        masks = bytearray()
         ends = [None, None]
         width = None
         for r, line in enumerate(lines):
             row_walls = _walk_row(line, r, width, ends)
             width = len(row_walls)
-            grid.extend(row_walls)
-        masks = bytes(grid)
+            masks.extend(row_walls)
 
     for r, c, r2, c2, _ in wall_mismatches(masks, width):
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
-    if ends is None:
-        return Maze._trusted(width, height, masks, states.index("<|origin"), states.index("<|target"))
-    origin, target = ends
-    if origin is None:
-        raise MazeParseError("missing origin token")
-    if target is None:
-        raise MazeParseError("missing target token")
-    return Maze(width=width, height=height, masks=masks, origin=origin, target=target)
+    if ends is not None:  # the walk found every cell sound, so the match rejected a missing endpoint
+        raise MazeParseError(f"missing {'origin' if ends[0] is None else 'target'} token")
+    return Maze._trusted(width, height, masks, states.index("<|origin"), states.index("<|target"))
 
 
 def ascii_preview(m: Maze) -> str:
     """Plain-text rendering for terminals; O marks the origin, T the target."""
+    width, masks = m.width, m.masks  # wall bits: up 1, down 2, left 4, right 8
+    # an unset endpoint's index, -1, marks the spare slot past the last cell; the origin is marked last, so it wins
+    marks = ["   "] * len(masks) + [""]
+    marks[m._target_index], marks[m._origin_index] = " T ", " O "
     lines = []
-    for r in range(m.height):
-        top = []
-        mid = []
-        for c in range(m.width):
-            p = Position(r, c)
-            w = m.wall_at(p)
-            top.append("+" + ("---" if w.up else "   "))
-            mark = " O " if p == m.origin else (" T " if p == m.target else "   ")
-            mid.append(("|" if w.left else " ") + mark)
-        top.append("+")
-        mid.append("|" if m.wall_at(Position(r, m.width - 1)).right else " ")
-        lines.append("".join(top))
-        lines.append("".join(mid))
-    bottom = []
-    for c in range(m.width):
-        bottom.append("+" + ("---" if m.wall_at(Position(m.height - 1, c)).down else "   "))
-    bottom.append("+")
-    lines.append("".join(bottom))
+    for row in (range(i, i + width) for i in range(0, len(masks), width)):
+        lines.append("".join("+---" if masks[i] & 1 else "+   " for i in row) + "+")
+        right = "|" if masks[row[-1]] & 8 else " "
+        lines.append("".join(("|" if masks[i] & 4 else " ") + marks[i] for i in row) + right)
+    lines.append("".join("+---" if masks[i] & 2 else "+   " for i in row) + "+")  # the last row's down walls
     return "\n".join(lines)

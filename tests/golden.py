@@ -14,15 +14,26 @@ each build's splits back with ``read_records(path, strict=True)``:
 
 prints each mismatch and exits 1 if there is one.  ``test_golden_digests``
 runs the same commands through ``check``.
+
+    python tests/golden.py --full
+
+runs the paper-scale build, ``build-dataset --seed 42 --scale 1``, in a child
+process, compares its four files with ``FULL_DIGESTS`` and prints its wall
+time and peak RSS.  It takes about a minute and 1.7 GB, so no test runs it,
+and it skips the strict read-back, which would hold every record in a list.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import resource
+import subprocess
 import sys
 import tempfile
+import time
 
 POOL_DIGEST = "15bd6c5a18f8a3021b591e092127fc13ef1b5c3663754ec343845ca04ecc680a"
 AUGMENT_DIGEST = "f352d97133787b3f150b04a180bb3d04606f3d8e07442bf8c4117f22e7902736"
@@ -66,6 +77,13 @@ TOPPED_UP_BUILD_DIGESTS = {
     "sft.jsonl": "d89bc4d00d2b2e63ebd92c5ca322599f39e9fd0c5cf4eb2a1266c9f59bd06dd7",
     "grpo.jsonl": "deacdf6a9b40e3704cf0663e0b34764967657b9853f0e836f3b45c1558edb3db",
     "manifest.json": "eb731ac7d63ef4933e436c64e754354d6c5fa80287e7bdc8c8d534b69368bc9e",
+}
+# build-dataset --seed 42 --scale 1, the paper's split sizes: 30,000 test, 500,000 sft and 150,000 grpo records
+FULL_DIGESTS = {
+    "test.jsonl": "099339d54ab4f9db1c180cf821542f558b6b691ff77108c65c49e778cb275434",
+    "sft.jsonl": "6bfcd304ce91649d59dc7722da94709f0b226002bbe985d07c6e22e13164968d",
+    "grpo.jsonl": "468c06ce317668e9e8414e0aa563a098f5cc6d468872a531de1846bb025ccf23",
+    "manifest.json": "1a444b9cfba4a1b11adfcac275d28f88a4fee2387ab8470eb21c9e33bc54f904",
 }
 SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
 BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515bcd7881"
@@ -163,7 +181,12 @@ _PATH_FLAGS = ("--in", "--out", "--pool", "--pairs", "--points", "--suite", "--o
 
 
 def sha256(path) -> str:
-    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    """The file's digest, read in 1 MiB chunks: a paper-scale split is over 1 GB."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_back(name, outdir) -> list[str]:
@@ -225,8 +248,37 @@ def check(names=None, root=None) -> list[str]:
     return mismatches
 
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def check_full(root) -> list[str]:
+    """Run ``build-dataset --seed 42 --scale 1`` into root in a child process, print its wall
+    time and peak RSS, and return the files whose digests are not ``FULL_DIGESTS``."""
+    outdir = pathlib.Path(root) / BUILT
+    argv = [sys.executable, "-m", "mazekit.cli", "build-dataset", "--seed", "42", "--scale", "1", "--out", str(outdir)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    run = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    print(f"build-dataset --seed 42 --scale 1: {wall:.1f} s wall, {peak_mb:,.0f} MB peak RSS")
+    if run.returncode != 0:
+        return [f"full: build-dataset exited {run.returncode}: {run.stderr.strip()}"]
+    got = {name: sha256(outdir / name) for name in FULL_DIGESTS}
+    return [f"full: {name} is {got[name]}, pinned {want}" for name, want in FULL_DIGESTS.items() if got[name] != want]
+
+
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    failed = check()
-    print("\n".join(failed) or f"{len(GOLDEN)} golden commands match under Python {sys.version.split()[0]}")
+    if sys.argv[1:] not in ([], ["--full"]):
+        sys.exit("usage: python tests/golden.py [--full]")
+    sys.path.insert(0, SRC)
+    version = sys.version.split()[0]
+    if sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            failed = check_full(tmp)
+        passed = f"the --scale 1 build matches its {len(FULL_DIGESTS)} digests under Python {version}"
+    else:
+        failed = check()
+        passed = f"{len(GOLDEN)} golden commands match under Python {version}"
+    print("\n".join(failed) or passed)
     sys.exit(1 if failed else 0)

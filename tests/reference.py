@@ -7,7 +7,8 @@ It also keeps the plain forms of the table-driven kernels, for the
 differential tests: ``randbelow`` as a loop over ``next_u64``, the carve
 that scans each cell's neighbours on every step, the pool that places each
 maze's endpoints with a BFS per candidate pair, the solver that walks BFS
-parent links back from the target, and the rendering joined cell by cell;
+parent links back from the target, the rendering joined cell by cell, and
+the terminal preview read through ``wall_at``;
 plus ``CountingRng``, which counts draws by stream position, and
 ``unmix64``, the inverse of the SplitMix64 finalizer.  The scorers keep
 their form from before the one move walk: ``simulate_moves`` stepping edge
@@ -250,6 +251,30 @@ def reference_render(m: Maze) -> str:
             cells.append(f"<|{r}-{c}|>" + _WALL_TOKENS[m.masks[r * m.width + c]] + state)
         rows.append("".join(cells))
     return "\n".join(rows)
+
+
+def reference_ascii_preview(m: Maze) -> str:
+    """The terminal preview read cell by cell through ``wall_at``, endpoints compared by ``Position``."""
+    lines = []
+    for r in range(m.height):
+        top = []
+        mid = []
+        for c in range(m.width):
+            p = Position(r, c)
+            w = m.wall_at(p)
+            top.append("+" + ("---" if w.up else "   "))
+            mark = " O " if p == m.origin else (" T " if p == m.target else "   ")
+            mid.append(("|" if w.left else " ") + mark)
+        top.append("+")
+        mid.append("|" if m.wall_at(Position(r, m.width - 1)).right else " ")
+        lines.append("".join(top))
+        lines.append("".join(mid))
+    bottom = []
+    for c in range(m.width):
+        bottom.append("+" + ("---" if m.wall_at(Position(m.height - 1, c)).down else "   "))
+    bottom.append("+")
+    lines.append("".join(bottom))
+    return "\n".join(lines)
 
 
 def reference_simulate_moves(m: Maze, start: Position, moves) -> SimOutcome:

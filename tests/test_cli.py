@@ -489,6 +489,7 @@ def _bad_row_cases(tmp_path):
     golden = GOLDEN_PATH.read_text(encoding="utf-8")
     entry = {"id": GOLDEN_ID, "difficulty": "medium", "steps": 5, "maze_tokens": golden}
     solution = "<|left|><|down|><|right|><|down|><|right|>"
+    pair = {"id": "a", "maze_tokens": golden, "output": solution}
     walled_in = "<|0-0|><|up_down_left_right_wall|><|origin|><|0-1|><|up_down_left_right_wall|><|target|>"
     corridor = "".join(  # 1x15, origin and target at its two ends: 14 steps
         f"<|0-{c}|><|up_down{'_left' if c == 0 else ''}{'_right' if c == 14 else ''}_wall|>"
@@ -637,6 +638,16 @@ def _bad_row_cases(tmp_path):
             ["reward", "--pairs", _text(tmp_path / "r5.jsonl", "[" * 200_000 + "\n"), "--out", out],
             "r5.jsonl: line 1: invalid JSON: maximum recursion depth exceeded",
         ),
+        # only " \t\r\n" is JSON whitespace: a no-break space and a form feed around a row, or a lone
+        # file separator (a line boundary to str.splitlines, not to a text file), are not JSON
+        "reward-row-in-unicode-spaces": (
+            ["reward", "--pairs", _text(tmp_path / "r6.jsonl", "\n\xa0" + json.dumps(pair) + "\x0c\n"), "--out", out],
+            "r6.jsonl: line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        ),
+        "reward-file-separator-line": (
+            ["reward", "--pairs", _text(tmp_path / "r7.jsonl", json.dumps(pair) + "\n\x1c\n"), "--out", out],
+            "r7.jsonl: line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        ),
     }
 
 
@@ -671,6 +682,8 @@ def _bad_row_cases(tmp_path):
         "reward-lone-surrogate-id",
         "reward-integer-past-digit-limit",
         "reward-nested-too-deep",
+        "reward-row-in-unicode-spaces",
+        "reward-file-separator-line",
     ],
 )
 def test_bad_row_names_file_line(capsys, tmp_path, case):

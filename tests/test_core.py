@@ -24,7 +24,7 @@ from mazekit.core import (
     validate_maze,
     wall_mismatches,
 )
-from reference import BITS, OPPOSITE, apply_move, bfs, is_open
+from reference import BITS, OPPOSITE, apply_move, bfs, is_open, wall_token
 from test_bfs import any_grid
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
@@ -94,6 +94,8 @@ def test_wall_set_is_its_mask():
         assert w == mask
         assert (w.up, w.down, w.left, w.right) == tuple(bool(mask & BITS[d]) for d in DIRECTIONS)
         assert [d for d in DIRECTIONS if mask & BITS[d]] == list(w.directions())
+        names = "_".join(d.value for d in w.directions())
+        assert wall_token(mask) == (f"<|{names}_wall|>" if names else "<|no_wall|>")
 
 
 def test_is_open_on_example(example_maze):

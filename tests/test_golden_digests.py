@@ -12,7 +12,6 @@ import json
 import pytest
 
 from mazekit.bench import maze_id
-from mazekit.dataset import read_records
 from mazekit.generate import solve_shortest_path
 from mazekit.rewards import group_advantages
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
@@ -32,8 +31,6 @@ def test_topped_up_build_dataset_digests(tmp_path):
     assert golden.check(["build_topped_up"], tmp_path) == []
     outdir = tmp_path / "build_topped_up" / "ds"
     assert json.loads((outdir / "manifest.json").read_text())["top_up"] == 1
-    for split in ("test", "sft", "grpo"):
-        read_records(str(outdir / f"{split}.jsonl"), strict=True)
 
 
 @pytest.mark.parametrize("name", [name for name in golden.GOLDEN if name.startswith("pool_")], ids=lambda name: name[5:])

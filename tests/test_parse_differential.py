@@ -1,6 +1,7 @@
 """``parse_maze_tokens`` against the token-by-token parser it replaced, on
 mutated renderings of valid 1x1..7x7 mazes: both must return equal mazes or
-raise ``MazeParseError`` with the same message."""
+raise ``MazeParseError`` with the same message, and a text that parses must
+never reach the token walk, which only names faults."""
 
 import re
 from unittest import mock
@@ -113,6 +114,10 @@ def outcome(parse, text):
         return f"MazeParseError: {exc}"
 
 
+def _no_walk(line, *args):
+    raise AssertionError(f"text that parses reached the token walk at {line!r}")
+
+
 def render(width, height, masks, origin, target):
     """Token text of any mask grid; origin and target may share a cell (origin wins)."""
     states = [BLANK_TOKEN] * (width * height)
@@ -216,6 +221,16 @@ def test_parse_matches_token_walk(text):
     assert outcome(parse_maze_tokens, text) == outcome(reference_parse, text)
 
 
+@settings(max_examples=500, deadline=None)
+@given(mutated_text())
+def test_grid_match_takes_every_text_the_walk_accepts(text):
+    # the walk only names faults: CRLF rows and trailing newlines included, a text that parses never reaches it
+    want = outcome(reference_parse, text)
+    if isinstance(want, Maze):
+        with mock.patch.object(tokens, "_walk_row", _no_walk):
+            assert parse_maze_tokens(text) == want
+
+
 # 3x2 mazes with open interiors; row 0 holds the origin at (0,0) and the target at (0,1)
 ROW0 = "<|0-0|><|up_left_wall|><|origin|><|0-1|><|up_wall|><|target|><|0-2|><|up_right_wall|><|blank|>"
 
@@ -316,10 +331,6 @@ def rendered_maze(draw):
         _, m, _ = next(solved_pool(GenConfig(width, height, draw(st.integers(0, 2**64 - 1))), 1))
         return m
     return reference_parse(draw(valid_text().filter(_one_row_or_column)))
-
-
-def _no_walk(line, *args):
-    raise AssertionError(f"rendered text reached the token walk at {line!r}")
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,7 +16,8 @@ from mazekit.tokens import (
     render_move_tokens,
 )
 from golden import GAP_MAZE
-from reference import mask, reference_render, wall_token
+from reference import mask, reference_ascii_preview, reference_render, wall_token
+from test_bfs import any_grid
 
 U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirection.RIGHT
 
@@ -211,3 +212,13 @@ def test_ascii_preview_shape(example_maze):
     lines = art.split("\n")
     assert len(lines) == 2 * example_maze.height + 1
     assert "O" in art and "T" in art
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_grid())
+def test_ascii_preview_matches_the_wall_at_reference(case):
+    # endpoints unset, one of them set, both set, and coinciding (where the origin's mark wins)
+    m, p, q = case
+    for origin, target in ((None, None), (p, None), (None, p), (p, q), (q, p), (p, p)):
+        marked = Maze(m.width, m.height, m.masks, origin, target)
+        assert ascii_preview(marked) == reference_ascii_preview(marked)
