@@ -98,27 +98,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = GenConfig(
         width=args.width, height=args.height, seed=args.seed, min_steps=args.min_steps, max_steps=args.max_steps
     )
-    rows = []
-    for i, (seed, m, solution) in enumerate(solved_pool(cfg, args.count)):
-        tokens = render_maze_tokens(m)
-        rows.append(
-            {"id": f"{i:06d}-{hash16(tokens)}", "seed": seed, "maze_tokens": tokens, "steps": solution.steps}
-        )
-        if args.preview and i == 0:
-            print(ascii_preview(m))
+
+    def rows():
+        for i, (seed, m, solution) in enumerate(solved_pool(cfg, args.count)):
+            if args.preview and i == 0:
+                print(ascii_preview(m))
+            tokens = render_maze_tokens(m)
+            yield {"id": f"{i:06d}-{hash16(tokens)}", "seed": seed, "maze_tokens": tokens, "steps": solution.steps}
+
     out = _out(args.out)
-    n = write_jsonl(out, rows)
+    n = write_jsonl(out, rows())
     print(f"wrote {n} mazes to {out}", file=sys.stderr)
     return 0
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    rows = list(iter_jsonl(args.infile))
-    if not rows:
+    picked, count = None, 0
+    for count, where_row in enumerate(iter_jsonl(args.infile), start=1):  # every row: a bad one past the index fails
+        if count == args.index + 1:
+            picked = where_row
+    if not count:
         raise ValueError(f"{args.infile}: no rows to tokenize")
-    if not 0 <= args.index < len(rows):
-        raise ValueError(f"{args.infile}: index {args.index} outside 0..{len(rows) - 1}")
-    where, row = rows[args.index]
+    if picked is None:
+        raise ValueError(f"{args.infile}: index {args.index} outside 0..{count - 1}")
+    where, row = picked
     # a row that does not parse fails before anything is printed or written
     m = _maze(where, row)
     text = row["maze_tokens"]
@@ -194,13 +197,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     )
     outdir = Path(_out(args.out))
     outdir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "test": outdir / "test.jsonl",
-        "sft": outdir / "sft.jsonl",
-        "grpo": outdir / "grpo.jsonl",
-    }
-    for name, path in files.items():
-        write_records(getattr(splits, name), str(path))
+    records = {name: write_records(getattr(splits, name), f"{outdir / name}.jsonl") for name in ("test", "sft", "grpo")}
     manifest = {
         "seed": args.seed,
         "aug_seed": aug_seed,
@@ -208,14 +205,14 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         "width": args.width,
         "height": args.height,
         "plan": {name: getattr(plan, name) for name in PAPER_COUNTS},
-        "records": {name: len(getattr(splits, name)) for name in ("test", "sft", "grpo")},
+        "records": records,
     }
     if splits.top_up:
         manifest["top_up"] = splits.top_up
     with atomic_write(outdir / "manifest.json") as fh:
         fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    for name, path in files.items():
-        print(f"{name}: {manifest['records'][name]} records -> {path}", file=sys.stderr)
+    for name, n in records.items():
+        print(f"{name}: {n} records -> {outdir / name}.jsonl", file=sys.stderr)
     return 0
 
 

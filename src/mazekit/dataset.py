@@ -113,9 +113,11 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class DatasetSplits:
-    test: tuple[DatasetRecord, ...]
-    sft: tuple[DatasetRecord, ...]
-    grpo: tuple[DatasetRecord, ...]
+    """One-pass splits: each makes its records, in pool-index order, as it is read, and then is empty."""
+
+    test: Iterator[DatasetRecord]
+    sft: Iterator[DatasetRecord]
+    grpo: Iterator[DatasetRecord]
     top_up: int = 0  # pool items generated past plan.total_pool to fill a scaled plan
 
 
@@ -150,7 +152,8 @@ def build_splits(
     until every quota fills, generating at most ``total_pool`` extra items;
     ``DatasetSplits.top_up`` counts them.  Raises SplitShortfallError with
     the deficit when a quota cannot be met, most commonly when the retry
-    quota exceeds the number of mazes whose origin produces wrong attempts.
+    quota exceeds the number of mazes whose origin produces wrong attempts,
+    before any record is made: each split makes its records as it is read.
     """
     seeds: list[int] = []
     pool: list[Maze] = []
@@ -229,24 +232,32 @@ def build_splits(
         trace = traces.get(i) or ReasoningTrace(pool[i], (), solutions[i])
         return make_record(i, seeds[i], tokens[i], ids[i], trace, retry)
 
-    test_records = tuple(record(i) for i in sorted(test_indices))
-    sft_records = tuple(record(i, i in traces) for i in sorted(retry_sel + straight_sel))
-    grpo_records = tuple(record(i) for i in sorted(grpo_sel))
-    return DatasetSplits(test=test_records, sft=sft_records, grpo=grpo_records, top_up=top_up)
+    test = (record(i) for i in sorted(test_indices))
+    sft = (record(i, i in traces) for i in sorted(retry_sel + straight_sel))
+    grpo = (record(i) for i in sorted(grpo_sel))
+    return DatasetSplits(test, sft, grpo, top_up)
 
 
 @contextmanager
 def atomic_write(path: str) -> Iterator[BinaryIO]:
-    """A binary temp file beside path that replaces it when the block completes, else is removed."""
+    """A binary temp file beside path that replaces it when the block completes, else is removed.
+    Failing to open the temp file or to replace path raises an OSError that names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    fh = open(tmp, "wb")
+    try:
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _open_for_read(path: str):

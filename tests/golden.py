@@ -19,8 +19,10 @@ runs the same commands through ``check``.
 
 runs the paper-scale build, ``build-dataset --seed 42 --scale 1``, in a child
 process, compares its four files with ``FULL_DIGESTS`` and prints its wall
-time and peak RSS.  It takes about a minute and 1.7 GB, so no test runs it,
-and it skips the strict read-back, which would hold every record in a list.
+time and peak RSS beside ``FULL_PEAK_MB``; a peak above that ceiling is a
+mismatch too, so a build that holds its records again fails loudly.  It takes
+about a minute and 1.2 GB, so no test runs it, and it skips the strict
+read-back, which would hold every record in a list.
 """
 
 import contextlib
@@ -85,6 +87,9 @@ FULL_DIGESTS = {
     "grpo.jsonl": "468c06ce317668e9e8414e0aa563a098f5cc6d468872a531de1846bb025ccf23",
     "manifest.json": "1a444b9cfba4a1b11adfcac275d28f88a4fee2387ab8470eb21c9e33bc54f904",
 }
+# the --scale 1 build's peak RSS ceiling: it reads 1,113-1,245 MB under Python 3.10-3.13 when each
+# record is written as it is made, and 1,681 MB when every record is made before the first is written
+FULL_PEAK_MB = 1_300
 SUITE_DIGEST = "701689268782b66549a8229abf682d0fb6d1b079f355a90d8b6dfae94f9297cc"
 BENCH_REPORT_DIGEST = "bb0e73633349ade6f287ecd43b037601b9c9117338acef8b53d18b515bcd7881"
 # advantages are normalized per maze: the six GOLDEN rows among themselves, the GAP_MAZE row alone
@@ -253,7 +258,8 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 def check_full(root) -> list[str]:
     """Run ``build-dataset --seed 42 --scale 1`` into root in a child process, print its wall
-    time and peak RSS, and return the files whose digests are not ``FULL_DIGESTS``."""
+    time and peak RSS, and return the files whose digests are not ``FULL_DIGESTS`` and a peak
+    RSS above ``FULL_PEAK_MB``."""
     outdir = pathlib.Path(root) / BUILT
     argv = [sys.executable, "-m", "mazekit.cli", "build-dataset", "--seed", "42", "--scale", "1", "--out", str(outdir)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
@@ -261,11 +267,15 @@ def check_full(root) -> list[str]:
     run = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
-    print(f"build-dataset --seed 42 --scale 1: {wall:.1f} s wall, {peak_mb:,.0f} MB peak RSS")
+    ceiling = f"ceiling {FULL_PEAK_MB:,} MB"
+    print(f"build-dataset --seed 42 --scale 1: {wall:.1f} s wall, {peak_mb:,.0f} MB peak RSS ({ceiling})")
     if run.returncode != 0:
         return [f"full: build-dataset exited {run.returncode}: {run.stderr.strip()}"]
     got = {name: sha256(outdir / name) for name in FULL_DIGESTS}
-    return [f"full: {name} is {got[name]}, pinned {want}" for name, want in FULL_DIGESTS.items() if got[name] != want]
+    mismatches = [f"full: {name} is {got[name]}, pinned {want}" for name, want in FULL_DIGESTS.items() if got[name] != want]
+    if peak_mb > FULL_PEAK_MB:
+        mismatches.append(f"full: peak RSS {peak_mb:,.0f} MB is over the {ceiling}")
+    return mismatches
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ verdict on the ``MoveDirection`` tuple of ``extract_move_tokens`` and a
 ``SimOutcome``, and the think rule as five scans of the whole output.
 ``record_dict`` is a record as the JSON object that its written line holds, and
 ``reference_record_from_dict`` reads one back field by field, as the schema
-check did before it compared the fields' exact types in one step."""
+check did before it compared the fields' exact types in one step.
+``materialized`` reads each one-pass split of a build into a tuple, the form
+``build_splits`` returned before the writers read each record as it is made."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from mazekit.bench import NO_OUTPUT_REASON, MazeVerdict
 from mazekit.core import (
@@ -36,7 +38,7 @@ from mazekit.core import (
     links,
     open_neighbors,
 )
-from mazekit.dataset import _RECORD_FIELDS, DatasetError, DatasetRecord, RecordKind, field
+from mazekit.dataset import _RECORD_FIELDS, DatasetError, DatasetRecord, DatasetSplits, RecordKind, field
 from mazekit.generate import _ENDPOINT_SALT, ENDPOINT_ATTEMPTS, EndpointSamplingError, GenConfig, SolutionPath
 from mazekit.rewards import CORRECTNESS_PER_STEP, INTEGRITY_PER_TOKEN, THINKING_POINTS, RewardBreakdown
 from mazekit.rng import _LIMITS, _SMALL_N, GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
@@ -108,6 +110,11 @@ def reference_shortest_path(m, origin, target):
 def record_dict(r: DatasetRecord) -> dict:
     """The record's fields in schema order, its kind as the kind's value."""
     return {**asdict(r), "kind": r.kind.value}
+
+
+def materialized(splits: DatasetSplits) -> DatasetSplits:
+    """The splits with each one-pass split read once into a tuple."""
+    return replace(splits, test=tuple(splits.test), sft=tuple(splits.sft), grpo=tuple(splits.grpo))
 
 
 def reference_record_from_dict(row: dict, where: str = "record") -> DatasetRecord:

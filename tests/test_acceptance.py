@@ -34,7 +34,7 @@ from mazekit.tokens import (
     render_maze_tokens,
     render_move_tokens,
 )
-from reference import attempt_cells, is_open, open_passage_count
+from reference import attempt_cells, is_open, materialized, open_passage_count
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
 
@@ -146,7 +146,7 @@ def test_criterion_6_desk_scale_split_replica():
     gen_cfg = GenConfig(seed=0xD339)
     aug_cfg = AugmentConfig(max_n_steps=3, seed=0xA339)
 
-    splits = build_splits(plan, gen_cfg, aug_cfg)
+    splits = materialized(build_splits(plan, gen_cfg, aug_cfg))
     assert len(splits.test) == 300
     straight = [r for r in splits.sft if r.kind is RecordKind.STRAIGHT_SUCCESS]
     retry = [r for r in splits.sft if r.kind is RecordKind.RETRY]
@@ -161,7 +161,7 @@ def test_criterion_6_desk_scale_split_replica():
     for r in splits.test + splits.sft + splits.grpo:
         validate_record(r)
 
-    second = build_splits(plan, gen_cfg, aug_cfg)
+    second = materialized(build_splits(plan, gen_cfg, aug_cfg))
     assert second == splits
 
     import tempfile

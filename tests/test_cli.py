@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from golden import POOL_DIGEST, sha256
 from mazekit import cli, core
 from mazekit.augment import RESET_MARKER
 from mazekit.bench import maze_id
@@ -13,7 +14,7 @@ from mazekit.cli import main
 from mazekit.dataset import RecordKind, read_records
 from mazekit.generate import GenConfig, generate_solved_maze, solve_shortest_path
 from mazekit.rng import derive_seed
-from mazekit.tokens import parse_maze_tokens, render_maze_tokens, render_move_tokens
+from mazekit.tokens import ascii_preview, parse_maze_tokens, render_maze_tokens, render_move_tokens
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "example_maze_tokens.txt"
 GOLDEN_ID = maze_id(parse_maze_tokens(GOLDEN_PATH.read_text(encoding="utf-8")))
@@ -760,3 +761,49 @@ def test_bench_build_rejects_negative_quota(capsys, tmp_path):
     assert code == 1
     assert "non-negative" in err
     assert not suite.exists()
+
+
+def test_tokenize_reads_the_rows_past_the_index(capsys, tmp_path):
+    """tokenize keeps only the picked row, but still reads every row, so a bad one after it fails."""
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")
+    rows = _text(tmp_path / "pool.jsonl", json.dumps({"maze_tokens": golden}) + "\n\n{not json\n")
+    code, out, err = run(capsys, "tokenize", "--in", rows, "--index", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {rows}: line 3: invalid JSON: ")
+
+
+def test_generate_preview_prints_the_first_maze_of_the_pinned_pool(capsys, tmp_path):
+    pool = tmp_path / "pool.jsonl"
+    code, out, _ = run(capsys, "generate", "--count", "500", "--seed", "7", "--preview", "--out", str(pool))
+    assert code == 0
+    first = json.loads(pool.read_text(encoding="utf-8").splitlines()[0])
+    assert out == ascii_preview(parse_maze_tokens(first["maze_tokens"])) + "\n"
+    assert sha256(pool) == POOL_DIGEST
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["generate", "tokenize", "reward", "bench-run"])
+def test_a_failed_output_write_names_the_output_path(capsys, tmp_path, command, target):
+    """The error names the path given, not the hidden temp file beside it, and no temp file is left."""
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")
+    solution = "<|left|><|down|><|right|><|down|><|right|>"
+    if target == "directory":
+        path, reason = tmp_path / "out", "[Errno 21] Is a directory"
+        path.mkdir()
+    else:
+        path, reason = tmp_path / "nodir" / "out", "[Errno 2] No such file or directory"
+    argv = {
+        "generate": ["generate", "--count", "3", "--out", str(path)],
+        "tokenize": ["tokenize", "--in", _jsonl(tmp_path / "pool.jsonl", {"maze_tokens": golden}), "--out", str(path)],
+        "reward": ["reward", "--pairs", _jsonl(tmp_path / "pairs.jsonl", {"maze_tokens": golden, "output": solution}),
+                   "--out", str(path)],
+        "bench-run": ["bench", "run",
+                      "--suite", _jsonl(tmp_path / "suite.jsonl",
+                                        {"id": GOLDEN_ID, "difficulty": "medium", "steps": 5, "maze_tokens": golden}),
+                      "--outputs", _jsonl(tmp_path / "outputs.jsonl", {"id": GOLDEN_ID, "output": solution}),
+                      "--report", str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {reason}: '{path}'"
+    assert list(tmp_path.rglob("*.tmp")) == []

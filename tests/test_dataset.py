@@ -29,14 +29,14 @@ from mazekit.dataset import (
 )
 from mazekit.generate import GenConfig, solved_pool
 from mazekit.tokens import render_maze_tokens
-from reference import record_dict, reference_record_from_dict
+from reference import materialized, record_dict, reference_record_from_dict
 
 SMALL_PLAN = SplitPlan(total_pool=120, test_count=10, sft_straight_count=40, sft_retry_count=40, grpo_count=30)
 
 
 @pytest.fixture(scope="module")
 def small_splits():
-    return build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77))
+    return materialized(build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77)))
 
 
 def _maze_hash(record: DatasetRecord) -> str:
@@ -90,12 +90,12 @@ def test_grpo_disjoint_from_sft_straight(small_splits):
 
 
 def test_build_is_deterministic(small_splits):
-    again = build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77))
+    again = materialized(build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77)))
     assert again == small_splits
 
 
 def test_different_seed_differs(small_splits):
-    other = build_splits(SMALL_PLAN, GenConfig(seed=2025), AugmentConfig(seed=77))
+    other = materialized(build_splits(SMALL_PLAN, GenConfig(seed=2025), AugmentConfig(seed=77)))
     assert other != small_splits
 
 
@@ -117,7 +117,8 @@ REPEAT_SEED = 7750221749264622373
 
 
 def test_scaled_plan_tops_up_past_a_repeated_test_maze():
-    splits = build_splits(SplitPlan.scaled(400), GenConfig(seed=REPEAT_SEED), AugmentConfig(seed=REPEAT_SEED))
+    seeds = GenConfig(seed=REPEAT_SEED), AugmentConfig(seed=REPEAT_SEED)
+    splits = materialized(build_splits(SplitPlan.scaled(400), *seeds))
     assert splits.top_up == 1
     assert (len(splits.test), len(splits.sft), len(splits.grpo)) == (75, 1250, 375)
     assert sum(r.kind is RecordKind.RETRY for r in splits.sft) == 625
@@ -169,6 +170,39 @@ def test_augments_only_until_the_retry_quota_fills(plan, monkeypatch):
     # the last maze augmented is the one that filled the quota
     assert traces[-1].is_retry if plan.sft_retry_count else traces == []
     assert sum(r.kind is RecordKind.RETRY for r in splits.sft) == plan.sft_retry_count
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The records ``make_record`` has made since the fixture was set up."""
+    made, real = [], dataset.make_record
+
+    def counting(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(dataset, "make_record", counting)
+    return made
+
+
+def test_splits_make_each_record_as_it_is_read(made, small_splits):
+    splits = build_splits(SMALL_PLAN, GenConfig(seed=2024), AugmentConfig(seed=77))
+    assert made == []
+    for name in ("grpo", "test", "sft"):  # any order: each split makes only its own records
+        split, want = getattr(splits, name), getattr(small_splits, name)
+        for k, expected in enumerate(want, start=1):
+            assert next(split) == expected
+            assert len(made) == k and made[-1] == expected
+        made.clear()
+        assert list(split) == []  # one pass: a second read yields nothing
+    assert made == []
+
+
+def test_shortfall_is_raised_before_any_record_is_made(made):
+    plan = SplitPlan(total_pool=30, test_count=5, sft_straight_count=0, sft_retry_count=0, grpo_count=40)
+    with pytest.raises(SplitShortfallError, match="grpo quota"):
+        build_splits(plan, GenConfig(seed=5), AugmentConfig(seed=5))
+    assert made == []
 
 
 def test_plan_validation():
@@ -464,3 +498,13 @@ def test_record_lines_equal_json_dumps_of_record_dict(records, name):
     if name.endswith(".gz"):
         data = gzip.decompress(data)
     assert data == expected.encode("utf-8")
+
+
+def test_atomic_write_leaves_an_error_inside_the_block_as_raised(tmp_path):
+    """Only opening the temp file and replacing path name path; the caller's own OSError passes
+    through unchanged, and the temp file is removed."""
+    with pytest.raises(OSError) as err:
+        with dataset.atomic_write(str(tmp_path / "out.jsonl")):
+            raise OSError(28, "No space left on device", "elsewhere")
+    assert str(err.value) == "[Errno 28] No space left on device: 'elsewhere'"
+    assert list(tmp_path.iterdir()) == []
