@@ -41,6 +41,7 @@ from .dataset import (
     field,
     iter_jsonl,
     make_record,
+    replace_together,
     validate_record,
     write_jsonl,
     write_records,
@@ -197,20 +198,22 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     )
     outdir = Path(_out(args.out))
     outdir.mkdir(parents=True, exist_ok=True)
-    records = {name: write_records(getattr(splits, name), f"{outdir / name}.jsonl") for name in ("test", "sft", "grpo")}
-    manifest = {
-        "seed": args.seed,
-        "aug_seed": aug_seed,
-        "max_n_steps": args.max_n_steps,
-        "width": args.width,
-        "height": args.height,
-        "plan": {name: getattr(plan, name) for name in PAPER_COUNTS},
-        "records": records,
-    }
-    if splits.top_up:
-        manifest["top_up"] = splits.top_up
-    with atomic_write(outdir / "manifest.json") as fh:
-        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    names = ("test", "sft", "grpo")
+    # no file is replaced until all four are written, so a failed build leaves the old ones whole
+    with replace_together([*(f"{outdir / name}.jsonl" for name in names), outdir / "manifest.json"]) as tmps:
+        records = {name: write_records(getattr(splits, name), tmp) for name, tmp in zip(names, tmps)}
+        manifest = {
+            "seed": args.seed,
+            "aug_seed": aug_seed,
+            "max_n_steps": args.max_n_steps,
+            "width": args.width,
+            "height": args.height,
+            "plan": {name: getattr(plan, name) for name in PAPER_COUNTS},
+            "records": records,
+        }
+        if splits.top_up:
+            manifest["top_up"] = splits.top_up
+        Path(tmps[-1]).write_bytes((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     for name, n in records.items():
         print(f"{name}: {n} records -> {outdir / name}.jsonl", file=sys.stderr)
     return 0
@@ -302,7 +305,7 @@ def cmd_reward(args: argparse.Namespace) -> int:
     rows_out, groups = [], {}
     for where, row in iter_jsonl(args.pairs):
         breakdown = total_reward(_maze(where, row), field(where, row, "output", str))
-        out = {**asdict(breakdown), "total": breakdown.total}
+        out = {**vars(breakdown), "total": breakdown.total}  # a new dict: breakdowns of equal outcomes are shared
         if "id" in row:
             try:  # json.loads accepts a lone surrogate escape, which the UTF-8 write would reject
                 json.dumps(row["id"], ensure_ascii=False).encode("utf-8")

@@ -23,12 +23,13 @@ function of the master seeds, which makes output files byte-reproducible.
 
 from __future__ import annotations
 
+import errno
 import gzip
 import io
 import json
 import os
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _json_str  # json.dumps' string encoder when ensure_ascii=False
@@ -239,25 +240,33 @@ def build_splits(
 
 
 @contextmanager
+def replace_together(paths: Iterable[str | os.PathLike]) -> Iterator[list[str]]:
+    """Temp paths beside paths for the block to write; they replace paths together when it completes, else
+    are removed.  A path that is a directory fails before the block, so no replace fails on one after another
+    is made, and an OSError on a temp path (opening it, replacing with it) names its path instead."""
+    tmps = {os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.{os.getpid()}.tmp"): str(p) for p in paths}
+    for path in filter(os.path.isdir, tmps.values()):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        yield list(tmps)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename not in tmps:
+            raise
+        raise OSError(exc.errno, exc.strerror, tmps[exc.filename]) from None
+    finally:
+        for tmp in tmps:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+@contextmanager
 def atomic_write(path: str) -> Iterator[BinaryIO]:
     """A binary temp file beside path that replaces it when the block completes, else is removed.
-    Failing to open the temp file or to replace path raises an OSError that names path, not the temp file."""
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "wb")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        os.remove(tmp)
-        raise
-    try:
-        os.replace(tmp, path)
-    except OSError as exc:
-        os.remove(tmp)
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    An OSError opening the temp file or replacing path names path, not the temp file."""
+    with replace_together([path]) as (tmp,), open(tmp, "wb") as fh:
+        yield fh
 
 
 def _open_for_read(path: str):

@@ -8,6 +8,10 @@ Three additive components score one model output against one maze:
     thinking     0.25 for one well-formed <think>...</think> pair that
                  closes before the first movement token
 
+A breakdown depends only on the move count, whether the walk reached the
+target and the thinking points, so outputs with equal outcomes share one frozen
+``RewardBreakdown``, built once and cached.
+
 Group advantages normalize a batch of rewards against the batch's own mean
 and population spread, so no learned value baseline is needed.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .core import Maze, SimStatus
@@ -26,6 +31,7 @@ INTEGRITY_PER_TOKEN = 0.5
 THINKING_POINTS = 0.25
 
 DEFAULT_EPSILON = 1e-8
+OUTCOME_CACHE = 1024  # (moves, reached, thinking) outcomes whose shared breakdown stays cached
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,12 @@ def thinking_reward(output: str) -> float:
 def total_reward(m: Maze, output: str) -> RewardBreakdown:
     """All three components for one output, its moves read once by ``walk_answer``; total is their plain sum."""
     moves, _, status = walk_answer(m, output)
-    return RewardBreakdown(
-        correctness=CORRECTNESS_PER_STEP * moves if status is SimStatus.REACHED_TARGET else 0.0,
-        integrity=INTEGRITY_PER_TOKEN * moves,
-        thinking=thinking_reward(output),
-    )
+    return _outcome(moves, status is SimStatus.REACHED_TARGET, thinking_reward(output))
+
+
+@lru_cache(maxsize=OUTCOME_CACHE)
+def _outcome(moves: int, reached: bool, thinking: float) -> RewardBreakdown:
+    return RewardBreakdown(CORRECTNESS_PER_STEP * moves if reached else 0.0, INTEGRITY_PER_TOKEN * moves, thinking)
 
 
 def group_advantages(rewards: Sequence[float], epsilon: float = DEFAULT_EPSILON) -> GroupAdvantages:

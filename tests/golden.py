@@ -8,7 +8,7 @@ on purpose.
 This module needs only the standard library, so every interpreter the
 package supports can re-run the generate, augment, build-dataset, bench build,
 bench run, reward and trend commands of ``GOLDEN`` without pytest, and read
-each build's splits back with ``read_records(path, strict=True)``:
+each build's splits back strictly, one record at a time (``read_back``):
 
     python tests/golden.py
 
@@ -20,9 +20,9 @@ runs the same commands through ``check``.
 runs the paper-scale build, ``build-dataset --seed 42 --scale 1``, in a child
 process, compares its four files with ``FULL_DIGESTS`` and prints its wall
 time and peak RSS beside ``FULL_PEAK_MB``; a peak above that ceiling is a
-mismatch too, so a build that holds its records again fails loudly.  It takes
-about a minute and 1.2 GB, so no test runs it, and it skips the strict
-read-back, which would hold every record in a list.
+mismatch too, so a build that holds its records again fails loudly.  Then it
+reads all 680,000 records back strictly, in one stream, and prints that time.
+It takes about 80 s and 1.2 GB, so no test runs it.
 """
 
 import contextlib
@@ -195,15 +195,19 @@ def sha256(path) -> str:
 
 
 def read_back(name, outdir) -> list[str]:
-    """Read each split of the build in outdir with ``read_records(path, strict=True)``;
-    a split that fails, or whose count is not its count in manifest.json, is a mismatch."""
-    from mazekit.dataset import DatasetError, read_records
+    """Read each split of the build in outdir strictly, one record at a time (``iter_jsonl``,
+    ``record_from_dict``, ``validate_record``); a split that fails, or whose count is not its
+    count in manifest.json, is a mismatch."""
+    from mazekit.dataset import DatasetError, iter_jsonl, record_from_dict, validate_record
 
     counts = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["records"]
     mismatches = []
     for split, want in counts.items():
+        got = 0
         try:
-            got = len(read_records(str(outdir / f"{split}.jsonl"), strict=True))
+            for where, row in iter_jsonl(str(outdir / f"{split}.jsonl")):
+                validate_record(record_from_dict(row, where), where)
+                got += 1
         except DatasetError as exc:
             mismatches.append(f"{name}: {split}.jsonl fails the strict read: {exc}")
             continue
@@ -258,8 +262,9 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 def check_full(root) -> list[str]:
     """Run ``build-dataset --seed 42 --scale 1`` into root in a child process, print its wall
-    time and peak RSS, and return the files whose digests are not ``FULL_DIGESTS`` and a peak
-    RSS above ``FULL_PEAK_MB``."""
+    time and peak RSS, read its splits back with ``read_back`` and print that time, and return
+    the files whose digests are not ``FULL_DIGESTS``, a peak RSS above ``FULL_PEAK_MB`` and the
+    read-back's mismatches."""
     outdir = pathlib.Path(root) / BUILT
     argv = [sys.executable, "-m", "mazekit.cli", "build-dataset", "--seed", "42", "--scale", "1", "--out", str(outdir)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
@@ -275,6 +280,9 @@ def check_full(root) -> list[str]:
     mismatches = [f"full: {name} is {got[name]}, pinned {want}" for name, want in FULL_DIGESTS.items() if got[name] != want]
     if peak_mb > FULL_PEAK_MB:
         mismatches.append(f"full: peak RSS {peak_mb:,.0f} MB is over the {ceiling}")
+    start = time.perf_counter()
+    mismatches += read_back("full", outdir)
+    print(f"strict read-back: {time.perf_counter() - start:.1f} s")
     return mismatches
 
 
@@ -286,7 +294,7 @@ if __name__ == "__main__":
     if sys.argv[1:]:
         with tempfile.TemporaryDirectory() as tmp:
             failed = check_full(tmp)
-        passed = f"the --scale 1 build matches its {len(FULL_DIGESTS)} digests under Python {version}"
+        passed = f"the --scale 1 build matches its {len(FULL_DIGESTS)} digests and reads back under Python {version}"
     else:
         failed = check()
         passed = f"{len(GOLDEN)} golden commands match under Python {version}"

@@ -7,12 +7,13 @@ from dataclasses import replace
 import pytest
 
 from golden import POOL_DIGEST, sha256
-from mazekit import cli, core
+from mazekit import cli, core, dataset
 from mazekit.augment import RESET_MARKER
 from mazekit.bench import maze_id
 from mazekit.cli import main
 from mazekit.dataset import RecordKind, read_records
 from mazekit.generate import GenConfig, generate_solved_maze, solve_shortest_path
+from mazekit.rewards import total_reward
 from mazekit.rng import derive_seed
 from mazekit.tokens import ascii_preview, parse_maze_tokens, render_maze_tokens, render_move_tokens
 
@@ -250,6 +251,29 @@ def test_reward_advantages_are_per_maze(capsys, tmp_path):
     scored = [json.loads(line) for line in out.read_text().splitlines()]
     assert [row["total"] for row in scored] == pytest.approx([0.95, 0.25, 13.55, 0.25])
     assert [row["advantage"] for row in scored] == pytest.approx([1.0, -1.0, 1.0, -1.0], abs=1e-6)
+
+
+def test_reward_rows_leave_shared_breakdowns_alone(capsys, tmp_path):
+    """Outputs with one outcome share a breakdown, so each row is a new dict: the
+    advantage written into one row reaches neither the other row nor the breakdown."""
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "rewards.jsonl"
+    golden = GOLDEN_PATH.read_text(encoding="utf-8")
+    m = parse_maze_tokens(golden)
+    solving = render_move_tokens(solve_shortest_path(m).moves)
+    rows = [{"id": "a", "maze_tokens": golden, "output": "<think></think>"}, {"maze_tokens": golden, "output": solving},
+            {"id": "b", "maze_tokens": golden, "output": "<think>other</think>"}]
+    pairs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert run(capsys, "reward", "--pairs", str(pairs), "--advantages", "--out", str(out))[0] == 0
+    scored = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [list(row) for row in scored] == [
+        ["id", "correctness", "integrity", "thinking", "total", "advantage"],
+        ["correctness", "integrity", "thinking", "total", "advantage"],
+        ["id", "correctness", "integrity", "thinking", "total", "advantage"],
+    ]
+    assert scored[0]["advantage"] == scored[2]["advantage"] == pytest.approx(-2 ** -0.5, abs=1e-6)
+    shared = total_reward(m, "<think></think>")
+    assert shared is total_reward(m, "<think>other</think>")
+    assert vars(shared) == {"correctness": 0.0, "integrity": 0.0, "thinking": 0.25}
 
 
 def test_trend_fits_points(capsys, tmp_path):
@@ -807,3 +831,53 @@ def test_a_failed_output_write_names_the_output_path(capsys, tmp_path, command, 
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == f"error: {reason}: '{path}'"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+FILES = ["grpo.jsonl", "manifest.json", "sft.jsonl", "test.jsonl"]
+
+
+def _digests(outdir):
+    return {p.name: sha256(p) for p in outdir.iterdir() if p.is_file()}
+
+
+@pytest.fixture
+def seed_1_build(capsys, tmp_path):
+    """``build-dataset --scale 400 --seed 1`` into tmp_path/ds, and its files' digests."""
+    ds = tmp_path / "ds"
+    assert run(capsys, "build-dataset", "--scale", "400", "--seed", "1", "--out", str(ds))[0] == 0
+    old = _digests(ds)
+    assert sorted(old) == FILES
+    assert [old[name][:8] for name in ("test.jsonl", "sft.jsonl", "grpo.jsonl")] == ["5246e311", "c81c405e", "8dd7d8d1"]
+    return ds, old
+
+
+def test_a_build_that_cannot_replace_a_file_replaces_none(capsys, seed_1_build):
+    """With sft.jsonl made a directory, a --seed 2 build into the same directory
+    fails before it replaces test.jsonl, so no file mixes the two runs."""
+    ds, old = seed_1_build
+    (ds / "sft.jsonl").unlink()
+    (ds / "sft.jsonl").mkdir()
+    code, _, err = run(capsys, "build-dataset", "--scale", "400", "--seed", "2", "--out", str(ds))
+    assert (code, err.splitlines()[-1]) == (1, f"error: [Errno 21] Is a directory: '{ds / 'sft.jsonl'}'")
+    del old["sft.jsonl"]
+    assert _digests(ds) == old
+    assert sorted(p.name for p in ds.iterdir()) == FILES
+
+
+def test_a_build_that_fails_while_writing_leaves_the_old_files(capsys, monkeypatch, seed_1_build):
+    """A write that fails after test.jsonl is written replaces no file, removes
+    every temp file and names the file it was writing, not its temp file."""
+    ds, old = seed_1_build
+    written = []
+
+    def failing(records, path):
+        if written:  # the second split, sft
+            raise OSError(28, "No space left on device", path)
+        written.append(path)
+        return dataset.write_records(records, path)
+
+    monkeypatch.setattr(cli, "write_records", failing)
+    code, _, err = run(capsys, "build-dataset", "--scale", "400", "--seed", "2", "--out", str(ds))
+    assert (code, err.splitlines()[-1]) == (1, f"error: [Errno 28] No space left on device: '{ds / 'sft.jsonl'}'")
+    assert _digests(ds) == old
+    assert sorted(p.name for p in ds.iterdir()) == FILES

@@ -24,6 +24,7 @@ from mazekit.core import (
     validate_maze,
     wall_mismatches,
 )
+from mazekit.rewards import OUTCOME_CACHE
 from reference import BITS, OPPOSITE, apply_move, bfs, is_open, wall_token
 from test_bfs import any_grid
 
@@ -31,8 +32,10 @@ U, D, L, R = MoveDirection.UP, MoveDirection.DOWN, MoveDirection.LEFT, MoveDirec
 
 
 def test_every_cache_holds_at_most_shape_cache_shapes():
-    """Each ``lru_cache`` in the package is a per-shape table bounded by
-    ``SHAPE_CACHE``, so no cache grows with the number of shapes seen."""
+    """Each ``lru_cache`` in the package but one is a per-shape table bounded by
+    ``SHAPE_CACHE``, so no cache grows with the number of shapes seen.  The one
+    cache not kept per shape, ``rewards._outcome``, holds reward outcomes and is
+    bounded by ``OUTCOME_CACHE``."""
     caches = {}
     for info in pkgutil.iter_modules(mazekit.__path__):
         module = importlib.import_module(f"mazekit.{info.name}")
@@ -43,6 +46,7 @@ def test_every_cache_holds_at_most_shape_cache_shapes():
     source = "".join(path.read_text(encoding="utf-8") for path in pathlib.Path(mazekit.__file__).parent.glob("*.py"))
     assert len(re.findall(r"@(?:functools\.)?(?:lru_cache|cache)\b", source)) == len(caches)
     assert {"generate._carve_table", "tokens._render_pieces", "rng._lanes"} <= caches.keys()
+    assert caches.pop("rewards._outcome") == OUTCOME_CACHE
     assert set(caches.values()) == {SHAPE_CACHE}
 
 

@@ -7,11 +7,15 @@ without pytest.  The inputs it commits, the gap maze's suite row and the
 bench outputs, are re-derived here with the package.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from mazekit import dataset
 from mazekit.bench import maze_id
+from mazekit.cli import main
 from mazekit.generate import solve_shortest_path
 from mazekit.rewards import group_advantages
 from mazekit.tokens import parse_maze_tokens, render_move_tokens
@@ -25,6 +29,22 @@ def test_generate_and_augment_digests(tmp_path):
 
 def test_build_dataset_digests(tmp_path):
     assert golden.check(["build"], tmp_path) == []
+
+
+def test_read_back_streams_and_names_a_lost_line(tmp_path, monkeypatch):
+    """The read-back counts each split's records one at a time, never through the
+    list that ``read_records`` holds, and a split that lost a line is a mismatch
+    naming the file and both counts."""
+    ds = tmp_path / "ds"
+    argv = ["build-dataset", "--seed", "6", "--pool", "60", "--test", "6", "--sft-straight", "20",
+            "--sft-retry", "20", "--grpo", "14", "--out", str(ds)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    monkeypatch.setattr(dataset, "read_records", None)
+    assert golden.read_back("small", ds) == []
+    lines = (ds / "sft.jsonl").read_bytes().splitlines(keepends=True)
+    (ds / "sft.jsonl").write_bytes(b"".join(lines[:17] + lines[18:]))
+    assert golden.read_back("small", ds) == ["small: sft.jsonl reads back 39 records, manifest.json counts 40"]
 
 
 def test_topped_up_build_dataset_digests(tmp_path):

@@ -1,20 +1,30 @@
+import dataclasses
+import importlib.util
 import math
+import pathlib
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mazekit import rewards
 from mazekit.augment import ReasoningTrace
+from mazekit.core import SimStatus
 from mazekit.generate import GenConfig, generate_solved_maze, place_endpoints, solve_shortest_path
 from mazekit.rewards import (
+    OUTCOME_CACHE,
+    RewardBreakdown,
     correctness_reward,
     group_advantages,
     integrity_reward,
     thinking_reward,
     total_reward,
 )
-from mazekit.tokens import render_move_tokens
+from mazekit.tokens import parse_maze_tokens, render_move_tokens, walk_answer
+from reference import reference_total_reward
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +217,85 @@ def test_total_is_componentwise_sum(example_maze):
     for out in outputs:
         b = total_reward(example_maze, out)
         assert b.total == b.correctness + b.integrity + b.thinking
+
+
+def _spam_case():
+    """The seed-7 maze and its three pinned outputs with their totals (see the test above)."""
+    m = generate_solved_maze(GenConfig(seed=7))
+    trace = ReasoningTrace(m, (), solve_shortest_path(m))
+    moves = render_move_tokens(trace.solution.moves)
+    return m, {
+        f"<think>{trace.solution_text}</think>{moves}": 4.45,
+        "<think></think>" + "<|up|>" * 40: 20.25,
+        f"<think>{trace.solution_text}{'<|left|>' * 20}</think>{moves}": 13.0,
+    }
+
+
+def test_pinned_spam_scores_match_the_reference():
+    m, totals = _spam_case()
+    for output, total in totals.items():
+        got = total_reward(m, output)
+        assert got == reference_total_reward(m, output)
+        assert got.total == pytest.approx(total)
+
+
+def test_every_score_workload_output_matches_the_reference(tmp_path):
+    """Each output of the benchmark's score workload, all eight kinds in mixed and
+    all-equal groups, scores as the reference and as the workload expects."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    score = workloads.Score(7, str(tmp_path))
+    score.setup()
+    for group in score.groups:
+        m = parse_maze_tokens(group.maze_tokens)
+        for output, expected in zip(group.outputs, group.expected):
+            assert total_reward(m, output) == reference_total_reward(m, output) == expected
+
+
+def test_equal_outcomes_share_one_frozen_breakdown(example_maze):
+    """Two outputs with the same moves, walk status and thinking points get the
+    same breakdown object, which stays frozen."""
+    first = total_reward(example_maze, "<|left|>")
+    assert total_reward(example_maze, "noise <|left|> more noise") is first
+    assert total_reward(example_maze, "<think>x</think><|left|>") is not first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.correctness = 1.0
+    assert type(first) is RewardBreakdown and first == RewardBreakdown(0.0, 0.5, 0.0)
+    assert hash(first) == hash(RewardBreakdown(0.0, 0.5, 0.0))
+    assert repr(first) == "RewardBreakdown(correctness=0.0, integrity=0.5, thinking=0.0)"
+
+
+def test_long_outputs_leave_the_outcome_cache_within_its_bound(example_maze):
+    """Outputs of 0-5,000 move tokens, with and without a think block, make more
+    outcomes than the cache holds; it evicts, and still scores each one right."""
+    for n in range(0, 5001, 4):
+        output = ("<think></think>" if n % 8 else "") + "<|up|>" * n
+        assert total_reward(example_maze, output) == reference_total_reward(example_maze, output)
+    info = rewards._outcome.cache_info()
+    assert info.maxsize == OUTCOME_CACHE
+    assert info.currsize <= OUTCOME_CACHE
+
+
+def test_a_group_builds_one_breakdown_per_distinct_outcome(example_maze, monkeypatch):
+    """Scoring a 16-output GRPO group twice constructs each distinct outcome's
+    breakdown once, and none again."""
+    solution = render_move_tokens(solve_shortest_path(example_maze).moves)
+    group = [f"<think>plan</think>{solution}", solution, f"<think>{solution}</think>", "<|up|><|up|>",
+             "<|left|>", solution + "<|left|>", "<think>plan</think>", "<think><think>" + solution] * 2
+    built = []
+    init = RewardBreakdown.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    rewards._outcome.cache_clear()
+    monkeypatch.setattr(RewardBreakdown, "__init__", counting)
+    first = [total_reward(example_maze, output) for output in group]
+    assert [total_reward(example_maze, output) for output in group] == first
+    outcomes = set()
+    for output in group:
+        moves, _, status = walk_answer(example_maze, output)
+        outcomes.add((moves, status is SimStatus.REACHED_TARGET, thinking_reward(output)))
+    assert len(built) == len(outcomes) == 6
