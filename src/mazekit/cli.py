@@ -303,8 +303,11 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 def cmd_reward(args: argparse.Namespace) -> int:
     rows_out, groups = [], {}
+    text = m = None  # the last maze text and its maze: a group's outputs are usually in a run
     for where, row in iter_jsonl(args.pairs):
-        breakdown = total_reward(_maze(where, row), field(where, row, "output", str))
+        if field(where, row, "maze_tokens", str) != text:
+            m, text = _maze(where, row), row["maze_tokens"]
+        breakdown = total_reward(m, field(where, row, "output", str))
         out = {**vars(breakdown), "total": breakdown.total}  # a new dict: breakdowns of equal outcomes are shared
         if "id" in row:
             try:  # json.loads accepts a lone surrogate escape, which the UTF-8 write would reject

@@ -310,18 +310,27 @@ def decode_errors_named(path: str, fh) -> Iterator[None]:
         raise DatasetError(f"{path}: line {lineno}: not UTF-8: {exc.reason}") from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
-    """Yield each non-blank row with its location, ``"<path>: line N"``."""
+    """Yield each non-blank row with its location, ``"<path>: line N"``.  Each line is decoded once, by
+    ``raw_decode``; a line it rejects, or does not take whole, goes to ``json.loads``, which words the fault."""
     with _open_for_read(path) as fh, decode_errors_named(path, fh):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip(" \t\r\n")  # JSON's whitespace only: str.strip() would drop "\xa0" and "\x1c" too
             if not line:
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # not only JSONDecodeError: the int digit limit, deep nesting
-                raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
+            try:  # the line has no JSON whitespace at either end, so taken whole it is what json.loads accepts
+                row, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # not only JSONDecodeError: the int digit limit, deep nesting
+                    raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise DatasetError(f"{where}: expected a JSON object")
             yield where, row

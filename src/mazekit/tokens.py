@@ -16,10 +16,12 @@ once.  The parser rejects malformed input instead of repairing it, so
 datasets stay trustworthy at rest.  It matches the whole grid in one pass: one
 ``str.split`` on ``|>`` cuts the text into pieces, each ``"<|"`` and a token's
 name (a row's first coordinate after the row's newline), and the text is
-accepted when every piece is a rendering's; a matched maze is built without
-rechecking (``Maze._trusted``).  CRLF row endings are folded to ``\n`` before
-the match, so it reads them too.  Only text the match rejects is walked token
-by token, and the walk only names its first fault in cell order.
+accepted when every piece is a rendering's.  The endpoints are found by index:
+with all but two state slots blank, those two hold one origin and one target.
+A matched maze is built without rechecking (``Maze._trusted``).  CRLF row
+endings are folded to ``\n`` before the match, so it reads them too.  Only
+text the match rejects is walked token by token, and the walk only names its
+first fault in cell order.
 ``extract_move_tokens`` and ``walk_answer`` are the lenient entry points: each
 scans raw model output and keeps every movement token it finds, in order.
 ``walk_answer`` is the one answer reader: the reward, the bench verdict and
@@ -204,12 +206,12 @@ def parse_maze_tokens(text: str) -> Maze:
         cells
         and len(pieces) == 3 * cells + 1
         and states.count("<|blank") == cells - 2
-        and states.count("<|origin") == 1 == states.count("<|target")
         and tuple(pieces[0::3]) == _coord_pieces(width, height)
     ):
-        try:
+        try:  # the two slots that are not blank hold one origin and one target
+            o, t = states.index("<|origin"), states.index("<|target")
             masks = bytes(map(_WALL_PIECES.__getitem__, pieces[1::3]))
-        except KeyError:  # an unknown wall name, which the walk names
+        except (ValueError, KeyError):  # a missing endpoint or an unknown state or wall name, which the walk names
             pass
     if masks is None:
         lines = body.split("\n")
@@ -227,7 +229,7 @@ def parse_maze_tokens(text: str) -> Maze:
         raise MazeParseError(f"inconsistent walls between ({r},{c}) and ({r2},{c2})")
     if ends is not None:  # the walk found every cell sound, so the match rejected a missing endpoint
         raise MazeParseError(f"missing {'origin' if ends[0] is None else 'target'} token")
-    return Maze._trusted(width, height, masks, states.index("<|origin"), states.index("<|target"))
+    return Maze._trusted(width, height, masks, o, t)
 
 
 def ascii_preview(m: Maze) -> str:

@@ -8,7 +8,9 @@ on purpose.
 This module needs only the standard library, so every interpreter the
 package supports can re-run the generate, augment, build-dataset, bench build,
 bench run, reward and trend commands of ``GOLDEN`` without pytest, and read
-each build's splits back strictly, one record at a time (``read_back``):
+each build's splits back strictly, one record at a time, checking the facts
+across its files (``read_back``): no test maze in sft or grpo, pool indices
+rising within each split, and sft's retry count:
 
     python tests/golden.py
 
@@ -196,23 +198,47 @@ def sha256(path) -> str:
 
 def read_back(name, outdir) -> list[str]:
     """Read each split of the build in outdir strictly, one record at a time (``iter_jsonl``,
-    ``record_from_dict``, ``validate_record``); a split that fails, or whose count is not its
-    count in manifest.json, is a mismatch."""
-    from mazekit.dataset import DatasetError, iter_jsonl, record_from_dict, validate_record
+    ``record_from_dict``, ``validate_record``), holding only the test split's maze ids.  A split
+    is a mismatch when a record fails, when a record of sft or grpo has a test maze's id, when
+    its pool indices do not rise strictly or reach ``total_pool + top_up``, or when its count is
+    not its count in manifest.json; sft is one too when its count holds but its retry records are
+    not the plan's ``sft_retry_count``."""
+    from mazekit.dataset import DatasetError, RecordKind, iter_jsonl, record_from_dict, validate_record
 
-    counts = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))["records"]
+    manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+    plan, counts = manifest["plan"], manifest["records"]
+    pool_end = plan["total_pool"] + manifest.get("top_up", 0)
+    test_ids = set()
     mismatches = []
-    for split, want in counts.items():
-        got = 0
+    for split in sorted(counts, key=lambda split: split != "test"):  # test first: training must not hold its ids
+        got = retries = 0
+        last = -1
         try:
             for where, row in iter_jsonl(str(outdir / f"{split}.jsonl")):
-                validate_record(record_from_dict(row, where), where)
+                record = record_from_dict(row, where)
+                validate_record(record, where)
+                index, maze_id, _ = record.id.split("-")  # validate_record checked the three parts
+                index = int(index)
+                if split == "test":
+                    test_ids.add(maze_id)
+                elif maze_id in test_ids:
+                    raise DatasetError(f"{where}: maze id {maze_id} is a test maze's")
+                if not last < index < pool_end:
+                    raise DatasetError(
+                        f"{where}: pool index {index} is not above the one before, {last}, and below "
+                        f"total_pool + top_up, {pool_end}"
+                    )
+                last = index
+                retries += record.kind is RecordKind.RETRY
                 got += 1
         except DatasetError as exc:
-            mismatches.append(f"{name}: {split}.jsonl fails the strict read: {exc}")
+            mismatches.append(f"{name}: {split}.jsonl fails the read-back: {exc}")
             continue
-        if got != want:
-            mismatches.append(f"{name}: {split}.jsonl reads back {got} records, manifest.json counts {want}")
+        if got != counts[split]:
+            mismatches.append(f"{name}: {split}.jsonl reads back {got} records, manifest.json counts {counts[split]}")
+        elif split == "sft" and retries != plan["sft_retry_count"]:  # a lost or extra line is named above
+            mismatches.append(f"{name}: sft.jsonl holds {retries} retry records, the plan's sft_retry_count is "
+                              f"{plan['sft_retry_count']}")
     return mismatches
 
 

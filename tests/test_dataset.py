@@ -508,3 +508,79 @@ def test_atomic_write_leaves_an_error_inside_the_block_as_raised(tmp_path):
             raise OSError(28, "No space left on device", "elsewhere")
     assert str(err.value) == "[Errno 28] No space left on device: 'elsewhere'"
     assert list(tmp_path.iterdir()) == []
+
+
+# Lines on which a cheaper decode could drift from json.loads: a BOM, trailing data, rows that are
+# not objects, non-finite numbers, a lone surrogate, duplicate keys, the int digit limit, deep
+# nesting, cut-off text, characters that are not JSON whitespace, and lines that hold no row at all
+_DECODE_CASES = [
+    '\ufeff{"a": 1}',
+    '{"a": 1} x',
+    "{}{}",
+    "[1, 2]",
+    '"text"',
+    "null",
+    '{"a": NaN}',
+    '{"a": -Infinity}',
+    '{"a": "\\ud800"}',
+    '{"a": 1, "a": 2}',
+    '{"n": ' + "9" * 5000 + "}",
+    "[" * 200_000,
+    "{",
+    '{"a": 01}',
+    '{"a" 1}',
+    "\xa0{}",
+    "{}\x0c",
+    "\x1c",
+    '\t {"a": [1, {"b": null}]} \r',
+    "",
+    "   ",
+]
+
+
+def _parent_read(path: str, line: str):
+    """What ``iter_jsonl`` gave before it decoded with ``raw_decode``: json.loads of the stripped line."""
+    line = line.strip(" \t\r\n")
+    if not line:
+        return []
+    where = f"{path}: line 2"
+    try:
+        row = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"{where}: invalid JSON: {exc}"
+    return [(where, row)] if isinstance(row, dict) else f"{where}: expected a JSON object"
+
+
+@pytest.mark.parametrize("case", range(len(_DECODE_CASES) + 1))
+def test_iter_jsonl_decodes_as_json_loads(small_splits, tmp_path, case):
+    line = _DECODE_CASES[case] if case < len(_DECODE_CASES) else json.dumps(record_dict(small_splits.sft[0]))
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    want = _parent_read(str(path), line)
+    try:
+        got = list(dataset.iter_jsonl(str(path)))
+    except DatasetError as exc:
+        got = str(exc)
+    # repr: NaN is not equal to itself
+    assert repr(got) == repr(want)
+
+
+def test_iter_jsonl_names_a_bom_and_trailing_data(tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b'\xef\xbb\xbf{"a": 1}\n')
+    with pytest.raises(DatasetError) as err:
+        list(dataset.iter_jsonl(str(path)))
+    assert str(err.value) == (
+        f"{path}: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
+    path.write_text('{"a": 1}\n{"a": 1} {"b": 2}\n', encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        list(dataset.iter_jsonl(str(path)))
+    assert str(err.value) == f"{path}: line 2: invalid JSON: Extra data: line 1 column 10 (char 9)"
+
+
+def test_iter_jsonl_calls_json_loads_only_on_a_faulty_line(small_splits, tmp_path, monkeypatch):
+    path = tmp_path / "rows.jsonl"
+    write_records(small_splits.sft, str(path))
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("a valid line reached json.loads"))
+    assert [row for _, row in dataset.iter_jsonl(str(path))] == [record_dict(r) for r in small_splits.sft]

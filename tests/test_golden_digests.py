@@ -31,20 +31,73 @@ def test_build_dataset_digests(tmp_path):
     assert golden.check(["build"], tmp_path) == []
 
 
+def _small_build(ds):
+    argv = ["build-dataset", "--seed", "6", "--pool", "60", "--test", "6", "--sft-straight", "20",
+            "--sft-retry", "20", "--grpo", "14", "--out", str(ds)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+
+
 def test_read_back_streams_and_names_a_lost_line(tmp_path, monkeypatch):
     """The read-back counts each split's records one at a time, never through the
     list that ``read_records`` holds, and a split that lost a line is a mismatch
     naming the file and both counts."""
     ds = tmp_path / "ds"
-    argv = ["build-dataset", "--seed", "6", "--pool", "60", "--test", "6", "--sft-straight", "20",
-            "--sft-retry", "20", "--grpo", "14", "--out", str(ds)]
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
+    _small_build(ds)
     monkeypatch.setattr(dataset, "read_records", None)
     assert golden.read_back("small", ds) == []
     lines = (ds / "sft.jsonl").read_bytes().splitlines(keepends=True)
     (ds / "sft.jsonl").write_bytes(b"".join(lines[:17] + lines[18:]))
     assert golden.read_back("small", ds) == ["small: sft.jsonl reads back 39 records, manifest.json counts 40"]
+
+
+def _index(line: bytes) -> int:
+    return int(json.loads(line)["id"].split("-")[0])
+
+
+def test_read_back_checks_the_facts_across_files(tmp_path):
+    """A forged build fails the read-back on the fact it breaks: a test record copied into sft,
+    two grpo lines swapped, a plan whose pool ends before the last index or whose sft retry count
+    is not the file's."""
+    ds = tmp_path / "ds"
+    _small_build(ds)
+    assert golden.read_back("small", ds) == []
+    files = {name: (ds / name).read_bytes() for name in ("test.jsonl", "sft.jsonl", "grpo.jsonl", "manifest.json")}
+    lines = {name: data.splitlines(keepends=True) for name, data in files.items()}
+
+    # at the place its pool index sorts to, so only the test id gives it away
+    copied = lines["test.jsonl"][2]
+    sft = lines["sft.jsonl"]
+    at = next(n for n, line in enumerate(sft) if _index(line) > _index(copied))
+    (ds / "sft.jsonl").write_bytes(b"".join(sft[:at] + [copied] + sft[at:]))
+    maze_id = json.loads(copied)["id"].split("-")[1]
+    assert golden.read_back("small", ds) == [
+        f"small: sft.jsonl fails the read-back: {ds / 'sft.jsonl'}: line {at + 1}: maze id {maze_id} is a test maze's"
+    ]
+    (ds / "sft.jsonl").write_bytes(files["sft.jsonl"])
+
+    grpo = lines["grpo.jsonl"]
+    (ds / "grpo.jsonl").write_bytes(b"".join(grpo[:4] + [grpo[5], grpo[4]] + grpo[6:]))
+    assert golden.read_back("small", ds) == [
+        f"small: grpo.jsonl fails the read-back: {ds / 'grpo.jsonl'}: line 6: pool index {_index(grpo[4])} "
+        f"is not above the one before, {_index(grpo[5])}, and below total_pool + top_up, 60"
+    ]
+    (ds / "grpo.jsonl").write_bytes(files["grpo.jsonl"])
+
+    manifest = json.loads(files["manifest.json"])
+    last = max(_index(line) for line in lines["test.jsonl"])
+    manifest["plan"]["total_pool"] = last
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    line = [_index(line) for line in lines["test.jsonl"]].index(last) + 1
+    assert golden.read_back("small", ds) == [
+        f"small: test.jsonl fails the read-back: {ds / 'test.jsonl'}: line {line}: pool index {last} "
+        f"is not above the one before, {_index(lines['test.jsonl'][line - 2])}, and below total_pool + top_up, {last}"
+    ]
+
+    manifest["plan"]["total_pool"] = 60
+    manifest["plan"]["sft_retry_count"] = 19
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    assert golden.read_back("small", ds) == ["small: sft.jsonl holds 20 retry records, the plan's sft_retry_count is 19"]
 
 
 def test_topped_up_build_dataset_digests(tmp_path):

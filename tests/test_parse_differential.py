@@ -339,3 +339,27 @@ def test_rendered_text_takes_the_grid_match(m):
     # a drawn 1-row or 1-column wall grid need not be connected: the render does not audit
     with mock.patch.object(tokens, "_walk_row", _no_walk):
         assert parse_maze_tokens(render_maze_tokens(m)) == m
+
+
+def _cell_of(text, token):
+    """The (row, col) of the cell whose state slot holds token."""
+    names = _TOKEN_RE.findall(text)
+    return tuple(map(int, _COORD_RE.match(names[names.index(token[2:-2]) - 2]).groups()))
+
+
+def test_state_slots_with_the_blank_count_but_a_wrong_pair_reach_the_walk():
+    # cells - 2 blank slots, yet the other two are not one origin and one target: the match finds
+    # the endpoints by index, so each text must fail it and take the walk's message
+    text = _rendered_3x3()
+    (r, c), origin = _cell_of(text, TARGET_TOKEN), _cell_of(text, ORIGIN_TOKEN)
+    first, second = (f"({a},{b})" for a, b in sorted([origin, (r, c)]))
+    cases = {
+        text.replace(TARGET_TOKEN, ORIGIN_TOKEN): f"duplicate origin at {first} and {second}",
+        text.replace(ORIGIN_TOKEN, TARGET_TOKEN): f"duplicate target at {first} and {second}",
+        text.replace(TARGET_TOKEN, "<|bogus|>"): f"row {r}, cell {c}: unknown state token '<|bogus|>'",
+        text.replace(TARGET_TOKEN, "<|up|>"): f"row {r}, cell {c}: unknown state token '<|up|>'",
+    }
+    for bad, message in cases.items():
+        with mock.patch.object(tokens, "_walk_row", wraps=tokens._walk_row) as walk:
+            assert outcome(parse_maze_tokens, bad) == outcome(reference_parse, bad) == f"MazeParseError: {message}"
+        assert walk.called
